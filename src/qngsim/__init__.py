@@ -9,6 +9,7 @@ minimization of Pauli-sum Hamiltonians.
 
 from .ansatz import (
     AnsatzCircuit,
+    BoundCircuit,
     input_state,
     phased_variant,
     prepare_ansatz_state,
@@ -60,7 +61,6 @@ from .optimizer import (
     StepRecord,
     energy_expectation,
     energy_gradient,
-    natural_gradient_step,
     parse_hamiltonian_file,
     parse_hamiltonian_text,
     run_optimization,

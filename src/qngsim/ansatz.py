@@ -9,6 +9,7 @@ Parameters are radians for rotation gates and are never wrapped.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -19,10 +20,17 @@ from .gates import (
     PauliString,
     PhasedPauliRotation,
 )
-from .statevector import OpCounter, Statevector, apply_operator, make_basis_state
+from .statevector import (
+    MatrixGateOperator,
+    OpCounter,
+    Statevector,
+    apply_operator,
+    make_basis_state,
+)
 
 __all__ = [
     "AnsatzCircuit",
+    "BoundCircuit",
     "as_rng",
     "input_state",
     "phased_variant",
@@ -68,22 +76,70 @@ class AnsatzCircuit:
     def num_parameters(self) -> int:
         return len(self.gates)
 
+    def bind(self, params) -> "BoundCircuit":
+        """Fix the parameters: a length-P vector of finite reals.
+
+        Raises:
+            ValueError: on a wrong shape or a NaN or infinite entry.
+        """
+        theta = np.array(params, dtype=np.float64)
+        if theta.shape != (self.num_parameters,):
+            raise ValueError(
+                f"expected {self.num_parameters} parameters, got shape {theta.shape}"
+            )
+        if not np.all(np.isfinite(theta)):
+            bad = int(np.flatnonzero(~np.isfinite(theta))[0])
+            raise ValueError(f"parameter {bad} is {theta[bad]}; parameters must be finite")
+        theta.setflags(write=False)
+        return BoundCircuit(self, theta)
+
+
+class BoundCircuit:
+    """A circuit at one parameter point, made by :meth:`AnsatzCircuit.bind`.
+
+    Owns every gate operator at ``theta``: each tuple is built on first use
+    and at most once per binding.
+    """
+
+    def __init__(self, circuit: AnsatzCircuit, theta: np.ndarray) -> None:
+        self.circuit = circuit
+        self.theta = theta
+
+    @cached_property
+    def unitaries(self) -> tuple[MatrixGateOperator, ...]:
+        return tuple(gate.unitary(t) for gate, t in zip(self.circuit.gates, self.theta))
+
+    @cached_property
+    def adjoints(self) -> tuple[MatrixGateOperator, ...]:
+        return tuple(op.adjoint() for op in self.unitaries)
+
+    @cached_property
+    def derivatives(self) -> tuple[MatrixGateOperator, ...]:
+        return tuple(gate.derivative(t) for gate, t in zip(self.circuit.gates, self.theta))
+
+    @cached_property
+    def derivative_adjoints(self) -> tuple[MatrixGateOperator, ...]:
+        return tuple(op.adjoint() for op in self.derivatives)
+
+    def prepare(self, counter: OpCounter, upto: int | None = None) -> Statevector:
+        """The state after the first ``upto`` gates (default all P); ``upto=0``
+        gives ``|in>``.  Exactly ``upto`` gate applications."""
+        count = self.circuit.num_parameters
+        if upto is None:
+            upto = count
+        elif not 0 <= upto <= count:
+            raise ValueError(f"upto must be in [0, {count}], got {upto}")
+        state = input_state(self.circuit, kind="state")
+        for op in self.unitaries[:upto]:
+            apply_operator(state, op, counter)
+        return state
+
 
 def as_rng(seed_or_rng: int | np.random.Generator) -> np.random.Generator:
     """Accept either a seed or a ready Generator (PCG64 via default_rng)."""
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.default_rng(seed_or_rng)
-
-
-def coerce_parameters(circuit: AnsatzCircuit, params) -> np.ndarray:
-    """Validate and convert a parameter vector for ``circuit``."""
-    values = np.asarray(params, dtype=np.float64)
-    if values.shape != (circuit.num_parameters,):
-        raise ValueError(
-            f"expected {circuit.num_parameters} parameters, got shape {values.shape}"
-        )
-    return values
 
 
 def input_state(circuit: AnsatzCircuit, kind: str = "input") -> Statevector:
@@ -93,21 +149,13 @@ def input_state(circuit: AnsatzCircuit, kind: str = "input") -> Statevector:
 def prepare_ansatz_state(circuit: AnsatzCircuit, params,
                          counter: OpCounter) -> Statevector:
     """``U_P(theta_P) ... U_1(theta_1)|in>``; exactly P gate applications."""
-    return prepare_partial_state(circuit, params, circuit.num_parameters, counter)
+    return circuit.bind(params).prepare(counter)
 
 
 def prepare_partial_state(circuit: AnsatzCircuit, params, upto: int,
                           counter: OpCounter) -> Statevector:
     """The state after the first ``upto`` gates; ``upto=0`` gives ``|in>``."""
-    values = coerce_parameters(circuit, params)
-    if not 0 <= upto <= circuit.num_parameters:
-        raise ValueError(
-            f"upto must be in [0, {circuit.num_parameters}], got {upto}"
-        )
-    state = input_state(circuit, kind="state")
-    for k in range(upto):
-        apply_operator(state, circuit.gates[k].unitary(values[k]), counter)
-    return state
+    return circuit.bind(params).prepare(counter, upto)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +174,8 @@ def random_circuit(num_qubits: int, num_parameters: int,
     (or a single qubit) only the rotation sublayers are emitted, which keeps
     every gate eligible for the phased variant used in gauge tests.
     """
+    if num_qubits < 1:
+        raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
     if num_parameters < 1:
         raise ValueError(f"num_parameters must be >= 1, got {num_parameters}")
     rng = as_rng(seed_or_rng)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ansatz import AnsatzCircuit, coerce_parameters, input_state
+from .ansatz import AnsatzCircuit, input_state
 from .errors import ResourceLimitError
 from .metric import LiTensor
 from .statevector import (
@@ -124,22 +124,12 @@ def compute_li_tensor(alg: BaselineId, circuit: AnsatzCircuit, params,
         ResourceLimitError: for alg7/alg8 when the P (or P+1) derivative
             registers would exceed ``memory_budget_bytes``.
     """
-    theta = coerce_parameters(circuit, params)
-    runner = _RUNNERS[alg]
-    return runner(circuit, theta, counter, memory_budget_bytes)
+    return _RUNNERS[alg](circuit, circuit.bind(params), counter, memory_budget_bytes)
 
 
 # ---------------------------------------------------------------------------
 # Individual strategies
 # ---------------------------------------------------------------------------
-
-
-def _unitaries(circuit: AnsatzCircuit, theta: np.ndarray):
-    return [gate.unitary(theta[k]) for k, gate in enumerate(circuit.gates)]
-
-
-def _derivatives(circuit: AnsatzCircuit, theta: np.ndarray):
-    return [gate.derivative(theta[k]) for k, gate in enumerate(circuit.gates)]
 
 
 def naive_full_li_matrix(circuit: AnsatzCircuit, params,
@@ -150,10 +140,9 @@ def naive_full_li_matrix(circuit: AnsatzCircuit, params,
     route for checking Hermiticity without the packed tensor's built-in
     mirroring.
     """
-    theta = coerce_parameters(circuit, params)
+    bound = circuit.bind(params)
     count = circuit.num_parameters
-    unitaries = _unitaries(circuit, theta)
-    derivatives = _derivatives(circuit, theta)
+    unitaries, derivatives = bound.unitaries, bound.derivatives
     start = input_state(circuit)
     phi_a = Statevector.zeros(circuit.num_qubits)
     phi_b = Statevector.zeros(circuit.num_qubits)
@@ -176,8 +165,8 @@ def naive_full_li_matrix(circuit: AnsatzCircuit, params,
     return full
 
 
-def _run_alg2(circuit, theta, counter, budget):
-    full = naive_full_li_matrix(circuit, theta, counter)
+def _run_alg2(circuit, bound, counter, budget):
+    full = naive_full_li_matrix(circuit, bound.theta, counter)
     count = circuit.num_parameters
     li = LiTensor(count)
     for i in range(count):
@@ -186,15 +175,13 @@ def _run_alg2(circuit, theta, counter, budget):
     return li
 
 
-def _run_alg3(circuit, theta, counter, budget):
+def _run_alg3(circuit, bound, counter, budget):
     # Upper triangle only; gates above j cancel analytically, so each element
     # is one forward sweep to the derivative of gate j and one adjoint sweep
     # back down through the derivative of gate i.
     count = circuit.num_parameters
-    unitaries = _unitaries(circuit, theta)
-    adjoints = [op.adjoint() for op in unitaries]
-    derivatives = _derivatives(circuit, theta)
-    derivative_adjoints = [op.adjoint() for op in derivatives]
+    unitaries, adjoints = bound.unitaries, bound.adjoints
+    derivatives, derivative_adjoints = bound.derivatives, bound.derivative_adjoints
     start = input_state(circuit)
     phi = Statevector.zeros(circuit.num_qubits)
     li = LiTensor(count)
@@ -213,14 +200,12 @@ def _run_alg3(circuit, theta, counter, budget):
     return li
 
 
-def _run_alg4(circuit, theta, counter, budget):
+def _run_alg4(circuit, bound, counter, budget):
     # As alg3, but the pre-gate-j state rolls forward one gate per j iteration
     # instead of being rebuilt from scratch.
     count = circuit.num_parameters
-    unitaries = _unitaries(circuit, theta)
-    adjoints = [op.adjoint() for op in unitaries]
-    derivatives = _derivatives(circuit, theta)
-    derivative_adjoints = [op.adjoint() for op in derivatives]
+    unitaries, adjoints = bound.unitaries, bound.adjoints
+    derivatives, derivative_adjoints = bound.derivatives, bound.derivative_adjoints
     start = input_state(circuit)
     psi = Statevector.zeros(circuit.num_qubits)
     phi = Statevector.zeros(circuit.num_qubits)
@@ -242,15 +227,13 @@ def _run_alg4(circuit, theta, counter, budget):
     return li
 
 
-def _run_alg5(circuit, theta, counter, budget):
+def _run_alg5(circuit, bound, counter, budget):
     # Rolling suffix and rolling infix: the i loop descends so the infix state
     # extends by a single adjoint per iteration.  The final i = 0 roll would
     # be overwritten immediately and is skipped.
     count = circuit.num_parameters
-    unitaries = _unitaries(circuit, theta)
-    adjoints = [op.adjoint() for op in unitaries]
-    derivatives = _derivatives(circuit, theta)
-    derivative_adjoints = [op.adjoint() for op in derivatives]
+    unitaries, adjoints = bound.unitaries, bound.adjoints
+    derivatives, derivative_adjoints = bound.derivatives, bound.derivative_adjoints
     start = input_state(circuit)
     psi = Statevector.zeros(circuit.num_qubits)
     phi = Statevector.zeros(circuit.num_qubits)
@@ -272,15 +255,13 @@ def _run_alg5(circuit, theta, counter, budget):
     return li
 
 
-def _run_alg6(circuit, theta, counter, budget):
+def _run_alg6(circuit, bound, counter, budget):
     # Rolling suffix, infix and prefix; every state in an (i, j) iteration
     # comes from the previous iteration in O(1) gates, for O(P^2) total.
     # Dead rolls at i = 0 are skipped, as in alg5.
     count = circuit.num_parameters
-    unitaries = _unitaries(circuit, theta)
-    adjoints = [op.adjoint() for op in unitaries]
-    derivatives = _derivatives(circuit, theta)
-    derivative_adjoints = [op.adjoint() for op in derivatives]
+    unitaries, adjoints = bound.unitaries, bound.adjoints
+    derivatives, derivative_adjoints = bound.derivatives, bound.derivative_adjoints
     start = input_state(circuit)
     psi = Statevector.zeros(circuit.num_qubits)
     phi = Statevector.zeros(circuit.num_qubits)
@@ -303,16 +284,15 @@ def _run_alg6(circuit, theta, counter, budget):
     return li
 
 
-def _run_alg7(circuit, theta, counter, budget):
+def _run_alg7(circuit, bound, counter, budget):
     # Materialize every derivative state independently, then take all inner
     # products at the end.  The derivative image is produced as the gate
     # unitary followed by its generator factor: two counted applications,
     # which is what cost_model charges this strategy per state.
     count = circuit.num_parameters
     _ensure_memory(count, circuit.num_qubits, budget)
-    unitaries = _unitaries(circuit, theta)
-    factors = [gate.derivative_factor(theta[k])
-               for k, gate in enumerate(circuit.gates)]
+    unitaries = bound.unitaries
+    factors = [gate.derivative_factor(t) for gate, t in zip(circuit.gates, bound.theta)]
     start = input_state(circuit)
     states = [Statevector.zeros(circuit.num_qubits) for _ in range(count)]
     for i in range(count):
@@ -326,13 +306,12 @@ def _run_alg7(circuit, theta, counter, budget):
     return _pairwise_products(states, counter)
 
 
-def _run_alg8(circuit, theta, counter, budget):
+def _run_alg8(circuit, bound, counter, budget):
     # As alg7, but the shared pre-derivative suffix rolls forward in a single
     # extra register, roughly halving the gate count.
     count = circuit.num_parameters
     _ensure_memory(count + 1, circuit.num_qubits, budget)
-    unitaries = _unitaries(circuit, theta)
-    derivatives = _derivatives(circuit, theta)
+    unitaries, derivatives = bound.unitaries, bound.derivatives
     start = input_state(circuit)
     psi = Statevector.zeros(circuit.num_qubits)
     states = [Statevector.zeros(circuit.num_qubits) for _ in range(count)]

@@ -32,7 +32,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -194,9 +193,12 @@ def _memory_budget() -> int:
     if raw is None:
         return DEFAULT_MEMORY_BUDGET_BYTES
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ParseError(f"invalid {MEMORY_BUDGET_ENV}={raw!r}")
+    if budget < 0:
+        raise ParseError(f"{MEMORY_BUDGET_ENV} must be >= 0, got {budget}")
+    return budget
 
 
 def _guard_qubits(num_qubits: int, allow_large: bool) -> None:
@@ -324,22 +326,17 @@ def _bench_point(alg: str, num_parameters: int, num_qubits: int, seed: int,
 
 
 def run_bench(algorithms: list[str], p_values: list[int], num_qubits: int,
-              seed: int, jobs: int, budget: int) -> list[BenchRow]:
-    points = [(alg, p) for alg in algorithms for p in p_values]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(
-                lambda point: _bench_point(point[0], point[1], num_qubits, seed, budget),
-                points,
-            ))
-    else:
-        rows = [_bench_point(alg, p, num_qubits, seed, budget) for alg, p in points]
-    order = {alg: index for index, alg in enumerate(algorithms)}
-    rows.sort(key=lambda row: (order[row.alg], row.num_parameters))
-    return rows
+              seed: int, budget: int) -> list[BenchRow]:
+    """One row per (algorithm, P), run serially so each ``wall_ms`` times
+    that point alone."""
+    return [_bench_point(alg, p, num_qubits, seed, budget)
+            for alg in algorithms for p in p_values]
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.qubits > MAX_QUBITS_GUARD:
+        raise ResourceLimitError(
+            f"bench runs at most {MAX_QUBITS_GUARD} qubits, got {args.qubits}")
     algorithms = _parse_algorithm_list(args.algorithms)
     if args.plist:
         p_values = sorted({int(part) for part in args.plist.split(",") if part.strip()})
@@ -349,8 +346,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         p_values = list(range(args.pmin, args.pmax + 1, args.pstep))
     if not p_values or min(p_values) < 1:
         raise ParseError("sweep values must be >= 1")
-    rows = run_bench(algorithms, p_values, args.qubits, args.seed, args.jobs,
-                     _memory_budget())
+    rows = run_bench(algorithms, p_values, args.qubits, args.seed, _memory_budget())
     lines = [BENCH_HEADER] + [row.format_csv() for row in rows]
     Path(args.out).write_text("\n".join(lines) + "\n")
     skipped = sum(1 for row in rows if row.counter is None)
@@ -448,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--qubits", type=int, default=4,
                        help="fixed circuit width for every sweep point")
     bench.add_argument("--seed", type=int, default=BENCH_SEED_DEFAULT)
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="sweep points computed in parallel")
     bench.add_argument("--out", required=True)
     bench.set_defaults(handler=_cmd_bench)
 
@@ -499,6 +493,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except SingularMetricError as exc:
         print(f"error: {exc}", file=sys.stderr)

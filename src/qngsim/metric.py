@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ansatz import AnsatzCircuit, coerce_parameters, input_state
+from .ansatz import AnsatzCircuit, input_state
 from .statevector import (
     OpCounter,
     Statevector,
@@ -152,7 +152,7 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
 
     Args:
         circuit: the ansatz; gate k owns parameter k.
-        params: length-P real vector.
+        params: length-P vector of finite reals.
         counter: receives the exact primitive tally.
         use_diagonal_shortcut: take a-priori values for eligible diagonal
             entries instead of computing ``<phi|phi>``.
@@ -165,11 +165,10 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
     derivative image, and one register permanently holding ``U_1|in>`` for the
     Berry-vector inner products.
     """
-    theta = coerce_parameters(circuit, params)
+    bound = circuit.bind(params)
+    theta = bound.theta
     count = circuit.num_parameters
-    unitaries = [gate.unitary(theta[k]) for k, gate in enumerate(circuit.gates)]
-    adjoints = [op.adjoint() for op in unitaries]
-    derivatives = [gate.derivative(theta[k]) for k, gate in enumerate(circuit.gates)]
+    unitaries, adjoints, derivatives = bound.unitaries, bound.adjoints, bound.derivatives
 
     start = input_state(circuit)
     chi = Statevector.zeros(circuit.num_qubits)   # U_1|in>, permanently
@@ -220,17 +219,16 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
 def compute_berry_vector(circuit: AnsatzCircuit, params,
                          counter: OpCounter) -> BerryVector:
     """Standalone ``T_i = <psi_i| dU_i |psi_{i-1}>`` in O(P) gate applications."""
-    theta = coerce_parameters(circuit, params)
-    count = circuit.num_parameters
+    bound = circuit.bind(params)
     psi = Statevector.zeros(circuit.num_qubits)
     work = Statevector.zeros(circuit.num_qubits)
     start = input_state(circuit)
     clone_into(start, psi, counter)
-    berry = np.zeros(count, dtype=np.complex128)
-    for i, gate in enumerate(circuit.gates):
+    berry = np.zeros(circuit.num_parameters, dtype=np.complex128)
+    for i, (unitary, derivative) in enumerate(zip(bound.unitaries, bound.derivatives)):
         clone_into(psi, work, counter)
-        apply_operator(work, gate.derivative(theta[i]), counter)
-        apply_operator(psi, gate.unitary(theta[i]), counter)
+        apply_operator(work, derivative, counter)
+        apply_operator(psi, unitary, counter)
         berry[i] = inner_product(psi, work, counter)
     return BerryVector(berry)
 
@@ -276,7 +274,10 @@ def read_tensor_binary(path) -> np.ndarray:
         magic = handle.read(len(TENSOR_MAGIC))
         if magic != TENSOR_MAGIC:
             raise ValueError(f"{path}: not a tensor dump (bad magic {magic!r})")
-        (size,) = struct.unpack("<Q", handle.read(8))
+        header = handle.read(8)
+        if len(header) != 8:
+            raise ValueError(f"{path}: truncated header ({len(header)} of 8 size bytes)")
+        (size,) = struct.unpack("<Q", header)
         data = np.frombuffer(handle.read(), dtype="<c16")
     if data.size != size * size:
         raise ValueError(f"{path}: expected {size * size} entries, found {data.size}")

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .ansatz import AnsatzCircuit, coerce_parameters, prepare_ansatz_state
+from .ansatz import AnsatzCircuit, prepare_ansatz_state
 from .errors import ParseError, SingularMetricError
 from .gates import PauliString
 from .metric import compute_geometric_tensor
@@ -43,7 +43,6 @@ __all__ = [
     "StepRecord",
     "energy_expectation",
     "energy_gradient",
-    "natural_gradient_step",
     "parse_hamiltonian_file",
     "parse_hamiltonian_text",
     "run_optimization",
@@ -136,13 +135,11 @@ def energy_gradient(circuit: AnsatzCircuit, params,
                     hamiltonian: PauliSumHamiltonian,
                     counter: OpCounter) -> np.ndarray:
     """All P components of the energy gradient in O(P) gates per term."""
-    theta = coerce_parameters(circuit, params)
+    bound = circuit.bind(params)
     count = circuit.num_parameters
-    unitaries = [gate.unitary(theta[k]) for k, gate in enumerate(circuit.gates)]
-    adjoints = [op.adjoint() for op in unitaries]
-    derivatives = [gate.derivative(theta[k]) for k, gate in enumerate(circuit.gates)]
+    adjoints, derivatives = bound.adjoints, bound.derivatives
 
-    psi = prepare_ansatz_state(circuit, theta, counter)
+    psi = bound.prepare(counter)
     back = Statevector.zeros(circuit.num_qubits)
     roll = Statevector.zeros(circuit.num_qubits)
     work = Statevector.zeros(circuit.num_qubits)
@@ -175,7 +172,6 @@ class OptimizerConfig:
     max_steps: int = 500
     energy_tolerance: float = 1e-10
     mode: str = NATURAL_GRADIENT
-    use_diagonal_shortcut: bool = True
 
     def __post_init__(self) -> None:
         if self.timestep <= 0:
@@ -256,47 +252,23 @@ def _solve_metric_system(metric: np.ndarray, rhs: np.ndarray,
     return solution
 
 
-def _step_direction(circuit: AnsatzCircuit, theta: np.ndarray, grad: np.ndarray,
-                    config: OptimizerConfig, counter: OpCounter) -> np.ndarray:
-    if config.mode == PLAIN_GRADIENT:
-        return -config.timestep * grad
-    tensor = compute_geometric_tensor(
-        circuit, theta, counter, use_diagonal_shortcut=config.use_diagonal_shortcut
-    )
-    return _solve_metric_system(tensor.fubini_study_metric,
-                                -config.timestep * grad, config.regularization)
-
-
-def natural_gradient_step(circuit: AnsatzCircuit, params,
-                          hamiltonian: PauliSumHamiltonian,
-                          config: OptimizerConfig,
-                          counter: OpCounter) -> tuple[np.ndarray, StepRecord]:
-    """One update: evaluate energy and gradient at ``params``, solve, step.
-
-    Returns the new parameter vector and a record of the pre-step point (the
-    record's step index is 0; ``run_optimization`` renumbers).
-    """
-    theta = coerce_parameters(circuit, params)
-    energy = energy_expectation(circuit, theta, hamiltonian, counter)
-    grad = energy_gradient(circuit, theta, hamiltonian, counter)
-    delta = _step_direction(circuit, theta, grad, config, counter)
-    record = StepRecord(0, energy, float(np.linalg.norm(grad)), theta.copy())
-    return theta + delta, record
-
-
 def run_optimization(circuit: AnsatzCircuit, initial_params,
                      hamiltonian: PauliSumHamiltonian,
                      config: OptimizerConfig) -> OptimizationTrace:
     """Iterate updates until ``max_steps`` or the energy change drops below
     ``energy_tolerance``; every evaluated point is recorded in the trace."""
     counter = OpCounter()
-    theta = coerce_parameters(circuit, initial_params)
+    theta = circuit.bind(initial_params).theta
     trace = OptimizationTrace()
     energy = energy_expectation(circuit, theta, hamiltonian, counter)
     grad = energy_gradient(circuit, theta, hamiltonian, counter)
     trace.records.append(StepRecord(0, energy, float(np.linalg.norm(grad)), theta.copy()))
     for step in range(1, config.max_steps + 1):
-        theta = theta + _step_direction(circuit, theta, grad, config, counter)
+        delta = -config.timestep * grad
+        if config.mode == NATURAL_GRADIENT:
+            metric = compute_geometric_tensor(circuit, theta, counter).fubini_study_metric
+            delta = _solve_metric_system(metric, delta, config.regularization)
+        theta = theta + delta
         new_energy = energy_expectation(circuit, theta, hamiltonian, counter)
         grad = energy_gradient(circuit, theta, hamiltonian, counter)
         trace.records.append(

@@ -286,8 +286,8 @@ def apply_operator(state: Statevector, op: GateOperator, counter: OpCounter) -> 
 # ---------------------------------------------------------------------------
 
 
-# Registers at or below this many amplitudes are transformed with plain
-# Python complex arithmetic; numpy call overhead dominates actual work there.
+# Matrix gates on registers at or below this many amplitudes are applied with
+# plain Python complex arithmetic; numpy call overhead dominates work there.
 _PYTHON_PATH_LIMIT = 64
 
 
@@ -439,8 +439,7 @@ class PauliStringOperator:
     terms) stay O(2^N) to apply.  Hermitian, hence self-adjoint.
     """
 
-    __slots__ = ("qubit_indices", "_max_qubit", "_x_mask", "_sign_mask", "_phase",
-                 "_action_cache")
+    __slots__ = ("qubit_indices", "_max_qubit", "_x_mask", "_sign_mask", "_phase")
 
     def __init__(self, factors: tuple[tuple[int, str], ...]) -> None:
         x_mask = 0
@@ -469,27 +468,13 @@ class PauliStringOperator:
         self._x_mask = x_mask
         self._sign_mask = sign_mask
         self._phase = 1j ** (num_y % 4)
-        self._action_cache: dict[int, tuple] = {}
 
     def adjoint(self) -> "PauliStringOperator":
         return self
 
-    def _coefficient(self, source_index: int) -> complex:
-        return self._phase * (1 - 2 * (bin(source_index & self._sign_mask).count("1") & 1))
-
     def _apply_inplace(self, amplitudes: np.ndarray, num_qubits: int) -> None:
         if self._x_mask == 0 and self._sign_mask == 0:
             return  # identity string
-        if amplitudes.size <= _PYTHON_PATH_LIMIT:
-            action = self._action_cache.get(num_qubits)
-            if action is None:
-                sources = [index ^ self._x_mask for index in range(amplitudes.size)]
-                action = (sources, [self._coefficient(s) for s in sources])
-                self._action_cache[num_qubits] = action
-            sources, coefficients = action
-            values = amplitudes.tolist()
-            amplitudes[:] = [c * values[s] for s, c in zip(sources, coefficients)]
-            return
         idx = np.arange(amplitudes.size, dtype=np.int64)
         src = idx ^ self._x_mask if self._x_mask else idx
         out = amplitudes[src] if self._x_mask else amplitudes.copy()

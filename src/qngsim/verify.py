@@ -17,7 +17,6 @@ import numpy as np
 
 from .ansatz import (
     AnsatzCircuit,
-    coerce_parameters,
     phased_variant,
     prepare_ansatz_state,
     random_circuit,
@@ -71,7 +70,7 @@ def finite_difference_tensor(circuit: AnsatzCircuit, params,
     on the raw amplitude vectors (the global phase of the prepared state is
     well-defined, so no phase fixing is needed).
     """
-    theta = coerce_parameters(circuit, params)
+    theta = circuit.bind(params).theta
     count = circuit.num_parameters
     scratch = OpCounter()
 

@@ -64,6 +64,62 @@ def test_prepare_parameter_length_mismatch():
         prepare_ansatz_state(rx_circuit(2), [0.1], OpCounter())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bind_rejects_non_finite_parameters(bad):
+    with pytest.raises(ValueError, match="parameter 1 .* must be finite"):
+        rx_circuit(2).bind([0.1, bad])
+
+
+def test_bind_rejects_wrong_shape():
+    with pytest.raises(ValueError, match="expected 2 parameters"):
+        rx_circuit(2).bind([0.1])
+    with pytest.raises(ValueError, match="expected 2 parameters"):
+        rx_circuit(2).bind([[0.1, 0.2]])
+
+
+def test_bind_copies_and_freezes_theta():
+    params = np.array([0.1, 0.2])
+    bound = rx_circuit(2).bind(params)
+    params[0] = 5.0
+    np.testing.assert_array_equal(bound.theta, [0.1, 0.2])
+    assert not bound.theta.flags.writeable
+
+
+def test_bound_operators_built_once_and_match_gates():
+    circuit = random_circuit(3, 6, seed_or_rng=4)
+    params = random_parameters(6, 5)
+    bound = circuit.bind(params)
+    assert bound.unitaries is bound.unitaries
+    assert bound.adjoints is bound.adjoints
+    for k, gate in enumerate(circuit.gates):
+        np.testing.assert_array_equal(bound.unitaries[k].matrix,
+                                      gate.unitary(params[k]).matrix)
+        np.testing.assert_array_equal(bound.derivatives[k].matrix,
+                                      gate.derivative(params[k]).matrix)
+        np.testing.assert_array_equal(bound.adjoints[k].matrix,
+                                      bound.unitaries[k].matrix.conj().T)
+        np.testing.assert_array_equal(bound.derivative_adjoints[k].matrix,
+                                      bound.derivatives[k].matrix.conj().T)
+
+
+def test_bound_prepare_counts_upto_gates():
+    circuit = random_circuit(3, 7, seed_or_rng=2)
+    bound = circuit.bind(random_parameters(7, 3))
+    counter = OpCounter()
+    full = bound.prepare(counter)
+    assert counter.gate_applications == 7
+    np.testing.assert_array_equal(
+        full.amplitudes, prepare_ansatz_state(circuit, bound.theta, OpCounter()).amplitudes)
+    counter.reset()
+    bound.prepare(counter, upto=3)
+    assert counter.gate_applications == 3
+
+
+def test_random_circuit_rejects_zero_qubits():
+    with pytest.raises(ValueError, match="num_qubits"):
+        random_circuit(0, 2, seed_or_rng=0)
+
+
 def test_partial_state_zero_is_input():
     circuit = AnsatzCircuit(2, rx_circuit(2).gates, input_basis=3)
     state = prepare_partial_state(circuit, [0.4, 0.9], 0, OpCounter())

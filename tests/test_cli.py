@@ -183,6 +183,28 @@ def test_usage_error_exit_code():
     assert main(["unknown-command"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("params", ["inf,0.1,0.2", "0.3,nan,0.2", "0.3,0.7,-inf"])
+def test_tensor_command_rejects_non_finite_params(circuit_file, tmp_path, capsys,
+                                                  params):
+    out = tmp_path / "g.csv"
+    code = main(["tensor", "--circuit", str(circuit_file), "--params", params,
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_memory_error_is_resource_exit(circuit_file, tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("qngsim.cli.compute_geometric_tensor", exhausted)
+    code = main(["tensor", "--circuit", str(circuit_file), "--params", "0.3,0.7,1.1",
+                 "--out", str(tmp_path / "g.csv")])
+    assert code == EXIT_RESOURCE
+    assert "out of memory" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bench command
 # ---------------------------------------------------------------------------
@@ -251,7 +273,7 @@ def test_bench_deterministic_apart_from_wall_time(tmp_path):
     second = tmp_path / "b.csv"
     args = ["bench", "--algorithms", "alg6,main", "--plist", "3,5", "--seed", "11"]
     assert main(args + ["--out", str(first)]) == EXIT_OK
-    assert main(args + ["--out", str(second), "--jobs", "2"]) == EXIT_OK
+    assert main(args + ["--out", str(second)]) == EXIT_OK
     assert _strip_wall(first.read_text()) == _strip_wall(second.read_text())
 
 
@@ -264,6 +286,28 @@ def test_bench_skips_over_memory_budget(tmp_path, monkeypatch):
     status = {line.split(",")[0]: line.split(",")[-1]
               for line in out.read_text().splitlines()[1:]}
     assert status == {"alg6": "ok", "alg7": "skipped", "alg8": "skipped"}
+
+
+def test_negative_memory_budget_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QNG_MEMORY_BUDGET_BYTES", "-1")
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--algorithms", "alg7", "--plist", "2", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "QNG_MEMORY_BUDGET_BYTES" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_rejects_zero_qubits(tmp_path):
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--qubits", "0", "--plist", "2", "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_bench_qubit_guard(tmp_path, capsys):
+    code = main(["bench", "--qubits", "29", "--plist", "1", "--out", str(tmp_path / "b.csv")])
+    assert code == EXIT_RESOURCE
+    assert "at most 28 qubits" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_tensor_over_memory_budget_is_resource_error(circuit_file, tmp_path,
@@ -308,6 +352,17 @@ def test_optimize_command_with_explicit_params(circuit_file, hamiltonian_file,
                  "--params", "0.1,0.2,0.3", "--steps", "0", "--out", str(out)])
     assert code == EXIT_OK
     assert len(out.read_text().splitlines()) == 2
+
+
+def test_optimize_command_rejects_non_finite_params(circuit_file, hamiltonian_file,
+                                                    tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    code = main(["optimize", "--circuit", str(circuit_file),
+                 "--hamiltonian", str(hamiltonian_file),
+                 "--params", "nan,0.2,0.3", "--steps", "3", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "parameters must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_optimize_command_plain_mode(circuit_file, hamiltonian_file, tmp_path):

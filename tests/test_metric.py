@@ -297,3 +297,10 @@ def test_tensor_binary_round_trip(tmp_path):
     np.testing.assert_array_equal(recovered, tensor.matrix)
     with pytest.raises(ValueError):
         read_tensor_binary(__file__)
+
+
+def test_tensor_binary_truncated_header_is_value_error(tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(b"QGTDUMP1" + b"\x03\x00")
+    with pytest.raises(ValueError, match="truncated"):
+        read_tensor_binary(path)

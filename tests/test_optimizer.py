@@ -13,7 +13,6 @@ from qngsim.optimizer import (
     PauliSumHamiltonian,
     energy_expectation,
     energy_gradient,
-    natural_gradient_step,
     parse_hamiltonian_text,
     run_optimization,
 )
@@ -192,18 +191,16 @@ def test_gradient_gate_cost_linear_in_parameters():
 def test_natural_step_solves_quarter_metric():
     # g = [[1/4]], grad = [-1], dt = 0.1  =>  dtheta = +0.4
     config = OptimizerConfig(timestep=0.1, regularization=0.0, max_steps=1)
-    new_params, record = natural_gradient_step(
-        rx_circuit(), [np.pi / 2], z_hamiltonian(), config, OpCounter())
-    np.testing.assert_allclose(new_params - np.pi / 2, [0.4], atol=1e-10)
-    assert record.energy == pytest.approx(0.0, abs=1e-12)
-    assert record.gradient_norm == pytest.approx(1.0, abs=1e-10)
+    trace = run_optimization(rx_circuit(), [np.pi / 2], z_hamiltonian(), config)
+    np.testing.assert_allclose(trace.final_parameters - np.pi / 2, [0.4], atol=1e-10)
+    assert trace.records[0].energy == pytest.approx(0.0, abs=1e-12)
+    assert trace.records[0].gradient_norm == pytest.approx(1.0, abs=1e-10)
 
 
 def test_step_is_zero_at_stationary_point():
     config = OptimizerConfig(timestep=0.1, regularization=0.0, max_steps=1)
-    new_params, _ = natural_gradient_step(rx_circuit(), [0.0], z_hamiltonian(),
-                                          config, OpCounter())
-    np.testing.assert_allclose(new_params, [0.0], atol=1e-12)
+    trace = run_optimization(rx_circuit(), [0.0], z_hamiltonian(), config)
+    np.testing.assert_allclose(trace.final_parameters, [0.0], atol=1e-12)
 
 
 def test_singular_metric_without_regularization_raises():
@@ -211,15 +208,14 @@ def test_singular_metric_without_regularization_raises():
     circuit = AnsatzCircuit(1, (PauliRotation(PauliString.single(0, "X"), scale=0.0),))
     config = OptimizerConfig(timestep=0.1, regularization=0.0, max_steps=1)
     with pytest.raises(SingularMetricError, match="lambda"):
-        natural_gradient_step(circuit, [0.2], z_hamiltonian(), config, OpCounter())
+        run_optimization(circuit, [0.2], z_hamiltonian(), config)
 
 
 def test_singular_metric_with_regularization_is_finite():
     circuit = AnsatzCircuit(1, (PauliRotation(PauliString.single(0, "X"), scale=0.0),))
     config = OptimizerConfig(timestep=0.1, regularization=1e-8, max_steps=1)
-    new_params, _ = natural_gradient_step(circuit, [0.2], z_hamiltonian(), config,
-                                          OpCounter())
-    assert np.all(np.isfinite(new_params))
+    trace = run_optimization(circuit, [0.2], z_hamiltonian(), config)
+    assert np.all(np.isfinite(trace.final_parameters))
 
 
 def test_metric_solve_residual_small():
@@ -244,20 +240,20 @@ def test_metric_solve_residual_small():
         assert np.max(np.abs(shifted @ solution - rhs)) <= 1e-10
 
 
-def test_plain_mode_skips_tensor_and_scales_linearly():
+def test_plain_mode_skips_tensor_and_scales_linearly(monkeypatch):
+    def no_tensor(*args, **kwargs):
+        raise AssertionError("plain mode must not evaluate the geometric tensor")
+
+    monkeypatch.setattr("qngsim.optimizer.compute_geometric_tensor", no_tensor)
     circuit = random_circuit(3, 9, 77)
     params = random_parameters(9, 78)
     config = OptimizerConfig(timestep=0.05, max_steps=1, mode=PLAIN_GRADIENT)
-    counter = OpCounter()
-    new_params, _ = natural_gradient_step(circuit, params, z_hamiltonian(), config,
-                                          counter)
+    trace = run_optimization(circuit, params, z_hamiltonian(), config)
     np.testing.assert_allclose(
-        new_params - params,
+        trace.final_parameters - params,
         -0.05 * energy_gradient(circuit, params, z_hamiltonian(), OpCounter()),
         atol=1e-14,
     )
-    # energy (P + terms) + gradient (P + 3P*terms): no quadratic tensor cost
-    assert counter.gate_applications <= 6 * 9 * 1 + 10
 
 
 def test_config_validation():
