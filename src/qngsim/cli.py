@@ -385,6 +385,13 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     trace.write_csv(args.out)
     print(f"final energy {trace.final_energy:.12g} after "
           f"{trace.records[-1].step} steps; wrote trace to {args.out}")
+    energies = trace.energies
+    rises = int(np.count_nonzero(np.diff(energies) > 0))
+    if rises:  # a diverging run (timestep too large) still exits 0
+        lowest = int(np.argmin(energies))
+        print(f"warning: the energy rose in {rises} of {len(energies) - 1} steps; "
+              f"lowest energy {energies[lowest]:.12g} at step {trace.records[lowest].step}",
+              file=sys.stderr)
     return EXIT_OK
 
 

@@ -11,8 +11,9 @@ Conventions fixed here and used everywhere:
   basis index (little-endian),
 * a :class:`Statevector` never normalizes itself.  Images of derivative
   operators are legitimately non-unit vectors and are stored as-is,
-* operators carry small matrices on a few target qubits (or bit-mask actions
-  for Pauli strings); no code path ever forms a full ``2^N x 2^N`` matrix.
+* operators carry small matrices on a few target qubits (or bit masks for
+  Pauli strings) and act in place with a kernel picked from their structure
+  (see :class:`MatrixGateOperator`); nothing forms a ``2^N x 2^N`` matrix.
 
 Inner products reduce with a single fixed BLAS call, so repeated runs on the
 same machine are bit-identical.  A Statevector must not be mutated from two
@@ -285,54 +286,70 @@ def apply_operator(state: Statevector, op: GateOperator, counter: OpCounter) -> 
 # Operator implementations
 # ---------------------------------------------------------------------------
 
-
-# Matrix gates on registers at or below this many amplitudes are applied with
-# plain Python complex arithmetic; numpy call overhead dominates work there.
-_PYTHON_PATH_LIMIT = 64
+_BLOCK_BITS = 6  # blocks of >= 64 amplitudes keep numpy's inner loop long
+_GEMM_BITS = 5  # widest kron-expanded window: a 32x32 block, whatever N
 
 
-def _index_groups(num_qubits: int, targets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All amplitude-index groups a k-qubit matrix mixes, one group per
-    assignment of the non-target bits; entry r of a group has target bit j
-    equal to bit j of r."""
-    k = len(targets)
-    rest = [q for q in range(num_qubits) if q not in targets]
-    groups = []
-    for pattern in range(1 << len(rest)):
-        base = 0
-        for bit, qubit in enumerate(rest):
-            if (pattern >> bit) & 1:
-                base |= 1 << qubit
-        group = []
-        for row in range(1 << k):
-            index = base
-            for j, qubit in enumerate(targets):
-                if (row >> j) & 1:
-                    index |= 1 << qubit
-            group.append(index)
-        groups.append(tuple(group))
-    return tuple(groups)
+def _diagonal_kernel(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int):
+    """In-place multiply by a diagonal matrix; see :class:`MatrixGateOperator`."""
+    low = min(num_qubits, max(_BLOCK_BITS, min(targets)))
+    high = sorted((q for q in targets if q >= low), reverse=True)
+    shape, top = [], num_qubits
+    for q in high:
+        shape, top = shape + [1 << (top - q - 1), 2], q
+    shape += [1 << (top - low), 1 << low]
+    # the pattern is constant along the block if no target sits in it
+    grid = np.indices((2,) * len(high) + ((1 << low) if min(targets) < low else 1,))
+    bits = [grid[high.index(q)] if q >= low else (grid[-1] >> q) & 1 for q in targets]
+    factors = matrix.diagonal()[sum(bit << j for j, bit in enumerate(bits))]
+    slices = [(sum(((slice(None), bit) for bit in index), ()), factors[index])
+              for index in np.ndindex(factors.shape[:-1])]
+    if all((f != 1).any() and f.any() for _, f in slices):
+        parts = [((), factors.reshape([1, 2] * len(high) + [1, -1]))]
+    else:
+        parts = [(index, f if f.any() else None) for index, f in slices if (f != 1).any()]
+
+    def apply(amplitudes: np.ndarray) -> None:
+        view = amplitudes.reshape(shape)
+        for index, factor in parts:
+            part = view[index]
+            if factor is None:
+                part.fill(0)
+            else:
+                np.multiply(part, factor, out=part)
+    return apply
 
 
-def _apply_matrix_vectorized(amplitudes: np.ndarray, num_qubits: int,
-                             targets: tuple[int, ...], matrix: np.ndarray) -> None:
-    k = len(targets)
-    if k == 1:
-        q = targets[0]
-        view = amplitudes.reshape(-1, 2, 1 << q)
-        a0 = view[:, 0].copy()
-        a1 = view[:, 1]  # safe: each assignment below materializes its rhs first
-        view[:, 0] = matrix[0, 0] * a0 + matrix[0, 1] * a1
-        view[:, 1] = matrix[1, 0] * a0 + matrix[1, 1] * a1
-        return
-    dim = 1 << k
-    tensor = amplitudes.reshape((2,) * num_qubits)
-    # axis of qubit q in the reshaped tensor is (num_qubits - 1 - q)
-    front = tuple(num_qubits - 1 - q for q in reversed(targets))
-    moved = np.moveaxis(tensor, front, range(k))
-    work = np.ascontiguousarray(moved).reshape(dim, -1)
-    result = (matrix @ work).reshape((2,) * num_qubits)
-    np.copyto(moved, result)  # writes through the view into the original layout
+def _dense_kernel(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int):
+    """In-place GEMM by a dense matrix; see :class:`MatrixGateOperator`."""
+    lo, hi = min(targets), max(targets)
+    if hi - lo >= _GEMM_BITS:
+        front = tuple(num_qubits - 1 - q for q in reversed(targets))  # tensor axes
+
+        def apply(amplitudes: np.ndarray) -> None:
+            moved = np.moveaxis(amplitudes.reshape((2,) * num_qubits), front, range(len(front)))
+            work = np.ascontiguousarray(moved).reshape(len(matrix), -1)
+            np.copyto(moved, (matrix @ work).reshape(moved.shape))
+        return apply
+    if hi < _GEMM_BITS:  # one row (a GEMV) up to N = 5, else the narrowest rows
+        low, bits = 0, num_qubits if num_qubits <= _GEMM_BITS else max(2, hi + 1)
+    else:  # a window from the lowest target, >= 2**8 amplitudes per product
+        low, bits = lo, min(num_qubits - lo, max(hi - lo + 1, min(4, 8 - lo)))
+    index = np.arange(1 << bits)
+    rows = sum(((index >> (q - low)) & 1) << j for j, q in enumerate(targets))
+    rest = index & ~sum(1 << (q - low) for q in targets)
+    block = np.where(rest[:, None] == rest, matrix[rows[:, None], rows], 0)
+    if low:
+        def apply(amplitudes: np.ndarray) -> None:
+            view = amplitudes.reshape(-1, 1 << bits, 1 << low)
+            np.matmul(block, view, out=view)
+        return apply
+    block_t = block.T.copy()
+
+    def apply(amplitudes: np.ndarray) -> None:
+        view = amplitudes.reshape(-1, 1 << bits)
+        np.matmul(view, block_t, out=view)
+    return apply
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,6 +359,20 @@ class MatrixGateOperator:
     ``matrix`` has shape ``(2**k, 2**k)`` where ``k = len(targets)``; bit ``j``
     of the matrix index addresses ``targets[j]``.  The matrix need not be
     unitary (derivative operators are not).
+
+    The kernel follows the matrix's structure and is built once per N:
+
+    * diagonal (rz, crz, their derivatives and adjoints): an in-place multiply
+      by a phase pattern over blocks of at least 64 amplitudes, with one axis
+      per target bit above the block.  Slices of those axes whose pattern is
+      all ones (crz's control-0 half) are skipped, all zeros (a derivative's
+      control projector) zeroed; a skipping kernel still counts one gate.
+    * dense, all targets within 5 consecutive bits (rx, ry, their derivatives,
+      crx and cry on neighbouring qubits): one GEMM against ``K``, the matrix
+      kron-expanded to a window holding the targets: ``view(-1, 2**b) @ K.T``
+      at bit 0 (one row up to N = 5), else ``K @ view(-1, 2**b, 2**q)`` from
+      the lowest target ``q``.  ``K`` is at most 32x32, whatever ``N``.
+    * dense, targets further apart: target axes moved to the front, one GEMM.
     """
 
     targets: tuple[int, ...]
@@ -362,8 +393,7 @@ class MatrixGateOperator:
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_max_qubit", max(targets))
-        object.__setattr__(self, "_rows", tuple(tuple(row) for row in matrix.tolist()))
-        object.__setattr__(self, "_group_cache", {})
+        object.__setattr__(self, "_kernels", {})
 
     @property
     def qubit_indices(self) -> tuple[int, ...]:
@@ -373,42 +403,12 @@ class MatrixGateOperator:
         return MatrixGateOperator(self.targets, self.matrix.conj().T)
 
     def _apply_inplace(self, amplitudes: np.ndarray, num_qubits: int) -> None:
-        if amplitudes.size > _PYTHON_PATH_LIMIT:
-            _apply_matrix_vectorized(amplitudes, num_qubits, self.targets, self.matrix)
-            return
-        groups = self._group_cache.get(num_qubits)
-        if groups is None:
-            groups = _index_groups(num_qubits, self.targets)
-            self._group_cache[num_qubits] = groups
-        values = amplitudes.tolist()
-        rows = self._rows
-        if len(self.targets) == 1:
-            (m00, m01), (m10, m11) = rows
-            for i0, i1 in groups:
-                a0 = values[i0]
-                a1 = values[i1]
-                values[i0] = m00 * a0 + m01 * a1
-                values[i1] = m10 * a0 + m11 * a1
-        elif len(self.targets) == 2:
-            r0, r1, r2, r3 = rows
-            for i0, i1, i2, i3 in groups:
-                a0 = values[i0]
-                a1 = values[i1]
-                a2 = values[i2]
-                a3 = values[i3]
-                values[i0] = r0[0] * a0 + r0[1] * a1 + r0[2] * a2 + r0[3] * a3
-                values[i1] = r1[0] * a0 + r1[1] * a1 + r1[2] * a2 + r1[3] * a3
-                values[i2] = r2[0] * a0 + r2[1] * a1 + r2[2] * a2 + r2[3] * a3
-                values[i3] = r3[0] * a0 + r3[1] * a1 + r3[2] * a2 + r3[3] * a3
-        else:
-            for group in groups:
-                sub = [values[index] for index in group]
-                for r, row in enumerate(rows):
-                    acc = 0j
-                    for coeff, amp in zip(row, sub):
-                        acc += coeff * amp
-                    values[group[r]] = acc
-        amplitudes[:] = values
+        kernel = self._kernels.get(num_qubits)
+        if kernel is None:
+            dense = np.count_nonzero(self.matrix) > np.count_nonzero(self.matrix.diagonal())
+            build = _dense_kernel if dense else _diagonal_kernel
+            kernel = self._kernels[num_qubits] = build(self.matrix, self.targets, num_qubits)
+        kernel(amplitudes)
 
 
 def controlled_matrix_operator(targets: tuple[int, ...], matrix: np.ndarray,
@@ -435,58 +435,58 @@ def controlled_matrix_operator(targets: tuple[int, ...], matrix: np.ndarray,
 class PauliStringOperator:
     """Tensor product of single-qubit X/Y/Z factors, applied via bit masks.
 
-    This never builds a matrix, so strings spanning many qubits (Hamiltonian
-    terms) stay O(2^N) to apply.  Hermitian, hence self-adjoint.
+    The register is viewed as rows of ``2**max(6, ceil(N/2))`` amplitudes
+    (one row if smaller).  The Y and Z signs, Y phase included, are a small
+    vector per axis multiplied in place; X and Y then permute rows and columns
+    (two ``take`` calls).  No matrix or ``2**N`` index is built, so wide
+    strings stay O(2^N).  Hermitian, hence self-adjoint.
     """
 
-    __slots__ = ("qubit_indices", "_max_qubit", "_x_mask", "_sign_mask", "_phase")
+    __slots__ = ("qubit_indices", "_max_qubit", "_x_mask", "_sign_mask", "_phase", "_kernels")
 
     def __init__(self, factors: tuple[tuple[int, str], ...]) -> None:
-        x_mask = 0
-        sign_mask = 0
-        num_y = 0
-        qubits = []
-        for qubit, label in factors:
-            qubit = int(qubit)
-            if qubit < 0:
-                raise ValueError(f"qubit index must be non-negative, got {qubit}")
-            if label == "X":
-                x_mask |= 1 << qubit
-            elif label == "Y":
-                x_mask |= 1 << qubit
-                sign_mask |= 1 << qubit
-                num_y += 1
-            elif label == "Z":
-                sign_mask |= 1 << qubit
-            else:
+        qubits = [int(qubit) for qubit, _ in factors]
+        labels = [label for _, label in factors]
+        if any(qubit < 0 for qubit in qubits):
+            raise ValueError(f"qubit index must be non-negative, got {min(qubits)}")
+        for label in labels:
+            if label not in ("X", "Y", "Z"):
                 raise ValueError(f"unknown Pauli label {label!r}")
-            qubits.append(qubit)
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"Pauli factors act on duplicate qubits: {qubits}")
         self.qubit_indices = tuple(sorted(qubits))
-        self._max_qubit = max(qubits) if qubits else -1
-        self._x_mask = x_mask
-        self._sign_mask = sign_mask
-        self._phase = 1j ** (num_y % 4)
+        self._max_qubit = max(qubits, default=-1)
+        # X and Y flip their bit; Y and Z give a sign; each Y adds a factor i
+        self._x_mask = sum(1 << q for q, label in zip(qubits, labels) if label != "Z")
+        self._sign_mask = sum(1 << q for q, label in zip(qubits, labels) if label != "X")
+        self._phase = 1j ** (labels.count("Y") % 4)
+        self._kernels = {}
 
     def adjoint(self) -> "PauliStringOperator":
         return self
 
+    def _kernel(self, num_qubits: int):
+        """Row width, row and column permutations (None without X or Y) and
+        the sign vectors that are not all ones, indexed by source amplitude."""
+        low = max(min(num_qubits, _BLOCK_BITS), (num_qubits + 1) // 2)
+        perms, signs = [], []
+        for size, shift, shape, phase in ((1 << (num_qubits - low), low, (-1, 1), 1),
+                                          (1 << low, 0, (-1,), self._phase)):
+            perms.append(np.arange(size) ^ ((self._x_mask >> shift) & (size - 1)))
+            mask = (self._sign_mask >> shift) & (size - 1)
+            sign = phase * np.array([1 - 2 * ((i & mask).bit_count() & 1) for i in range(size)])
+            if np.any(sign != 1):
+                signs.append(sign.reshape(shape))
+        return 1 << low, (perms if self._x_mask else None), signs
+
     def _apply_inplace(self, amplitudes: np.ndarray, num_qubits: int) -> None:
-        if self._x_mask == 0 and self._sign_mask == 0:
-            return  # identity string
-        idx = np.arange(amplitudes.size, dtype=np.int64)
-        src = idx ^ self._x_mask if self._x_mask else idx
-        out = amplitudes[src] if self._x_mask else amplitudes.copy()
-        if self._sign_mask:
-            bits = src & self._sign_mask
-            bits ^= bits >> 32
-            bits ^= bits >> 16
-            bits ^= bits >> 8
-            bits ^= bits >> 4
-            bits ^= bits >> 2
-            bits ^= bits >> 1
-            out *= 1.0 - 2.0 * (bits & 1)
-        if self._phase != 1:
-            out *= self._phase
-        amplitudes[:] = out
+        kernel = self._kernels.get(num_qubits)
+        if kernel is None:
+            kernel = self._kernels[num_qubits] = self._kernel(num_qubits)
+        width, perms, signs = kernel
+        view = amplitudes.reshape(-1, width)
+        for sign in signs:
+            np.multiply(view, sign, out=view)
+        if perms is not None:
+            # the column take reads the row-permuted copy: one temporary, not two
+            view.take(perms[0], axis=0).take(perms[1], axis=1, out=view, mode="clip")

@@ -372,6 +372,43 @@ def test_optimize_command_plain_mode(circuit_file, hamiltonian_file, tmp_path):
     assert code == EXIT_OK
 
 
+def _trace_energies(path):
+    return [float(line.split(",")[1]) for line in path.read_text().splitlines()[1:]]
+
+
+def test_optimize_command_reports_rising_energy(tmp_path, capsys):
+    # a timestep far too large for this 3-qubit circuit makes the energy oscillate
+    circuit = tmp_path / "circuit.txt"
+    circuit.write_text("qubits 3\nrx 0\nry 1\ncrz 0 1\nrz 2\ncry 1 2\nprx 0 0.7\n"
+                       "gen 0.5 X0 ; 0.25 Z1 Z2\nrx 2\n")
+    hamiltonian = tmp_path / "h.txt"
+    hamiltonian.write_text("1.0 Z0 Z1\n0.5 X1\n-0.7 Y2 Z0\n0.3 X0 X2\n")
+    out = tmp_path / "trace.csv"
+    code = main(["optimize", "--circuit", str(circuit), "--hamiltonian", str(hamiltonian),
+                 "--dt", "50", "--steps", "10", "--seed", "3", "--out", str(out)])
+    assert code == EXIT_OK
+    energies = _trace_energies(out)
+    rises = sum(later > earlier for earlier, later in zip(energies, energies[1:]))
+    lowest = int(np.argmin(energies))
+    assert rises > 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("final energy")
+    assert captured.err == (f"warning: the energy rose in {rises} of 10 steps; lowest "
+                            f"energy {energies[lowest]:.12g} at step {lowest}\n")
+
+
+def test_optimize_command_monotone_run_prints_no_warning(circuit_file, hamiltonian_file,
+                                                         tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    code = main(["optimize", "--circuit", str(circuit_file),
+                 "--hamiltonian", str(hamiltonian_file),
+                 "--dt", "0.05", "--steps", "15", "--seed", "3", "--out", str(out)])
+    assert code == EXIT_OK
+    energies = _trace_energies(out)
+    assert all(later <= earlier for earlier, later in zip(energies, energies[1:]))
+    assert capsys.readouterr().err == ""
+
+
 def test_optimize_command_hamiltonian_too_wide(circuit_file, tmp_path, capsys):
     wide = tmp_path / "wide.txt"
     wide.write_text("1.0 Z5\n")

@@ -1,16 +1,18 @@
 """Statevector primitives: semantics, counting, allocation tracking, kernels."""
 
 import time
+from functools import reduce
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qngsim.statevector import (
     MatrixGateOperator,
     OpCounter,
     Statevector,
-    _apply_matrix_vectorized,
     apply_operator,
     clone_into,
     controlled_matrix_operator,
@@ -242,17 +244,97 @@ def test_apply_matches_reference_action(num_qubits, targets):
     np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
 
 
-def test_vectorized_and_python_paths_agree():
-    rng = np.random.default_rng(11)
-    for num_qubits, targets in [(3, (2, 0)), (4, (1, 3)), (3, (0, 2, 1))]:
-        dim = 1 << len(targets)
-        matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
-        slow = amps.copy()
-        _apply_matrix_vectorized(slow, num_qubits, targets, matrix)
-        fast = Statevector(num_qubits, amps.copy())
-        apply_operator(fast, MatrixGateOperator(targets, matrix), OpCounter())
-        np.testing.assert_allclose(fast.amplitudes, slow, atol=1e-13)
+def kron_oracle(num_qubits, targets, matrix):
+    """Full 2^N x 2^N matrix of ``matrix`` on ``targets``: the sum over its
+    entries of the kron product, qubit by qubit, of |r_j><c_j| on target j
+    and the identity elsewhere."""
+    k = len(targets)
+    full = np.zeros((1 << num_qubits, 1 << num_qubits), dtype=complex)
+    for r in range(1 << k):
+        for c in range(1 << k):
+            if matrix[r, c] == 0:
+                continue
+            factors = []
+            for q in reversed(range(num_qubits)):
+                if q in targets:
+                    j = targets.index(q)
+                    unit = np.zeros((2, 2))
+                    unit[(r >> j) & 1, (c >> j) & 1] = 1
+                    factors.append(unit)
+                else:
+                    factors.append(np.eye(2))
+            full += matrix[r, c] * reduce(np.kron, factors)
+    return full
+
+
+KERNEL_KINDS = ("dense", "diagonal", "diagonal_identity_control", "diagonal_zero_control",
+                "controlled_dense")
+
+
+def kernel_case_operator(kind, targets, rng):
+    """An operator of the given structure; controlled kinds use the last
+    target as the control.  Diagonals have some entries exactly 1 or 0, so
+    phase patterns that are partly ones or zeros occur."""
+    def random_matrix(dim):
+        return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+    def random_diagonal(dim):
+        entries = random_matrix(dim)[0]
+        special = rng.integers(0, 4, size=dim)
+        entries[special == 1] = 1
+        entries[special == 2] = 0
+        return np.diag(entries)
+
+    if kind == "dense":
+        return MatrixGateOperator(targets, random_matrix(1 << len(targets)))
+    if kind == "diagonal":
+        return MatrixGateOperator(targets, random_diagonal(1 << len(targets)))
+    inner = targets[:-1]
+    if kind == "controlled_dense":
+        return controlled_matrix_operator(inner, random_matrix(1 << len(inner)),
+                                          targets[-1:])
+    diagonal = random_diagonal(1 << len(inner))
+    return controlled_matrix_operator(inner, diagonal, targets[-1:],
+                                      zero_uncontrolled=kind == "diagonal_zero_control")
+
+
+def check_kernel_against_oracle(num_qubits, targets, kind, seed):
+    rng = np.random.default_rng(seed)
+    op = kernel_case_operator(kind, targets, rng)
+    state = random_state(num_qubits, seed=seed)
+    expected = kron_oracle(num_qubits, op.targets, op.matrix) @ state.amplitudes
+    counter = OpCounter()
+    apply_operator(state, op, counter)
+    np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
+    assert counter.gate_applications == 1
+
+
+@st.composite
+def kernel_cases(draw):
+    num_qubits = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(KERNEL_KINDS if num_qubits > 1 else KERNEL_KINDS[:2]))
+    low = 2 if kind in KERNEL_KINDS[2:] else 1
+    size = draw(st.integers(low, min(3, num_qubits)))
+    targets = draw(st.permutations(range(num_qubits)))[:size]
+    return num_qubits, tuple(targets), kind, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_kernels_match_kron_oracle(case):
+    check_kernel_against_oracle(*case)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("num_qubits, bit", [(n, q) for n in (5, 6, 7) for q in (4, 5, 6)
+                                             if q < n])
+def test_kernels_match_kron_oracle_at_block_cutoffs(kind, num_qubits, bit):
+    # target bits on both sides of the GEMM (5) and diagonal block (6) cutoffs
+    others = [q for q in (0, num_qubits - 1, 2) if q != bit]
+    targets = (bit,) if kind in KERNEL_KINDS[:2] else (bit, others[0])
+    check_kernel_against_oracle(num_qubits, targets, kind, seed=bit * 10 + num_qubits)
+    if kind not in KERNEL_KINDS[:2]:
+        check_kernel_against_oracle(num_qubits, (others[0], bit), kind, seed=bit)
 
 
 def test_single_qubit_kron_anchor():
@@ -319,6 +401,36 @@ def test_pauli_string_operator_matches_dense_oracle(num_qubits, word):
     expected = full @ state.amplitudes
     apply_operator(state, string.operator(), OpCounter())
     np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+
+
+def pauli_kron_oracle(num_qubits, word):
+    """Full matrix of a Pauli word, one 2x2 factor per qubit from the top down."""
+    from qngsim.gates import PauliString
+
+    labels = dict(PauliString.parse(word).factors)
+    single = {"I": np.eye(2), "X": X, "Y": Y, "Z": Z}
+    return reduce(np.kron, [single[labels.get(q, "I")] for q in reversed(range(num_qubits))])
+
+
+@pytest.mark.parametrize("num_qubits", [7, 10])
+@pytest.mark.parametrize("word", [
+    "X0 Z2 Y5", "Y6", "X6", "Z6", "Y1 Z3 Y4 X6", "X0 X6", "Y0 Y6", "Z1 Z5 Z6",
+    "all Z", "all Y", "all X", "mixed",
+])
+def test_pauli_string_operator_matches_kron_oracle(num_qubits, word):
+    # non-contiguous, high-qubit and full-width strings, on both sides of the
+    # split of the register into rows and columns (at bit 6 for N = 7 and 10)
+    from qngsim.gates import PauliString
+
+    everywhere = range(num_qubits)
+    if word.startswith("all "):
+        word = " ".join(f"{word[-1]}{q}" for q in everywhere)
+    elif word == "mixed":
+        word = " ".join(f"{'XYZ'[q % 3]}{q}" for q in everywhere)
+    state = random_state(num_qubits, seed=len(word) + num_qubits)
+    expected = pauli_kron_oracle(num_qubits, word) @ state.amplitudes
+    apply_operator(state, PauliString.parse(word).operator(), OpCounter())
+    np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
 
 
 def test_pauli_string_operator_self_adjoint_and_involution():
