@@ -6,11 +6,15 @@ descent instead solves ``(g + lam*I) dtheta = -dt * grad(E)`` with
 ``dtheta``.  The Tikhonov shift ``lam`` keeps the solve well-posed when the
 metric is singular or near-singular.
 
-Energies are ``Re<psi|H|psi>`` evaluated term by term; gradients use a
-reverse sweep: with ``|b> = sigma_t |psi>`` rolled backward through the gate
-adjoints, each component is ``2 * c_t * Re<b| dU_i |psi_{i-1}>``, giving O(P)
-gate applications per Hamiltonian term instead of the O(P^2) that
-parameter-wise finite differences would cost.
+The energy and its gradient come from one pass (the reverse mode of
+arXiv:2011.02991): prepare ``|psi>``, sum the Hamiltonian into one register,
+``|lambda> = sum_t c_t sigma_t |psi>`` (a clone, a Pauli string and an axpy per
+term), and read the energy ``Re<psi|lambda>``.  One reverse sweep then rolls
+``|psi>`` and ``|lambda>`` back through the gate adjoints; each component is
+``2 * Re<lambda_i| dU_i |psi_{i-1}>``.  That is O(P + T) primitives in three
+registers, counted exactly by :func:`gradient_cost`, against the O(P^2) of
+parameter-wise finite differences.  ``run_optimization`` takes the energy and
+the gradient at each point from the same pass.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .ansatz import AnsatzCircuit, prepare_ansatz_state
+from .ansatz import AnsatzCircuit, BoundCircuit, prepare_ansatz_state
 from .errors import ParseError, SingularMetricError
 from .gates import PauliString
 from .metric import compute_geometric_tensor
@@ -30,6 +34,7 @@ from .statevector import (
     OpCounter,
     Statevector,
     apply_operator,
+    axpy,
     clone_into,
     inner_product,
 )
@@ -43,6 +48,7 @@ __all__ = [
     "StepRecord",
     "energy_expectation",
     "energy_gradient",
+    "gradient_cost",
     "parse_hamiltonian_file",
     "parse_hamiltonian_text",
     "run_optimization",
@@ -112,50 +118,67 @@ def parse_hamiltonian_file(path) -> PauliSumHamiltonian:
 # ---------------------------------------------------------------------------
 
 
-def energy_expectation(circuit: AnsatzCircuit, params,
-                       hamiltonian: PauliSumHamiltonian,
-                       counter: OpCounter) -> float:
-    """``Re <psi|H|psi>`` evaluated term by term on the prepared state."""
-    psi = prepare_ansatz_state(circuit, params, counter)
-    work = Statevector.zeros(circuit.num_qubits)
-    return _expectation_of_state(psi, hamiltonian, counter, work)
+def gradient_cost(num_parameters: int, num_terms: int) -> tuple[int, int, int, int]:
+    """Exact (gates, clones, inner products, axpys) of one
+    :func:`energy_gradient` call on P gates and T Hamiltonian terms.
+
+    P gates prepare psi; each term costs a clone, its Pauli string and an
+    axpy into lambda; the energy is one inner product; the sweep costs P
+    clones, P inner products and 3P - 1 gates (P adjoints on psi, P
+    derivatives, P - 1 adjoints on lambda).
+    """
+    if num_parameters < 1:
+        raise ValueError(f"num_parameters must be >= 1, got {num_parameters}")
+    if num_terms < 0:
+        raise ValueError(f"num_terms must be >= 0, got {num_terms}")
+    return (4 * num_parameters + num_terms - 1, num_parameters + num_terms,
+            num_parameters + 1, num_terms)
 
 
-def _expectation_of_state(psi: Statevector, hamiltonian: PauliSumHamiltonian,
-                          counter: OpCounter, work: Statevector) -> float:
-    total = 0.0 + 0.0j
+def _apply_hamiltonian(psi: Statevector, hamiltonian: PauliSumHamiltonian,
+                       counter: OpCounter) -> tuple[float, Statevector, Statevector]:
+    """``(Re<psi|lambda>, lambda, work)`` with ``|lambda> = H|psi>``, summed
+    term by term through the scratch register ``work``."""
+    lam = Statevector.zeros(psi.num_qubits)
+    work = Statevector.zeros(psi.num_qubits)
     for coeff, op in hamiltonian._term_operators:
         clone_into(psi, work, counter)
         apply_operator(work, op, counter)
-        total += coeff * inner_product(psi, work, counter)
-    return float(total.real)
+        axpy(coeff, work, lam, counter)
+    return inner_product(psi, lam, counter).real, lam, work
+
+
+def energy_expectation(circuit: AnsatzCircuit, params,
+                       hamiltonian: PauliSumHamiltonian,
+                       counter: OpCounter) -> float:
+    """``Re <psi|H|psi>`` on the prepared state."""
+    psi = prepare_ansatz_state(circuit, params, counter)
+    return _apply_hamiltonian(psi, hamiltonian, counter)[0]
+
+
+def _energy_and_gradient(bound: BoundCircuit, hamiltonian: PauliSumHamiltonian,
+                         counter: OpCounter) -> tuple[float, np.ndarray]:
+    """The energy and all P gradient components from one preparation and one
+    reverse sweep over three registers; costs :func:`gradient_cost`."""
+    adjoints, derivatives = bound.adjoints, bound.derivatives
+    psi = bound.prepare(counter)
+    energy, lam, work = _apply_hamiltonian(psi, hamiltonian, counter)
+    grad = np.zeros(len(adjoints), dtype=np.float64)
+    for i in range(len(adjoints) - 1, -1, -1):
+        apply_operator(psi, adjoints[i], counter)  # psi = |psi_{i-1}>
+        clone_into(psi, work, counter)
+        apply_operator(work, derivatives[i], counter)
+        grad[i] = 2.0 * inner_product(lam, work, counter).real
+        if i > 0:
+            apply_operator(lam, adjoints[i], counter)
+    return energy, grad
 
 
 def energy_gradient(circuit: AnsatzCircuit, params,
                     hamiltonian: PauliSumHamiltonian,
                     counter: OpCounter) -> np.ndarray:
-    """All P components of the energy gradient in O(P) gates per term."""
-    bound = circuit.bind(params)
-    count = circuit.num_parameters
-    adjoints, derivatives = bound.adjoints, bound.derivatives
-
-    psi = bound.prepare(counter)
-    back = Statevector.zeros(circuit.num_qubits)
-    roll = Statevector.zeros(circuit.num_qubits)
-    work = Statevector.zeros(circuit.num_qubits)
-    grad = np.zeros(count, dtype=np.float64)
-    for coeff, op in hamiltonian._term_operators:
-        clone_into(psi, back, counter)
-        apply_operator(back, op, counter)  # back = sigma_t |psi>
-        clone_into(psi, roll, counter)
-        for i in range(count - 1, -1, -1):
-            apply_operator(roll, adjoints[i], counter)  # roll = |psi_{i-1}>
-            clone_into(roll, work, counter)
-            apply_operator(work, derivatives[i], counter)
-            grad[i] += 2.0 * coeff * inner_product(back, work, counter).real
-            if i > 0:
-                apply_operator(back, adjoints[i], counter)
-    return grad
+    """All P components of the energy gradient in O(P + T) primitives."""
+    return _energy_and_gradient(circuit.bind(params), hamiltonian, counter)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +281,19 @@ def run_optimization(circuit: AnsatzCircuit, initial_params,
     """Iterate updates until ``max_steps`` or the energy change drops below
     ``energy_tolerance``; every evaluated point is recorded in the trace."""
     counter = OpCounter()
-    theta = circuit.bind(initial_params).theta
+    bound = circuit.bind(initial_params)
+    theta = bound.theta
     trace = OptimizationTrace()
-    energy = energy_expectation(circuit, theta, hamiltonian, counter)
-    grad = energy_gradient(circuit, theta, hamiltonian, counter)
+    energy, grad = _energy_and_gradient(bound, hamiltonian, counter)
     trace.records.append(StepRecord(0, energy, float(np.linalg.norm(grad)), theta.copy()))
     for step in range(1, config.max_steps + 1):
         delta = -config.timestep * grad
         if config.mode == NATURAL_GRADIENT:
             metric = compute_geometric_tensor(circuit, theta, counter).fubini_study_metric
             delta = _solve_metric_system(metric, delta, config.regularization)
-        theta = theta + delta
-        new_energy = energy_expectation(circuit, theta, hamiltonian, counter)
-        grad = energy_gradient(circuit, theta, hamiltonian, counter)
+        bound = circuit.bind(theta + delta)
+        theta = bound.theta
+        new_energy, grad = _energy_and_gradient(bound, hamiltonian, counter)
         trace.records.append(
             StepRecord(step, new_energy, float(np.linalg.norm(grad)), theta.copy())
         )

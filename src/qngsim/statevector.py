@@ -1,9 +1,11 @@
-"""Dense complex statevector storage and the three counted simulation primitives.
+"""Dense complex statevector storage and the counted simulation primitives.
 
-Everything higher in the stack is built from exactly three operations on
-statevectors: clone a state, apply an operator to a state in place, and take
-an inner product between two states.  Each primitive increments an
-:class:`OpCounter`, which is what the cost-model verification measures.
+The geometric tensor is built from exactly three operations on statevectors:
+clone a state, apply an operator to a state in place, and take an inner
+product between two states.  The energy gradient adds a fourth, ``axpy``
+(``y += alpha * x``), to sum Hamiltonian terms into one register.  Each
+primitive increments an :class:`OpCounter`, which is what the cost-model
+verification measures.
 
 Conventions fixed here and used everywhere:
 
@@ -27,9 +29,11 @@ import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
+from scipy.linalg.blas import zaxpy
 
 __all__ = [
     "AllocationTally",
@@ -38,6 +42,7 @@ __all__ = [
     "PauliStringOperator",
     "Statevector",
     "apply_operator",
+    "axpy",
     "clone_into",
     "controlled_matrix_operator",
     "inner_product",
@@ -118,24 +123,24 @@ def track_allocations() -> Iterator[AllocationTally]:
 
 
 class OpCounter:
-    """Tally of gate applications, state clones and inner products.
+    """Tally of gate applications, state clones, inner products and axpys.
 
     Counts are monotone while a computation runs; call :meth:`reset` only
     between computations.  Gate applications include both unitary and
-    derivative-operator applications.
+    derivative-operator applications.  :meth:`as_tuple` holds the three
+    tensor primitives only; ``axpys`` is read on its own.
     """
 
-    __slots__ = ("gate_applications", "clones", "inner_products")
+    __slots__ = ("gate_applications", "clones", "inner_products", "axpys")
 
     def __init__(self) -> None:
-        self.gate_applications = 0
-        self.clones = 0
-        self.inner_products = 0
+        self.reset()
 
     def reset(self) -> None:
         self.gate_applications = 0
         self.clones = 0
         self.inner_products = 0
+        self.axpys = 0
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.gate_applications, self.clones, self.inner_products)
@@ -147,7 +152,8 @@ class OpCounter:
     def __repr__(self) -> str:
         return (
             f"OpCounter(gate_applications={self.gate_applications}, "
-            f"clones={self.clones}, inner_products={self.inner_products})"
+            f"clones={self.clones}, inner_products={self.inner_products}, "
+            f"axpys={self.axpys})"
         )
 
 
@@ -255,6 +261,16 @@ def inner_product(bra: Statevector, ket: Statevector, counter: OpCounter) -> com
     return complex(np.vdot(bra.amplitudes, ket.amplitudes))
 
 
+def axpy(alpha: complex, x: Statevector, y: Statevector, counter: OpCounter) -> None:
+    """``y += alpha * x`` in place, with no temporary; counts one axpy."""
+    if x.num_qubits != y.num_qubits:
+        raise ValueError(
+            f"cannot add a {x.num_qubits}-qubit state to a {y.num_qubits}-qubit register"
+        )
+    zaxpy(x.amplitudes, y.amplitudes, a=alpha)
+    counter.axpys += 1
+
+
 @runtime_checkable
 class GateOperator(Protocol):
     """Anything apply_operator can act with: a target list plus an in-place action."""
@@ -290,8 +306,15 @@ _BLOCK_BITS = 6  # blocks of >= 64 amplitudes keep numpy's inner loop long
 _GEMM_BITS = 5  # widest kron-expanded window: a 32x32 block, whatever N
 
 
-def _diagonal_kernel(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int):
-    """In-place multiply by a diagonal matrix; see :class:`MatrixGateOperator`."""
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@cache
+def _diagonal_layout(targets: tuple[int, ...], num_qubits: int):
+    """The register shape, the diagonal index of every phase-pattern entry and
+    the slices of the axes above the block; see :func:`_diagonal_kernel`."""
     low = min(num_qubits, max(_BLOCK_BITS, min(targets)))
     high = sorted((q for q in targets if q >= low), reverse=True)
     shape, top = [], num_qubits
@@ -301,13 +324,23 @@ def _diagonal_kernel(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: i
     # the pattern is constant along the block if no target sits in it
     grid = np.indices((2,) * len(high) + ((1 << low) if min(targets) < low else 1,))
     bits = [grid[high.index(q)] if q >= low else (grid[-1] >> q) & 1 for q in targets]
-    factors = matrix.diagonal()[sum(bit << j for j, bit in enumerate(bits))]
-    slices = [(sum(((slice(None), bit) for bit in index), ()), factors[index])
-              for index in np.ndindex(factors.shape[:-1])]
-    if all((f != 1).any() and f.any() for _, f in slices):
-        parts = [((), factors.reshape([1, 2] * len(high) + [1, -1]))]
+    pattern = _frozen(sum(bit << j for j, bit in enumerate(bits)))
+    slices = tuple((sum(((slice(None), bit) for bit in index), ()), index)
+                   for index in np.ndindex(pattern.shape[:-1]))
+    return tuple(shape), pattern, slices, (1, 2) * len(high) + (1, -1)
+
+
+def _diagonal_kernel(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int):
+    """In-place multiply by a diagonal matrix; see :class:`MatrixGateOperator`."""
+    shape, pattern, slices, broadcast = _diagonal_layout(targets, num_qubits)
+    factors = matrix.diagonal()[pattern]
+    ones = (factors == 1).all(axis=-1)
+    zeros = ~factors.any(axis=-1)
+    if not (ones.any() or zeros.any()):
+        parts = [((), factors.reshape(broadcast))]
     else:
-        parts = [(index, f if f.any() else None) for index, f in slices if (f != 1).any()]
+        parts = [(index, None if zeros[at] else factors[at])
+                 for index, at in slices if not ones[at]]
 
     def apply(amplitudes: np.ndarray) -> None:
         view = amplitudes.reshape(shape)
@@ -320,17 +353,12 @@ def _diagonal_kernel(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: i
     return apply
 
 
-def _dense_kernel(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int):
-    """In-place GEMM by a dense matrix; see :class:`MatrixGateOperator`."""
+@cache
+def _dense_layout(targets: tuple[int, ...], num_qubits: int):
+    """The window ``(low, bits)`` of targets within 5 consecutive bits, and the
+    matrix indices and nonzero mask of its kron-expanded block, transposed
+    when the window starts at bit 0; see :func:`_dense_kernel`."""
     lo, hi = min(targets), max(targets)
-    if hi - lo >= _GEMM_BITS:
-        front = tuple(num_qubits - 1 - q for q in reversed(targets))  # tensor axes
-
-        def apply(amplitudes: np.ndarray) -> None:
-            moved = np.moveaxis(amplitudes.reshape((2,) * num_qubits), front, range(len(front)))
-            work = np.ascontiguousarray(moved).reshape(len(matrix), -1)
-            np.copyto(moved, (matrix @ work).reshape(moved.shape))
-        return apply
     if hi < _GEMM_BITS:  # one row (a GEMV) up to N = 5, else the narrowest rows
         low, bits = 0, num_qubits if num_qubits <= _GEMM_BITS else max(2, hi + 1)
     else:  # a window from the lowest target, >= 2**8 amplitudes per product
@@ -338,17 +366,31 @@ def _dense_kernel(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int)
     index = np.arange(1 << bits)
     rows = sum(((index >> (q - low)) & 1) << j for j, q in enumerate(targets))
     rest = index & ~sum(1 << (q - low) for q in targets)
-    block = np.where(rest[:, None] == rest, matrix[rows[:, None], rows], 0)
+    rows, cols = (rows[:, None], rows) if low else (rows, rows[:, None])
+    return low, bits, _frozen(rows), _frozen(cols), _frozen(rest[:, None] == rest)
+
+
+def _dense_kernel(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int):
+    """In-place GEMM by a dense matrix; see :class:`MatrixGateOperator`."""
+    if max(targets) - min(targets) >= _GEMM_BITS:
+        front = tuple(num_qubits - 1 - q for q in reversed(targets))  # tensor axes
+
+        def apply(amplitudes: np.ndarray) -> None:
+            moved = np.moveaxis(amplitudes.reshape((2,) * num_qubits), front, range(len(front)))
+            work = np.ascontiguousarray(moved).reshape(len(matrix), -1)
+            np.copyto(moved, (matrix @ work).reshape(moved.shape))
+        return apply
+    low, bits, rows, cols, mask = _dense_layout(targets, num_qubits)
+    block = np.where(mask, matrix[rows, cols], 0)  # K, or K.T from bit 0
     if low:
         def apply(amplitudes: np.ndarray) -> None:
             view = amplitudes.reshape(-1, 1 << bits, 1 << low)
             np.matmul(block, view, out=view)
         return apply
-    block_t = block.T.copy()
 
     def apply(amplitudes: np.ndarray) -> None:
         view = amplitudes.reshape(-1, 1 << bits)
-        np.matmul(view, block_t, out=view)
+        np.matmul(view, block, out=view)
     return apply
 
 
@@ -360,7 +402,10 @@ class MatrixGateOperator:
     of the matrix index addresses ``targets[j]``.  The matrix need not be
     unitary (derivative operators are not).
 
-    The kernel follows the matrix's structure and is built once per N:
+    The kernel follows the matrix's structure and is built once per N.  Its
+    index layout depends only on the targets and N and is cached for every
+    operator on them; the matrix entries and the skip and zero decisions are
+    taken per operator:
 
     * diagonal (rz, crz, their derivatives and adjoints): an in-place multiply
       by a phase pattern over blocks of at least 64 amplitudes, with one axis

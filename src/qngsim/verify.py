@@ -6,7 +6,11 @@ against every other and against the main recurrent algorithm, the geometric
 tensor against a central-difference evaluation of its definition, gauge
 invariance under parameter-dependent global phases, the a-priori diagonal
 shortcut against explicit evaluation, and instrumented primitive counts
-against the closed-form cost model.
+against the closed-form cost model.  Two checks cover the energy gradient:
+``gradient_count_exactness`` holds its four counts to ``gradient_cost(P, T)``
+for P = 1..10 (quick) or 1..40 and T = 0..4, and
+``gradient_finite_difference`` holds ``energy_gradient`` to central
+differences of ``energy_expectation``.
 """
 
 from __future__ import annotations
@@ -23,12 +27,15 @@ from .ansatz import (
     random_parameters,
 )
 from .baselines import BaselineId, compute_li_tensor, cost_model
+from .gates import PauliString
 from .metric import compute_berry_vector, compute_geometric_tensor
+from .optimizer import PauliSumHamiltonian, energy_expectation, energy_gradient, gradient_cost
 from .statevector import OpCounter
 
 __all__ = [
     "CheckResult",
     "DEFAULT_SEED",
+    "finite_difference_gradient",
     "finite_difference_tensor",
     "run_checks",
 ]
@@ -86,6 +93,21 @@ def finite_difference_tensor(circuit: AnsatzCircuit, params,
     overlaps = np.conj(derivs) @ derivs.T
     berry = derivs @ np.conj(psi)  # berry[i] = <psi | d_i psi>
     return overlaps - np.outer(np.conj(berry), berry)
+
+
+def finite_difference_gradient(circuit: AnsatzCircuit, params,
+                               hamiltonian: PauliSumHamiltonian,
+                               step: float = 1e-5) -> np.ndarray:
+    """The energy gradient by central differences of ``energy_expectation``."""
+    theta = circuit.bind(params).theta
+    grad = np.zeros(len(theta))
+    for i in range(len(theta)):
+        shift = np.zeros(len(theta))
+        shift[i] = step
+        grad[i] = (energy_expectation(circuit, theta + shift, hamiltonian, OpCounter())
+                   - energy_expectation(circuit, theta - shift, hamiltonian, OpCounter())
+                   ) / (2 * step)
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +245,51 @@ def check_berry_consistency(seed: int, quick: bool, tolerance: float) -> CheckRe
     return CheckResult("berry_consistency", worst <= tolerance, worst, tolerance)
 
 
+def _random_hamiltonian(rng: np.random.Generator, num_qubits: int,
+                        num_terms: int) -> PauliSumHamiltonian:
+    """``num_terms`` terms with coefficients in [-1, 1); each qubit carries
+    I, X, Y or Z, so identity terms occur."""
+    terms = []
+    for _ in range(num_terms):
+        labels = rng.integers(0, 4, size=num_qubits)
+        pauli = PauliString(tuple((q, "XYZ"[label - 1])
+                                  for q, label in enumerate(labels) if label))
+        terms.append((float(rng.uniform(-1.0, 1.0)), pauli))
+    return PauliSumHamiltonian(tuple(terms))
+
+
+def check_gradient_count_exactness(seed: int, quick: bool) -> CheckResult:
+    """Instrumented gradient counts equal ``gradient_cost``, integer for integer."""
+    max_parameters = 10 if quick else 40
+    rng = np.random.default_rng([seed, 98])
+    worst = 0
+    for num_parameters in range(1, max_parameters + 1):
+        circuit = random_circuit(2, num_parameters, rng)
+        params = random_parameters(num_parameters, rng)
+        for num_terms in range(5):
+            counter = OpCounter()
+            energy_gradient(circuit, params, _random_hamiltonian(rng, 2, num_terms), counter)
+            measured = counter.as_tuple() + (counter.axpys,)
+            predicted = gradient_cost(num_parameters, num_terms)
+            worst = max(worst, *(abs(m - p) for m, p in zip(measured, predicted)))
+    return CheckResult("gradient_count_exactness", worst == 0, float(worst), 0.0,
+                       f"P = 1..{max_parameters}, T = 0..4")
+
+
+def check_gradient_finite_difference(seed: int, quick: bool,
+                                     tolerance: float) -> CheckResult:
+    """``energy_gradient`` against central differences of ``energy_expectation``."""
+    num_cases = 2 if quick else 6
+    worst = 0.0
+    for case, (circuit, params) in enumerate(_random_cases(seed + 5, num_cases, 4, 8)):
+        hamiltonian = _random_hamiltonian(np.random.default_rng([seed + 5, case, 1]), 4, 4)
+        grad = energy_gradient(circuit, params, hamiltonian, OpCounter())
+        oracle = finite_difference_gradient(circuit, params, hamiltonian)
+        worst = max(worst, float(np.max(np.abs(grad - oracle))))
+    return CheckResult("gradient_finite_difference", worst <= tolerance, worst, tolerance,
+                       f"{num_cases} circuits, 4 terms, central step 1e-5")
+
+
 def run_checks(seed: int = DEFAULT_SEED, quick: bool = False,
                tolerance_override: float | None = None) -> list[CheckResult]:
     """Run the whole suite; an override tightens/loosens every comparison
@@ -239,4 +306,6 @@ def run_checks(seed: int = DEFAULT_SEED, quick: bool = False,
         check_gauge_invariance(seed, quick, tol(1e-9)),
         check_diagonal_shortcut(seed, quick, tol(1e-10)),
         check_berry_consistency(seed, quick, tol(1e-12)),
+        check_gradient_count_exactness(seed, quick),
+        check_gradient_finite_difference(seed, quick, tol(1e-6)),
     ]

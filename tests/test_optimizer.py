@@ -2,21 +2,35 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qngsim.ansatz import AnsatzCircuit, random_circuit, random_layered_circuit, random_parameters
 from qngsim.errors import ParseError, SingularMetricError
-from qngsim.gates import PauliRotation, PauliString
+from qngsim.gates import (
+    ControlledPauliRotation,
+    GateGenerator,
+    GeneratedGate,
+    PauliRotation,
+    PauliString,
+    PhasedPauliRotation,
+    linear_generator_term,
+)
+from qngsim.metric import compute_geometric_tensor
 from qngsim.optimizer import (
     NATURAL_GRADIENT,
     PLAIN_GRADIENT,
     OptimizerConfig,
     PauliSumHamiltonian,
+    _energy_and_gradient,
     energy_expectation,
     energy_gradient,
+    gradient_cost,
     parse_hamiltonian_text,
     run_optimization,
 )
 from qngsim.statevector import OpCounter
+from qngsim.verify import finite_difference_gradient
 
 
 def rx_circuit():
@@ -158,29 +172,116 @@ def test_gradient_matches_central_differences(seed):
         (-0.4, PauliString.parse("Y3 X0")),
     ))
     grad = energy_gradient(circuit, params, h, OpCounter())
-    step = 1e-5
-    oracle = np.zeros(8)
-    for i in range(8):
-        shift = np.zeros(8)
-        shift[i] = step
-        oracle[i] = (
-            energy_expectation(circuit, params + shift, h, OpCounter())
-            - energy_expectation(circuit, params - shift, h, OpCounter())
-        ) / (2 * step)
-    np.testing.assert_allclose(grad, oracle, atol=1e-6)
+    np.testing.assert_allclose(grad, finite_difference_gradient(circuit, params, h),
+                               atol=1e-6)
 
 
-def test_gradient_gate_cost_linear_in_parameters():
-    # P preparation gates plus 3P per Hamiltonian term
-    for num_parameters, num_terms in ((6, 1), (11, 3)):
+@st.composite
+def gradient_cases(draw):
+    """A circuit mixing every gate kind, crx/cry on the wrap-around pair (the
+    moveaxis kernel from N = 6) and a Hamiltonian with X, Y, Z and identity
+    terms."""
+    num_qubits = draw(st.integers(3, 7))
+    last = num_qubits - 1
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(["rotation", "phased", "crz", "wrap", "gen"]),
+                              min_size=1, max_size=8)):
+        qubit = draw(st.integers(0, last))
+        axis = PauliString.single(qubit, draw(st.sampled_from("XYZ")))
+        if kind == "rotation":
+            gates.append(PauliRotation(axis))
+        elif kind == "phased":
+            gates.append(PhasedPauliRotation(axis, draw(st.floats(-1.0, 1.0))))
+        elif kind == "crz":
+            gates.append(ControlledPauliRotation((qubit + 1) % num_qubits,
+                                                 PauliString.single(qubit, "Z")))
+        elif kind == "wrap":
+            control, target = draw(st.sampled_from([(last, 0), (0, last)]))
+            gates.append(ControlledPauliRotation(
+                control, PauliString.single(target, draw(st.sampled_from("XY")))))
+        else:
+            words = draw(st.lists(st.sampled_from([f"X0 Z{last}", f"Y{last}", "Z0 X1", "Y1"]),
+                                  min_size=1, max_size=2, unique=True))
+            gates.append(GeneratedGate(GateGenerator(tuple(
+                linear_generator_term(draw(st.floats(-1.0, 1.0)), PauliString.parse(word))
+                for word in words))))
+    circuit = AnsatzCircuit(num_qubits, tuple(gates))
+    params = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=len(gates),
+                                    max_size=len(gates))))
+    factor = st.tuples(st.integers(0, last), st.sampled_from("XYZ"))
+    terms = draw(st.lists(st.tuples(st.floats(-1.0, 1.0),
+                                    st.lists(factor, max_size=3, unique_by=lambda f: f[0])),
+                          max_size=4))
+    hamiltonian = PauliSumHamiltonian(tuple((coeff, PauliString(tuple(factors)))
+                                            for coeff, factors in terms))
+    return circuit, params, hamiltonian
+
+
+@settings(max_examples=40, deadline=None)
+@given(gradient_cases())
+def test_gradient_and_energy_of_one_pass_match_oracles(case):
+    circuit, params, hamiltonian = case
+    energy, grad = _energy_and_gradient(circuit.bind(params), hamiltonian, OpCounter())
+    np.testing.assert_allclose(grad, finite_difference_gradient(circuit, params, hamiltonian),
+                               rtol=0, atol=1e-6)
+    expected = energy_expectation(circuit, params, hamiltonian, OpCounter())
+    assert abs(energy - expected) <= 1e-12
+
+
+def test_gradient_counts_equal_cost_model():
+    # every count exactly, also for an empty Hamiltonian and an identity term
+    assert gradient_cost(128, 8) == (519, 136, 129, 8)
+    hamiltonians = (
+        PauliSumHamiltonian(()),
+        PauliSumHamiltonian(((2.0, PauliString.parse("")),)),
+        PauliSumHamiltonian(((0.5, PauliString.single(0, "Z")),)),
+        PauliSumHamiltonian((
+            (0.5, PauliString.parse("Z0 Z1")),
+            (-1.0, PauliString.parse("")),
+            (0.3, PauliString.parse("X2 Y0")),
+        )),
+    )
+    for num_parameters in (1, 6, 11):
         circuit = random_circuit(3, num_parameters, 74)
         params = random_parameters(num_parameters, 75)
-        h = PauliSumHamiltonian(tuple(
-            (0.5, PauliString.single(q % 3, "Z")) for q in range(num_terms)
-        ))
-        counter = OpCounter()
-        energy_gradient(circuit, params, h, counter)
-        assert counter.gate_applications == num_parameters + 3 * num_parameters * num_terms
+        for h in hamiltonians:
+            counter = OpCounter()
+            energy_gradient(circuit, params, h, counter)
+            assert counter.as_tuple() + (counter.axpys,) == \
+                gradient_cost(num_parameters, len(h.terms))
+    with pytest.raises(ValueError):
+        gradient_cost(0, 1)
+    with pytest.raises(ValueError):
+        gradient_cost(1, -1)
+
+
+def test_natural_gradient_run_prepares_once_per_point(monkeypatch):
+    # k steps evaluate k + 1 points, one energy-and-gradient pass each, and
+    # k tensors; nothing else applies a gate or clones a state
+    counters = []
+
+    class RecordingCounter(OpCounter):
+        __slots__ = ()
+
+        def __init__(self) -> None:
+            super().__init__()
+            counters.append(self)
+
+    steps = 3
+    circuit = random_circuit(3, 9, 79)
+    params = random_parameters(9, 80)
+    tensor = OpCounter()
+    compute_geometric_tensor(circuit, params, tensor)
+    monkeypatch.setattr("qngsim.optimizer.OpCounter", RecordingCounter)
+    config = OptimizerConfig(timestep=0.05, max_steps=steps, energy_tolerance=1e-300)
+    trace = run_optimization(circuit, params, ising_pair(), config)
+    assert len(trace.records) == steps + 1
+    (counter,) = counters
+    gates, clones, inners, axpys = gradient_cost(9, len(ising_pair().terms))
+    assert counter.gate_applications == (steps + 1) * gates + steps * tensor.gate_applications
+    assert counter.clones == (steps + 1) * clones + steps * tensor.clones
+    assert counter.inner_products == (steps + 1) * inners + steps * tensor.inner_products
+    assert counter.axpys == (steps + 1) * axpys
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +323,6 @@ def test_metric_solve_residual_small():
     # the physical right-hand side -dt*grad is consistent with the metric's
     # range (a direction that does not move the state moves the energy no
     # more), so the solve residual stays at machine level
-    from qngsim.metric import compute_geometric_tensor
     from qngsim.optimizer import _solve_metric_system
 
     rng = np.random.default_rng(76)

@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qngsim.gates import ControlledPauliRotation, PauliString
 from qngsim.statevector import (
     MatrixGateOperator,
     OpCounter,
@@ -299,8 +300,11 @@ def kernel_case_operator(kind, targets, rng):
 
 
 def check_kernel_against_oracle(num_qubits, targets, kind, seed):
-    rng = np.random.default_rng(seed)
-    op = kernel_case_operator(kind, targets, rng)
+    op = kernel_case_operator(kind, targets, np.random.default_rng(seed))
+    check_operator_against_oracle(num_qubits, op, seed)
+
+
+def check_operator_against_oracle(num_qubits, op, seed):
     state = random_state(num_qubits, seed=seed)
     expected = kron_oracle(num_qubits, op.targets, op.matrix) @ state.amplitudes
     counter = OpCounter()
@@ -325,12 +329,27 @@ def test_kernels_match_kron_oracle(case):
     check_kernel_against_oracle(*case)
 
 
-@pytest.mark.parametrize("kind", KERNEL_KINDS)
-@pytest.mark.parametrize("num_qubits, bit", [(n, q) for n in (5, 6, 7) for q in (4, 5, 6)
-                                             if q < n])
+def check_crz_family_interleaved(num_qubits, targets, seed):
+    """crz, its derivative (control-0 block zero) and its adjoint share their
+    targets and N, so one cached layout, but skip or zero different slices;
+    applied in interleaved order, each must still match the oracle."""
+    gate = ControlledPauliRotation(targets[1], PauliString.single(targets[0], "Z"))
+    unitary = gate.unitary(0.7)
+    ops = (unitary, gate.derivative(0.7), unitary.adjoint())
+    for op in ops + ops[::-1]:
+        check_operator_against_oracle(num_qubits, op, seed)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS + ("crz_family",))
+@pytest.mark.parametrize("num_qubits, bit", [(n, q) for n in (5, 6, 7, 8) for q in (4, 5, 6, 7)
+                                             if q < n and (q < 7 or n == 8)])
 def test_kernels_match_kron_oracle_at_block_cutoffs(kind, num_qubits, bit):
     # target bits on both sides of the GEMM (5) and diagonal block (6) cutoffs
     others = [q for q in (0, num_qubits - 1, 2) if q != bit]
+    if kind == "crz_family":
+        check_crz_family_interleaved(num_qubits, (bit, others[0]), seed=bit)
+        check_crz_family_interleaved(num_qubits, (others[0], bit), seed=bit + 1)
+        return
     targets = (bit,) if kind in KERNEL_KINDS[:2] else (bit, others[0])
     check_kernel_against_oracle(num_qubits, targets, kind, seed=bit * 10 + num_qubits)
     if kind not in KERNEL_KINDS[:2]:
