@@ -13,7 +13,6 @@ from .ansatz import (
     input_state,
     phased_variant,
     prepare_ansatz_state,
-    prepare_partial_state,
     random_circuit,
     random_layered_circuit,
     random_parameters,
@@ -39,12 +38,9 @@ from .gates import (
     PauliRotation,
     PauliString,
     PhasedPauliRotation,
-    linear_generator_term,
 )
 from .metric import (
-    BerryVector,
     GeometricTensor,
-    LiTensor,
     compute_berry_vector,
     compute_geometric_tensor,
     main_algorithm_cost,

@@ -35,7 +35,6 @@ __all__ = [
     "input_state",
     "phased_variant",
     "prepare_ansatz_state",
-    "prepare_partial_state",
     "random_circuit",
     "random_layered_circuit",
     "random_parameters",
@@ -150,12 +149,6 @@ def prepare_ansatz_state(circuit: AnsatzCircuit, params,
                          counter: OpCounter) -> Statevector:
     """``U_P(theta_P) ... U_1(theta_1)|in>``; exactly P gate applications."""
     return circuit.bind(params).prepare(counter)
-
-
-def prepare_partial_state(circuit: AnsatzCircuit, params, upto: int,
-                          counter: OpCounter) -> Statevector:
-    """The state after the first ``upto`` gates; ``upto=0`` gives ``|in>``."""
-    return circuit.bind(params).prepare(counter, upto)
 
 
 # ---------------------------------------------------------------------------

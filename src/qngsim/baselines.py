@@ -1,11 +1,12 @@
 """Reference evaluations of the derivative-overlap tensor, from naive to tuned.
 
-Seven baseline strategies compute the same upper-triangular tensor
-``L_ij = <d_i psi, d_j psi>`` (i <= j) as the main recurrent algorithm in the
-metric module.  They exist for two reasons: mutual oracle equivalence (every
-strategy must agree to near machine precision) and cost-model verification
-(every strategy's instrumented gate/clone counts must match the closed forms
-in :func:`cost_model` exactly, integer for integer).
+Seven baseline strategies compute the same derivative-overlap tensor
+``L_ij = <d_i psi, d_j psi>`` as the main recurrent algorithm in the metric
+module: each fills the entries with i <= j of a P x P array and mirrors them
+into the lower triangle.  They exist for two reasons: mutual oracle
+equivalence (every strategy must agree to near machine precision) and
+cost-model verification (every strategy's instrumented gate/clone counts must
+match the closed forms in :func:`cost_model` exactly, integer for integer).
 
 The progression: alg2 rebuilds both derivative states from scratch for every
 (i, j) pair, including the redundant lower triangle; alg3 keeps only i <= j
@@ -31,7 +32,7 @@ import numpy as np
 
 from .ansatz import AnsatzCircuit, input_state
 from .errors import ResourceLimitError
-from .metric import LiTensor
+from .metric import mirror_upper
 from .statevector import (
     OpCounter,
     Statevector,
@@ -117,8 +118,9 @@ def _ensure_memory(num_registers: int, num_qubits: int, budget_bytes: int) -> No
 
 def compute_li_tensor(alg: BaselineId, circuit: AnsatzCircuit, params,
                       counter: OpCounter,
-                      memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES) -> LiTensor:
-    """Run one baseline strategy; the counter ends up matching :func:`cost_model`.
+                      memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES) -> np.ndarray:
+    """Run one baseline strategy for the P x P Hermitian ``L``; the counter
+    ends up matching :func:`cost_model`.
 
     Raises:
         ResourceLimitError: for alg7/alg8 when the P (or P+1) derivative
@@ -136,9 +138,9 @@ def naive_full_li_matrix(circuit: AnsatzCircuit, params,
                          counter: OpCounter) -> np.ndarray:
     """The alg2 run, returning the full P x P matrix it computes.
 
-    Both triangles are evaluated independently, which makes this the debug
-    route for checking Hermiticity without the packed tensor's built-in
-    mirroring.
+    Both triangles are evaluated independently, so unlike every other route
+    its lower triangle is not mirrored from the upper one; that makes it the
+    debug route for checking Hermiticity.
     """
     bound = circuit.bind(params)
     count = circuit.num_parameters
@@ -166,13 +168,7 @@ def naive_full_li_matrix(circuit: AnsatzCircuit, params,
 
 
 def _run_alg2(circuit, bound, counter, budget):
-    full = naive_full_li_matrix(circuit, bound.theta, counter)
-    count = circuit.num_parameters
-    li = LiTensor(count)
-    for i in range(count):
-        for j in range(i, count):
-            li.set(i, j, full[i, j])
-    return li
+    return mirror_upper(naive_full_li_matrix(circuit, bound.theta, counter))
 
 
 def _run_alg3(circuit, bound, counter, budget):
@@ -184,7 +180,7 @@ def _run_alg3(circuit, bound, counter, budget):
     derivatives, derivative_adjoints = bound.derivatives, bound.derivative_adjoints
     start = input_state(circuit)
     phi = Statevector.zeros(circuit.num_qubits)
-    li = LiTensor(count)
+    li = np.zeros((count, count), dtype=np.complex128)
     for j in range(count):
         for i in range(j + 1):
             clone_into(start, phi, counter)
@@ -196,8 +192,8 @@ def _run_alg3(circuit, bound, counter, budget):
             apply_operator(phi, derivative_adjoints[i], counter)
             for k in range(i - 1, -1, -1):
                 apply_operator(phi, adjoints[k], counter)
-            li.set(i, j, inner_product(start, phi, counter))
-    return li
+            li[i, j] = inner_product(start, phi, counter)
+    return mirror_upper(li)
 
 
 def _run_alg4(circuit, bound, counter, budget):
@@ -210,7 +206,7 @@ def _run_alg4(circuit, bound, counter, budget):
     psi = Statevector.zeros(circuit.num_qubits)
     phi = Statevector.zeros(circuit.num_qubits)
     lam = Statevector.zeros(circuit.num_qubits)
-    li = LiTensor(count)
+    li = np.zeros((count, count), dtype=np.complex128)
     clone_into(start, psi, counter)
     for j in range(count):
         clone_into(psi, phi, counter)
@@ -222,9 +218,9 @@ def _run_alg4(circuit, bound, counter, budget):
             apply_operator(lam, derivative_adjoints[i], counter)
             for k in range(i - 1, -1, -1):
                 apply_operator(lam, adjoints[k], counter)
-            li.set(i, j, inner_product(start, lam, counter))
+            li[i, j] = inner_product(start, lam, counter)
         apply_operator(psi, unitaries[j], counter)
-    return li
+    return mirror_upper(li)
 
 
 def _run_alg5(circuit, bound, counter, budget):
@@ -238,7 +234,7 @@ def _run_alg5(circuit, bound, counter, budget):
     psi = Statevector.zeros(circuit.num_qubits)
     phi = Statevector.zeros(circuit.num_qubits)
     lam = Statevector.zeros(circuit.num_qubits)
-    li = LiTensor(count)
+    li = np.zeros((count, count), dtype=np.complex128)
     clone_into(start, psi, counter)
     for j in range(count):
         clone_into(psi, phi, counter)
@@ -248,11 +244,11 @@ def _run_alg5(circuit, bound, counter, budget):
             apply_operator(lam, derivative_adjoints[i], counter)
             for k in range(i - 1, -1, -1):
                 apply_operator(lam, adjoints[k], counter)
-            li.set(i, j, inner_product(start, lam, counter))
+            li[i, j] = inner_product(start, lam, counter)
             if i > 0:
                 apply_operator(phi, adjoints[i], counter)
         apply_operator(psi, unitaries[j], counter)
-    return li
+    return mirror_upper(li)
 
 
 def _run_alg6(circuit, bound, counter, budget):
@@ -267,7 +263,7 @@ def _run_alg6(circuit, bound, counter, budget):
     phi = Statevector.zeros(circuit.num_qubits)
     lam = Statevector.zeros(circuit.num_qubits)
     mu = Statevector.zeros(circuit.num_qubits)
-    li = LiTensor(count)
+    li = np.zeros((count, count), dtype=np.complex128)
     clone_into(start, psi, counter)
     for j in range(count):
         clone_into(psi, mu, counter)
@@ -276,12 +272,12 @@ def _run_alg6(circuit, bound, counter, budget):
         for i in range(j, -1, -1):
             clone_into(phi, lam, counter)
             apply_operator(lam, derivative_adjoints[i], counter)
-            li.set(i, j, inner_product(mu, lam, counter))
+            li[i, j] = inner_product(mu, lam, counter)
             if i > 0:
                 apply_operator(phi, adjoints[i], counter)
                 apply_operator(mu, adjoints[i - 1], counter)
         apply_operator(psi, unitaries[j], counter)
-    return li
+    return mirror_upper(li)
 
 
 def _run_alg7(circuit, bound, counter, budget):
@@ -325,13 +321,13 @@ def _run_alg8(circuit, bound, counter, budget):
     return _pairwise_products(states, counter)
 
 
-def _pairwise_products(states: list[Statevector], counter: OpCounter) -> LiTensor:
+def _pairwise_products(states: list[Statevector], counter: OpCounter) -> np.ndarray:
     count = len(states)
-    li = LiTensor(count)
+    li = np.zeros((count, count), dtype=np.complex128)
     for i in range(count):
         for j in range(i, count):
-            li.set(i, j, inner_product(states[i], states[j], counter))
-    return li
+            li[i, j] = inner_product(states[i], states[j], counter)
+    return mirror_upper(li)
 
 
 _RUNNERS = {

@@ -49,11 +49,11 @@ from .gates import (
     ControlledPauliRotation,
     GateGenerator,
     GeneratedGate,
+    GeneratorTerm,
     ParameterizedGate,
     PauliRotation,
     PauliString,
     PhasedPauliRotation,
-    linear_generator_term,
 )
 from .metric import (
     compute_berry_vector,
@@ -141,7 +141,7 @@ def _parse_gate_line(tokens: list[str], num_qubits: int) -> ParameterizedGate:
             pauli = PauliString.parse(" ".join(parts[1:]))
             for qubit in pauli.qubits:
                 _parse_qubit(str(qubit), num_qubits, "gen qubit")
-            terms.append(linear_generator_term(rate, pauli))
+            terms.append(GeneratorTerm(rate, pauli))
         return GeneratedGate(GateGenerator(tuple(terms)))
     raise ValueError(f"unknown gate {word!r}")
 
@@ -230,7 +230,7 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
         li = compute_li_tensor(alg, circuit, params, counter,
                                memory_budget_bytes=_memory_budget())
         berry = compute_berry_vector(circuit, params, counter)
-        matrix = li.to_matrix() - np.outer(np.conj(berry.entries), berry.entries)
+        matrix = li - np.outer(np.conj(berry), berry)
     if args.format == "bin":
         write_tensor_binary(matrix, args.out)
     else:

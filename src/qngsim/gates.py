@@ -2,12 +2,11 @@
 
 The rotation convention is fixed once, here: a Pauli rotation with scale ``s``
 is ``U(theta) = exp(i * s * theta * sigma)`` with default ``s = 1/2``, so e.g.
-``RX(pi)`` acts as ``i X``.  Derivatives follow from the generator form: a
-gate generated by ``i * sum_j f_j(theta) sigma_j`` has
-``dU/dtheta = i * sum_j f_j'(theta) sigma_j U(theta)`` whenever the generator
-commutes with its own theta-derivative (always true for the single-term
-rotation kinds); the multi-term kind uses the exact Frechet derivative of the
-matrix exponential, which coincides with that form in the commuting case.
+``RX(pi)`` acts as ``i X``.  Every gate kind is
+``U(theta) = exp(i * theta * A)`` for a theta-independent Hermitian ``A`` (for
+a phased rotation, ``A`` includes the identity term of its global phase), so
+``dU/dtheta = i * A * U(theta)`` holds exactly, also when ``A`` is a sum of
+non-commuting Pauli strings.
 
 Derivative operators are represented structurally (small matrix on the
 support, optionally behind a control projector), never as full-register
@@ -19,10 +18,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
+from scipy.linalg import expm
 
 from .errors import UnsupportedGateError
 from .statevector import (
@@ -41,7 +39,6 @@ __all__ = [
     "PauliRotation",
     "PauliString",
     "PhasedPauliRotation",
-    "linear_generator_term",
 ]
 
 PAULI_LABELS = ("X", "Y", "Z")
@@ -147,22 +144,19 @@ def _rotation_matrix(sigma: np.ndarray, angle: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GeneratorTerm:
-    """One ``f_j(theta) * sigma_j`` term; ``derivative`` must be f's derivative."""
+    """One ``rate * sigma`` term; the gate's exponent is ``i * theta`` times
+    the sum of its terms."""
 
-    coefficient: Callable[[float], float]
-    derivative: Callable[[float], float]
+    rate: float
     pauli: PauliString
 
     def __post_init__(self) -> None:
         if self.pauli.is_identity:
             raise ValueError("generator terms must act on at least one qubit")
-
-
-def linear_generator_term(rate: float, pauli: PauliString) -> GeneratorTerm:
-    """Term with coefficient ``f(theta) = rate * theta``."""
-    return GeneratorTerm(lambda theta: rate * theta, lambda theta: rate, pauli)
+        if not np.isfinite(self.rate):
+            raise ValueError(f"generator rate must be finite, got {self.rate}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,6 +323,8 @@ class PhasedPauliRotation(ParameterizedGate):
     def __post_init__(self) -> None:
         if self.axis.is_identity:
             raise ValueError("rotation axis must act on at least one qubit")
+        if not np.isfinite(self.phase_rate):
+            raise ValueError(f"phase rate must be finite, got {self.phase_rate}")
 
     @cached_property
     def _sigma(self) -> np.ndarray:
@@ -358,12 +354,13 @@ class PhasedPauliRotation(ParameterizedGate):
 
 @dataclass(frozen=True, eq=False)
 class GeneratedGate(ParameterizedGate):
-    """``exp(i * sum_j f_j(theta) sigma_j)`` for a small multi-term generator.
+    """``exp(i * theta * A)`` with ``A = sum_j rate_j sigma_j``, a small
+    multi-term generator.
 
     The support is capped at GENERATOR_SUPPORT_LIMIT qubits so the local
     exponential stays a small dense computation; larger generators are
-    rejected loudly rather than silently slow.  The derivative is the exact
-    Frechet derivative of the exponential, valid also when the terms do not
+    rejected loudly rather than silently slow.  ``A`` is built once per gate;
+    the derivative ``i * A * U(theta)`` is exact also when the terms do not
     commute.
     """
 
@@ -381,30 +378,19 @@ class GeneratedGate(ParameterizedGate):
     def qubit_indices(self) -> tuple[int, ...]:
         return self.generator.support
 
-    def _exponent(self, theta: float) -> np.ndarray:
+    @cached_property
+    def _generator_matrix(self) -> np.ndarray:
         support = self.generator.support
-        dim = 1 << len(support)
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for term in self.generator.terms:
-            total += term.coefficient(theta) * _embedded_pauli_matrix(term.pauli, support)
-        return 1j * total
-
-    def _exponent_derivative(self, theta: float) -> np.ndarray:
-        support = self.generator.support
-        dim = 1 << len(support)
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for term in self.generator.terms:
-            total += term.derivative(theta) * _embedded_pauli_matrix(term.pauli, support)
-        return 1j * total
+        return sum(term.rate * _embedded_pauli_matrix(term.pauli, support)
+                   for term in self.generator.terms)
 
     def unitary(self, theta: float) -> MatrixGateOperator:
-        return MatrixGateOperator(self.generator.support, expm(self._exponent(theta)))
+        return MatrixGateOperator(self.generator.support,
+                                  expm(1j * theta * self._generator_matrix))
 
     def derivative(self, theta: float) -> MatrixGateOperator:
-        _, frechet = expm_frechet(self._exponent(theta), self._exponent_derivative(theta))
-        return MatrixGateOperator(self.generator.support, frechet)
+        return MatrixGateOperator(self.generator.support, 1j * self._generator_matrix
+                                  @ expm(1j * theta * self._generator_matrix))
 
     def derivative_factor(self, theta: float) -> MatrixGateOperator:
-        unitary, frechet = expm_frechet(self._exponent(theta),
-                                        self._exponent_derivative(theta))
-        return MatrixGateOperator(self.generator.support, frechet @ unitary.conj().T)
+        return MatrixGateOperator(self.generator.support, 1j * self._generator_matrix)

@@ -7,17 +7,21 @@ For an ansatz state ``|psi(theta)> = U_P ... U_1 |in>`` the tensor is
 
 with the derivative-overlap tensor ``L`` and the Berry vector
 ``T_i = <psi, d_i psi>``.  Gates beyond max(i, j) cancel between bra and ket,
-so every L and T entry reduces to an inner product between two states that each differ from the previous iteration's states by a single gate
-(or adjoint).  :func:`compute_geometric_tensor` exploits that with five fixed
+so every L and T entry reduces to an inner product between two states that
+each differ from the previous iteration's states by a single gate (or
+adjoint).  :func:`compute_geometric_tensor` exploits that with five fixed
 workspace registers, rolling a suffix state forward over j, and rolling an
 infix state and a prefix state backward over i inside each j iteration.  The
 total cost is O(P^2) gate/clone operations and O(1) registers, against O(P^3)
 for evaluating each matrix element from scratch (see the baselines module).
+Every algorithm returns L as a P x P array whose lower triangle
+:func:`mirror_upper` fills with the conjugate of the upper one.
 
 Diagonal entries ``L_jj = <phi|phi>`` with ``|phi> = dU_j |psi_{j-1}>`` admit
 an a-priori shortcut for rotation-like gates (scale^2 for a plain Pauli
-rotation, scale^2 times the control-1 probability for a controlled one); the
-``use_diagonal_shortcut`` flag turns that on.
+rotation, scale^2 times the control-1 probability for a controlled one).  It
+is taken by default; ``use_diagonal_shortcut=False`` evaluates every diagonal
+entry explicitly.
 """
 
 from __future__ import annotations
@@ -38,89 +42,35 @@ from .statevector import (
 )
 
 __all__ = [
-    "BerryVector",
     "GeometricTensor",
-    "LiTensor",
     "TENSOR_MAGIC",
     "compute_berry_vector",
     "compute_geometric_tensor",
     "main_algorithm_cost",
+    "mirror_upper",
     "read_tensor_binary",
     "write_tensor_binary",
     "write_tensor_csv",
 ]
 
 
-@dataclass(frozen=True)
-class BerryVector:
-    """The length-P vector ``T_i = <psi, d_i psi>``."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", np.asarray(self.entries, dtype=np.complex128)
-        )
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-class LiTensor:
-    """Packed upper triangle of the derivative-overlap tensor ``L``.
-
-    Only entries with ``i <= j`` are stored; the full matrix follows from
-    ``L_ij = conj(L_ji)``, so the reconstruction is Hermitian by construction.
-    Indices are 0-based.
-    """
-
-    def __init__(self, num_parameters: int) -> None:
-        if num_parameters < 1:
-            raise ValueError(f"num_parameters must be >= 1, got {num_parameters}")
-        self.num_parameters = num_parameters
-        self.packed = np.zeros(num_parameters * (num_parameters + 1) // 2,
-                               dtype=np.complex128)
-
-    def _offset(self, i: int, j: int) -> int:
-        # row-major packing of the upper triangle
-        return i * self.num_parameters - (i * (i - 1)) // 2 + (j - i)
-
-    def set(self, i: int, j: int, value: complex) -> None:
-        if not 0 <= i <= j < self.num_parameters:
-            raise IndexError(f"need 0 <= i <= j < {self.num_parameters}, got {(i, j)}")
-        self.packed[self._offset(i, j)] = value
-
-    def get(self, i: int, j: int) -> complex:
-        if i > j:
-            return complex(np.conj(self.packed[self._offset(j, i)]))
-        return complex(self.packed[self._offset(i, j)])
-
-    def to_matrix(self) -> np.ndarray:
-        """The full Hermitian P x P matrix."""
-        size = self.num_parameters
-        matrix = np.zeros((size, size), dtype=np.complex128)
-        pos = 0
-        for i in range(size):
-            count = size - i
-            matrix[i, i:] = self.packed[pos:pos + count]
-            pos += count
-        lower = np.tril_indices(size, k=-1)
-        matrix[lower] = np.conj(matrix.T[lower])
-        return matrix
-
-    def max_abs_difference(self, other: "LiTensor") -> float:
-        if other.num_parameters != self.num_parameters:
-            raise ValueError("cannot compare tensors of different sizes")
-        return float(np.max(np.abs(self.packed - other.packed)))
+def mirror_upper(li: np.ndarray) -> np.ndarray:
+    """Complete ``li`` in place from its upper triangle, ``L_ij = conj(L_ji)``
+    for i > j, so ``L`` is Hermitian up to the diagonal's rounding; returns
+    ``li``."""
+    lower = np.tril_indices(len(li), k=-1)
+    li[lower] = np.conj(li.T[lower])
+    return li
 
 
 @dataclass(frozen=True)
 class GeometricTensor:
-    """The P x P tensor ``G`` together with its constituents ``L`` and ``T``."""
+    """The P x P tensor ``G`` with its constituents: the P x P Hermitian ``L``
+    (``li``) and the length-P Berry vector ``T`` (``berry``)."""
 
     matrix: np.ndarray
-    berry: BerryVector
-    li: LiTensor
+    berry: np.ndarray
+    li: np.ndarray
 
     @property
     def fubini_study_metric(self) -> np.ndarray:
@@ -178,7 +128,7 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
     mu = Statevector.zeros(circuit.num_qubits)    # prefix derivative image
 
     berry = np.zeros(count, dtype=np.complex128)
-    li = LiTensor(count)
+    li = np.zeros((count, count), dtype=np.complex128)
 
     def diagonal(j: int, pre_state: Statevector) -> complex:
         if use_diagonal_shortcut:
@@ -195,29 +145,29 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
     clone_into(start, phi, counter)
     apply_operator(phi, derivatives[0], counter)
     berry[0] = inner_product(chi, phi, counter)
-    li.set(0, 0, diagonal(0, start))
+    li[0, 0] = diagonal(0, start)
 
     for j in range(1, count):
         # psi currently holds the state before gate j
         clone_into(psi, lam, counter)
         clone_into(psi, phi, counter)
         apply_operator(phi, derivatives[j], counter)
-        li.set(j, j, diagonal(j, psi))
+        li[j, j] = diagonal(j, psi)
         for i in range(j - 1, -1, -1):
             apply_operator(phi, adjoints[i + 1], counter)   # roll the infix back
             apply_operator(lam, adjoints[i], counter)       # roll the prefix back
             clone_into(lam, mu, counter)
             apply_operator(mu, derivatives[i], counter)
-            li.set(i, j, inner_product(mu, phi, counter))
+            li[i, j] = inner_product(mu, phi, counter)
         berry[j] = inner_product(chi, phi, counter)
         apply_operator(psi, unitaries[j], counter)          # roll the suffix forward
 
-    matrix = li.to_matrix() - np.outer(np.conj(berry), berry)
-    return GeometricTensor(matrix=matrix, berry=BerryVector(berry.copy()), li=li)
+    mirror_upper(li)
+    return GeometricTensor(matrix=li - np.outer(np.conj(berry), berry), berry=berry, li=li)
 
 
 def compute_berry_vector(circuit: AnsatzCircuit, params,
-                         counter: OpCounter) -> BerryVector:
+                         counter: OpCounter) -> np.ndarray:
     """Standalone ``T_i = <psi_i| dU_i |psi_{i-1}>`` in O(P) gate applications."""
     bound = circuit.bind(params)
     psi = Statevector.zeros(circuit.num_qubits)
@@ -230,7 +180,7 @@ def compute_berry_vector(circuit: AnsatzCircuit, params,
         apply_operator(work, derivative, counter)
         apply_operator(psi, unitary, counter)
         berry[i] = inner_product(psi, work, counter)
-    return BerryVector(berry)
+    return berry
 
 
 # ---------------------------------------------------------------------------

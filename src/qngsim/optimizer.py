@@ -6,15 +6,16 @@ descent instead solves ``(g + lam*I) dtheta = -dt * grad(E)`` with
 ``dtheta``.  The Tikhonov shift ``lam`` keeps the solve well-posed when the
 metric is singular or near-singular.
 
-The energy and its gradient come from one pass (the reverse mode of
-arXiv:2011.02991): prepare ``|psi>``, sum the Hamiltonian into one register,
-``|lambda> = sum_t c_t sigma_t |psi>`` (a clone, a Pauli string and an axpy per
-term), and read the energy ``Re<psi|lambda>``.  One reverse sweep then rolls
-``|psi>`` and ``|lambda>`` back through the gate adjoints; each component is
-``2 * Re<lambda_i| dU_i |psi_{i-1}>``.  That is O(P + T) primitives in three
-registers, counted exactly by :func:`gradient_cost`, against the O(P^2) of
-parameter-wise finite differences.  ``run_optimization`` takes the energy and
-the gradient at each point from the same pass.
+The energy and its gradient come from one pass (the reverse mode of Jones
+and Gacon, arXiv:2009.02823): prepare ``|psi>``, sum the Hamiltonian into one
+register, ``|lambda> = sum_t c_t sigma_t |psi>`` (a clone, a Pauli string and
+an axpy per term), and read the energy ``Re<psi|lambda>``.  One reverse
+sweep then rolls ``|psi>`` and ``|lambda>`` back through the gate adjoints;
+each component is ``2 * Re<lambda_i| dU_i |psi_{i-1}>``.  That is O(P + T)
+primitives in three registers, counted exactly by :func:`gradient_cost`,
+against the O(P^2) of parameter-wise finite differences.
+``run_optimization`` takes the energy and the gradient at each point from the
+same pass.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ def parse_hamiltonian_text(text: str, source: str = "<string>") -> PauliSumHamil
             coeff = float(tokens[0])
         except ValueError:
             raise ParseError(f"{source}:{lineno}: expected a coefficient, got {tokens[0]!r}")
+        if not np.isfinite(coeff):
+            raise ParseError(f"{source}:{lineno}: coefficient {tokens[0]!r} is not finite")
         try:
             pauli = PauliString.parse(" ".join(tokens[1:]))
         except ValueError as exc:
@@ -197,6 +200,9 @@ class OptimizerConfig:
     mode: str = NATURAL_GRADIENT
 
     def __post_init__(self) -> None:
+        for name in ("timestep", "regularization", "energy_tolerance"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.timestep <= 0:
             raise ValueError(f"timestep must be positive, got {self.timestep}")
         if self.regularization < 0:

@@ -141,7 +141,7 @@ def check_baseline_equivalence(seed: int, quick: bool,
         tensors.append(main.li)
         for i, left in enumerate(tensors):
             for right in tensors[i + 1:]:
-                worst = max(worst, left.max_abs_difference(right))
+                worst = max(worst, float(np.max(np.abs(left - right))))
     return CheckResult("baseline_equivalence", worst <= tolerance, worst, tolerance,
                        f"{num_cases} circuits, P={num_parameters}")
 
@@ -172,8 +172,8 @@ def check_gauge_invariance(seed: int, quick: bool, tolerance: float) -> CheckRes
                                           params, OpCounter(),
                                           use_diagonal_shortcut=False)
         worst_g = max(worst_g, float(np.max(np.abs(plain.matrix - phased.matrix))))
-        moved_l = plain.li.max_abs_difference(phased.li)
-        moved_t = float(np.max(np.abs(plain.berry.entries - phased.berry.entries)))
+        moved_l = float(np.max(np.abs(plain.li - phased.li)))
+        moved_t = float(np.max(np.abs(plain.berry - phased.berry)))
         weakest_move = min(weakest_move, moved_l, moved_t)
     moved = weakest_move >= 1e-3
     detail = f"L and T moved by >= {weakest_move:.3e} while G stayed put"
@@ -191,8 +191,7 @@ def check_diagonal_shortcut(seed: int, quick: bool, tolerance: float) -> CheckRe
         slow = compute_geometric_tensor(circuit, params, OpCounter(),
                                         use_diagonal_shortcut=False)
         worst = max(worst, float(np.max(np.abs(fast.matrix - slow.matrix))))
-        worst = max(worst, float(np.max(np.abs(
-            fast.berry.entries - slow.berry.entries))))
+        worst = max(worst, float(np.max(np.abs(fast.berry - slow.berry))))
     return CheckResult("diagonal_shortcut", worst <= tolerance, worst, tolerance,
                        f"{num_cases} circuits with rotation and controlled gates")
 
@@ -240,8 +239,7 @@ def check_berry_consistency(seed: int, quick: bool, tolerance: float) -> CheckRe
     for circuit, params in _random_cases(seed + 4, num_cases, 3, 7):
         standalone = compute_berry_vector(circuit, params, OpCounter())
         main = compute_geometric_tensor(circuit, params, OpCounter())
-        worst = max(worst, float(np.max(np.abs(
-            standalone.entries - main.berry.entries))))
+        worst = max(worst, float(np.max(np.abs(standalone - main.berry))))
     return CheckResult("berry_consistency", worst <= tolerance, worst, tolerance)
 
 

@@ -7,7 +7,6 @@ from qngsim.ansatz import (
     AnsatzCircuit,
     phased_variant,
     prepare_ansatz_state,
-    prepare_partial_state,
     random_circuit,
     random_layered_circuit,
     random_parameters,
@@ -122,7 +121,7 @@ def test_random_circuit_rejects_zero_qubits():
 
 def test_partial_state_zero_is_input():
     circuit = AnsatzCircuit(2, rx_circuit(2).gates, input_basis=3)
-    state = prepare_partial_state(circuit, [0.4, 0.9], 0, OpCounter())
+    state = circuit.bind([0.4, 0.9]).prepare(OpCounter(), upto=0)
     np.testing.assert_array_equal(state.amplitudes, [0, 0, 0, 1])
 
 
@@ -130,20 +129,21 @@ def test_partial_state_full_equals_prepare():
     circuit = random_circuit(3, 7, seed_or_rng=2)
     params = random_parameters(7, 3)
     full = prepare_ansatz_state(circuit, params, OpCounter())
-    partial = prepare_partial_state(circuit, params, 7, OpCounter())
+    partial = circuit.bind(params).prepare(OpCounter(), upto=7)
     np.testing.assert_array_equal(partial.amplitudes, full.amplitudes)
 
 
 def test_partial_state_one_gate():
-    state = prepare_partial_state(rx_circuit(2), [np.pi, -np.pi], 1, OpCounter())
+    state = rx_circuit(2).bind([np.pi, -np.pi]).prepare(OpCounter(), upto=1)
     np.testing.assert_allclose(state.amplitudes, [0, 1j], atol=1e-12)
 
 
 def test_partial_state_range_errors():
+    bound = rx_circuit(2).bind([0.1, 0.2])
     with pytest.raises(ValueError):
-        prepare_partial_state(rx_circuit(2), [0.1, 0.2], 3, OpCounter())
+        bound.prepare(OpCounter(), upto=3)
     with pytest.raises(ValueError):
-        prepare_partial_state(rx_circuit(2), [0.1, 0.2], -1, OpCounter())
+        bound.prepare(OpCounter(), upto=-1)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -153,10 +153,11 @@ def test_partial_state_recurrence(seed):
 
     circuit = random_circuit(3, 8, seed_or_rng=seed)
     params = random_parameters(8, seed + 10)
-    previous = prepare_partial_state(circuit, params, 0, OpCounter())
+    bound = circuit.bind(params)
+    previous = bound.prepare(OpCounter(), upto=0)
     for i in range(8):
         apply_operator(previous, circuit.gates[i].unitary(params[i]), OpCounter())
-        direct = prepare_partial_state(circuit, params, i + 1, OpCounter())
+        direct = bound.prepare(OpCounter(), upto=i + 1)
         np.testing.assert_allclose(previous.amplitudes, direct.amplitudes, atol=1e-12)
 
 

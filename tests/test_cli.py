@@ -59,6 +59,9 @@ def test_parse_phased_and_generated_gates():
     assert phased.phase_rate == 0.7
     assert isinstance(generated, GeneratedGate)
     assert len(generated.generator.terms) == 2
+    for line in ("prx 0 nan", "prz 1 -inf", "gen inf X0", "gen 0.5 X0 ; nan Z1"):
+        with pytest.raises(ParseError, match=":3:.*finite"):
+            parse_circuit_text(f"qubits 2\nrx 0\n{line}\n")
 
 
 def test_parse_qubit_out_of_range():
@@ -181,6 +184,17 @@ def test_tensor_command_qubit_guard(tmp_path, capsys):
 def test_usage_error_exit_code():
     assert main(["tensor"]) == EXIT_USAGE
     assert main(["unknown-command"]) == EXIT_USAGE
+
+
+def test_tensor_command_rejects_non_finite_phase_rate(tmp_path, capsys):
+    circuit = tmp_path / "nan.txt"
+    circuit.write_text("qubits 1\nprx 0 nan\n")
+    out = tmp_path / "g.csv"
+    code = main(["tensor", "--circuit", str(circuit), "--params", "0.3",
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert ":2:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("params", ["inf,0.1,0.2", "0.3,nan,0.2", "0.3,0.7,-inf"])

@@ -13,7 +13,6 @@ from qngsim.gates import (
     PauliRotation,
     PauliString,
     PhasedPauliRotation,
-    linear_generator_term,
 )
 from qngsim.statevector import OpCounter, Statevector, apply_operator, make_basis_state
 
@@ -34,8 +33,6 @@ def acted(state, operator):
 
 def gate_pool(num_qubits=3):
     """One representative of every gate kind, on a few qubits."""
-    trig = GeneratorTerm(lambda t: 0.4 * np.sin(t), lambda t: 0.4 * np.cos(t),
-                         PauliString.single(0, "Z"))
     return [
         PauliRotation(PauliString.single(0, "X")),
         PauliRotation(PauliString.single(num_qubits - 1, "Y"), scale=0.3),
@@ -44,13 +41,12 @@ def gate_pool(num_qubits=3):
         ControlledPauliRotation(2, PauliString.parse("Y0 X1"), scale=-0.7),
         PhasedPauliRotation(PauliString.single(1, "X"), phase_rate=0.7),
         PhasedPauliRotation(PauliString.single(0, "Z"), phase_rate=-0.25, scale=0.5),
-        GeneratedGate(GateGenerator((linear_generator_term(0.5, PauliString.single(0, "X")),))),
+        GeneratedGate(GateGenerator((GeneratorTerm(0.5, PauliString.single(0, "X")),))),
         # non-commuting two-term generator: exercises the exact derivative
         GeneratedGate(GateGenerator((
-            linear_generator_term(0.3, PauliString.single(0, "X")),
-            linear_generator_term(-0.2, PauliString.parse("Z0 Y1")),
+            GeneratorTerm(0.3, PauliString.single(0, "X")),
+            GeneratorTerm(-0.2, PauliString.parse("Z0 Y1")),
         ))),
-        GeneratedGate(GateGenerator((trig,))),
     ]
 
 
@@ -243,7 +239,7 @@ def test_controlled_diagonal_control_never_one():
 def test_phased_and_generated_gates_have_no_shortcut():
     phased = PhasedPauliRotation(PauliString.single(0, "X"), phase_rate=0.7)
     generated = GeneratedGate(GateGenerator((
-        linear_generator_term(0.5, PauliString.single(0, "X")),
+        GeneratorTerm(0.5, PauliString.single(0, "X")),
     )))
     pre = make_basis_state(1, 0)
     assert phased.a_priori_diagonal(0.3, pre) is None
@@ -271,24 +267,10 @@ def test_diagonal_matches_explicit_derivative_norm(seed):
 # ---------------------------------------------------------------------------
 
 
-def test_generator_coefficient_derivative_consistency():
-    # f' must match a central difference of f at step 1e-6 within 1e-6
-    terms = [
-        linear_generator_term(0.35, PauliString.single(0, "X")),
-        GeneratorTerm(lambda t: 0.4 * np.sin(t), lambda t: 0.4 * np.cos(t),
-                      PauliString.single(0, "Z")),
-    ]
-    step = 1e-6
-    for term in terms:
-        for theta in (-1.0, 0.0, 0.8, 2.5):
-            fd = (term.coefficient(theta + step) - term.coefficient(theta - step)) / (2 * step)
-            assert abs(term.derivative(theta) - fd) <= 1e-6
-
-
 def test_generated_gate_unitary_matches_expm_oracle():
     terms = (
-        linear_generator_term(0.3, PauliString.parse("X0 Y1")),
-        linear_generator_term(-0.2, PauliString.single(0, "Z")),
+        GeneratorTerm(0.3, PauliString.parse("X0 Y1")),
+        GeneratorTerm(-0.2, PauliString.single(0, "Z")),
     )
     gate = GeneratedGate(GateGenerator(terms))
     theta = 0.8
@@ -300,7 +282,7 @@ def test_generated_gate_unitary_matches_expm_oracle():
 
 def test_generated_gate_support_limit():
     terms = tuple(
-        linear_generator_term(0.1, PauliString.single(q, "X")) for q in range(4)
+        GeneratorTerm(0.1, PauliString.single(q, "X")) for q in range(4)
     )
     with pytest.raises(UnsupportedGateError):
         GeneratedGate(GateGenerator(terms))

@@ -7,15 +7,7 @@ from hypothesis import strategies as st
 
 from qngsim.ansatz import AnsatzCircuit, random_circuit, random_layered_circuit, random_parameters
 from qngsim.errors import ParseError, SingularMetricError
-from qngsim.gates import (
-    ControlledPauliRotation,
-    GateGenerator,
-    GeneratedGate,
-    PauliRotation,
-    PauliString,
-    PhasedPauliRotation,
-    linear_generator_term,
-)
+from qngsim.gates import PauliRotation, PauliString
 from qngsim.metric import compute_geometric_tensor
 from qngsim.optimizer import (
     NATURAL_GRADIENT,
@@ -31,6 +23,8 @@ from qngsim.optimizer import (
 )
 from qngsim.statevector import OpCounter
 from qngsim.verify import finite_difference_gradient
+
+from circuit_strategies import circuit_cases
 
 
 def rx_circuit():
@@ -81,6 +75,9 @@ def test_parse_hamiltonian_errors_carry_line_numbers():
         parse_hamiltonian_text("1.0 Z0\nbogus Z1\n")
     with pytest.raises(ParseError, match=":1:"):
         parse_hamiltonian_text("0.5 Q3\n")
+    for bad in ("nan Z0", "inf", "-inf X1"):
+        with pytest.raises(ParseError, match=":2:.*finite"):
+            parse_hamiltonian_text(f"1.0 Z0\n{bad}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -178,36 +175,11 @@ def test_gradient_matches_central_differences(seed):
 
 @st.composite
 def gradient_cases(draw):
-    """A circuit mixing every gate kind, crx/cry on the wrap-around pair (the
-    moveaxis kernel from N = 6) and a Hamiltonian with X, Y, Z and identity
-    terms."""
-    num_qubits = draw(st.integers(3, 7))
-    last = num_qubits - 1
-    gates = []
-    for kind in draw(st.lists(st.sampled_from(["rotation", "phased", "crz", "wrap", "gen"]),
-                              min_size=1, max_size=8)):
-        qubit = draw(st.integers(0, last))
-        axis = PauliString.single(qubit, draw(st.sampled_from("XYZ")))
-        if kind == "rotation":
-            gates.append(PauliRotation(axis))
-        elif kind == "phased":
-            gates.append(PhasedPauliRotation(axis, draw(st.floats(-1.0, 1.0))))
-        elif kind == "crz":
-            gates.append(ControlledPauliRotation((qubit + 1) % num_qubits,
-                                                 PauliString.single(qubit, "Z")))
-        elif kind == "wrap":
-            control, target = draw(st.sampled_from([(last, 0), (0, last)]))
-            gates.append(ControlledPauliRotation(
-                control, PauliString.single(target, draw(st.sampled_from("XY")))))
-        else:
-            words = draw(st.lists(st.sampled_from([f"X0 Z{last}", f"Y{last}", "Z0 X1", "Y1"]),
-                                  min_size=1, max_size=2, unique=True))
-            gates.append(GeneratedGate(GateGenerator(tuple(
-                linear_generator_term(draw(st.floats(-1.0, 1.0)), PauliString.parse(word))
-                for word in words))))
-    circuit = AnsatzCircuit(num_qubits, tuple(gates))
-    params = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=len(gates),
-                                    max_size=len(gates))))
+    """A circuit mixing every gate kind on 3-7 qubits (crx/cry on the
+    wrap-around pair take the moveaxis kernel from N = 6) and a Hamiltonian
+    with X, Y, Z and identity terms."""
+    circuit, params = draw(circuit_cases(3, 7, 8))
+    last = circuit.num_qubits - 1
     factor = st.tuples(st.integers(0, last), st.sampled_from("XYZ"))
     terms = draw(st.lists(st.tuples(st.floats(-1.0, 1.0),
                                     st.lists(factor, max_size=3, unique_by=lambda f: f[0])),
@@ -365,6 +337,11 @@ def test_config_validation():
         OptimizerConfig(timestep=0.1, energy_tolerance=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(timestep=0.1, mode="bogus")
+    for field, value in [("timestep", np.nan), ("timestep", np.inf),
+                         ("regularization", np.nan), ("regularization", np.inf),
+                         ("energy_tolerance", np.nan), ("energy_tolerance", np.inf)]:
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            OptimizerConfig(**{"timestep": 0.1, field: value})
 
 
 # ---------------------------------------------------------------------------
