@@ -31,13 +31,11 @@ from .errors import (
 )
 from .gates import (
     ControlledPauliRotation,
-    GateGenerator,
     GeneratedGate,
-    GeneratorTerm,
     ParameterizedGate,
     PauliRotation,
     PauliString,
-    PhasedPauliRotation,
+    PauliSum,
 )
 from .metric import (
     GeometricTensor,
@@ -53,7 +51,6 @@ from .optimizer import (
     PLAIN_GRADIENT,
     OptimizationTrace,
     OptimizerConfig,
-    PauliSumHamiltonian,
     StepRecord,
     energy_expectation,
     energy_gradient,

@@ -13,13 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gates import (
-    ControlledPauliRotation,
-    ParameterizedGate,
-    PauliRotation,
-    PauliString,
-    PhasedPauliRotation,
-)
+from .gates import ControlledPauliRotation, ParameterizedGate, PauliRotation, PauliString
 from .statevector import (
     MatrixGateOperator,
     OpCounter,
@@ -76,11 +70,18 @@ class AnsatzCircuit:
         return len(self.gates)
 
     def bind(self, params) -> "BoundCircuit":
-        """Fix the parameters: a length-P vector of finite reals.
+        """Fix the parameters: a length-P vector of finite reals, or a
+        :class:`BoundCircuit` of this circuit, which is returned unchanged so
+        its operators are shared.
 
         Raises:
-            ValueError: on a wrong shape or a NaN or infinite entry.
+            ValueError: on a wrong shape, a NaN or infinite entry, or a
+                binding of another circuit.
         """
+        if isinstance(params, BoundCircuit):
+            if params.circuit is not self:
+                raise ValueError("the bound parameters belong to another circuit")
+            return params
         theta = np.array(params, dtype=np.float64)
         if theta.shape != (self.num_parameters,):
             raise ValueError(
@@ -208,22 +209,16 @@ def random_parameters(num_parameters: int,
 
 
 def phased_variant(circuit: AnsatzCircuit, phase_rate: float) -> AnsatzCircuit:
-    """Replace every rotation by its phased variant at the given rate.
+    """Give every rotation the phase rate ``phase_rate``.
 
     Each gate picks up a parameter-dependent global phase
-    ``exp(i * phase_rate * theta_k)``; only plain Pauli rotations (and already
-    phased ones) can be converted.
+    ``exp(i * phase_rate * theta_k)``; only Pauli rotations can be converted.
     """
-    converted = []
     for position, gate in enumerate(circuit.gates):
-        if isinstance(gate, PhasedPauliRotation):
-            converted.append(replace(gate, phase_rate=phase_rate))
-        elif isinstance(gate, PauliRotation):
-            converted.append(
-                PhasedPauliRotation(gate.axis, phase_rate, scale=gate.scale)
-            )
-        else:
+        if not isinstance(gate, PauliRotation):
             raise ValueError(
                 f"gate {position} ({type(gate).__name__}) has no phased variant"
             )
-    return AnsatzCircuit(circuit.num_qubits, tuple(converted), circuit.input_basis)
+    return AnsatzCircuit(circuit.num_qubits,
+                         tuple(replace(gate, phase_rate=phase_rate) for gate in circuit.gates),
+                         circuit.input_basis)

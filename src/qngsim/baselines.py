@@ -288,7 +288,6 @@ def _run_alg7(circuit, bound, counter, budget):
     count = circuit.num_parameters
     _ensure_memory(count, circuit.num_qubits, budget)
     unitaries = bound.unitaries
-    factors = [gate.derivative_factor(t) for gate, t in zip(circuit.gates, bound.theta)]
     start = input_state(circuit)
     states = [Statevector.zeros(circuit.num_qubits) for _ in range(count)]
     for i in range(count):
@@ -296,7 +295,7 @@ def _run_alg7(circuit, bound, counter, budget):
         for k in range(i):
             apply_operator(states[i], unitaries[k], counter)
         apply_operator(states[i], unitaries[i], counter)
-        apply_operator(states[i], factors[i], counter)
+        apply_operator(states[i], circuit.gates[i].derivative_factor, counter)
         for k in range(i + 1, count):
             apply_operator(states[i], unitaries[k], counter)
     return _pairwise_products(states, counter)

@@ -47,18 +47,18 @@ from .baselines import (
 from .errors import ParseError, ResourceLimitError, SingularMetricError
 from .gates import (
     ControlledPauliRotation,
-    GateGenerator,
     GeneratedGate,
-    GeneratorTerm,
     ParameterizedGate,
     PauliRotation,
     PauliString,
-    PhasedPauliRotation,
+    PauliSum,
+    parse_pauli_term,
 )
 from .metric import (
     compute_berry_vector,
     compute_geometric_tensor,
     main_algorithm_cost,
+    tensor_matrix,
     write_tensor_binary,
     write_tensor_csv,
 )
@@ -127,22 +127,13 @@ def _parse_gate_line(tokens: list[str], num_qubits: int) -> ParameterizedGate:
             rate = float(tokens[2])
         except ValueError:
             raise ValueError(f"phase rate must be a number, got {tokens[2]!r}")
-        return PhasedPauliRotation(PauliString.single(qubit, _PHASED[word]), rate)
+        return PauliRotation(PauliString.single(qubit, _PHASED[word]), phase_rate=rate)
     if word == "gen":
-        terms = []
-        for chunk in " ".join(tokens[1:]).split(";"):
-            parts = chunk.split()
-            if len(parts) < 2:
-                raise ValueError("each gen term needs a coefficient and Pauli factors")
-            try:
-                rate = float(parts[0])
-            except ValueError:
-                raise ValueError(f"gen coefficient must be a number, got {parts[0]!r}")
-            pauli = PauliString.parse(" ".join(parts[1:]))
-            for qubit in pauli.qubits:
-                _parse_qubit(str(qubit), num_qubits, "gen qubit")
-            terms.append(GeneratorTerm(rate, pauli))
-        return GeneratedGate(GateGenerator(tuple(terms)))
+        chunks = " ".join(tokens[1:]).split(";")
+        gate = GeneratedGate(PauliSum(tuple(parse_pauli_term(chunk) for chunk in chunks)))
+        for qubit in gate.qubit_indices:
+            _parse_qubit(str(qubit), num_qubits, "gen qubit")
+        return gate
     raise ValueError(f"unknown gate {word!r}")
 
 
@@ -227,10 +218,10 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
         matrix = tensor.matrix
     else:
         alg = BaselineId.parse(args.algorithm)
-        li = compute_li_tensor(alg, circuit, params, counter,
+        bound = circuit.bind(params)
+        li = compute_li_tensor(alg, circuit, bound, counter,
                                memory_budget_bytes=_memory_budget())
-        berry = compute_berry_vector(circuit, params, counter)
-        matrix = li - np.outer(np.conj(berry), berry)
+        matrix = tensor_matrix(li, compute_berry_vector(circuit, bound, counter))
     if args.format == "bin":
         write_tensor_binary(matrix, args.out)
     else:

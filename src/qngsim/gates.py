@@ -1,12 +1,20 @@
-"""Parameterized gate families and their parameter-derivative operators.
+"""Parameterized gates, each defined by its generator.
 
-The rotation convention is fixed once, here: a Pauli rotation with scale ``s``
-is ``U(theta) = exp(i * s * theta * sigma)`` with default ``s = 1/2``, so e.g.
-``RX(pi)`` acts as ``i X``.  Every gate kind is
-``U(theta) = exp(i * theta * A)`` for a theta-independent Hermitian ``A`` (for
-a phased rotation, ``A`` includes the identity term of its global phase), so
-``dU/dtheta = i * A * U(theta)`` holds exactly, also when ``A`` is a sum of
-non-commuting Pauli strings.
+Every gate is ``U(theta) = exp(i * theta * A)`` for a theta-independent
+Hermitian generator ``A``, so its parameter derivative is
+``dU/dtheta = D . U(theta)`` with the theta-free factor ``D = i * A``, exact
+also when ``A`` is a sum of non-commuting Pauli strings.  There are three
+kinds:
+
+* :class:`PauliRotation`: ``A = phase_rate * I + scale * sigma`` for a Pauli
+  string ``sigma``.  The convention is fixed once, here: default
+  ``scale = 1/2`` and ``phase_rate = 0``, so e.g. ``RX(pi)`` acts as ``i X``;
+  a non-zero rate adds the global phase ``exp(i * phase_rate * theta)``.
+* :class:`ControlledPauliRotation`: ``A = |1><1|_control (x) scale * sigma``.
+* :class:`GeneratedGate`: ``A`` is any small :class:`PauliSum`.
+
+``D`` is built once per gate (:attr:`ParameterizedGate.derivative_factor`),
+so its kernel is cached with it for every later binding.
 
 Derivative operators are represented structurally (small matrix on the
 support, optionally behind a control projector), never as full-register
@@ -32,13 +40,12 @@ from .statevector import (
 
 __all__ = [
     "ControlledPauliRotation",
-    "GateGenerator",
     "GeneratedGate",
-    "GeneratorTerm",
     "ParameterizedGate",
     "PauliRotation",
     "PauliString",
-    "PhasedPauliRotation",
+    "PauliSum",
+    "parse_pauli_term",
 ]
 
 PAULI_LABELS = ("X", "Y", "Z")
@@ -101,21 +108,24 @@ class PauliString:
     def is_identity(self) -> bool:
         return not self.factors
 
-    def dense_matrix(self) -> np.ndarray:
-        """Dense matrix on the string's own support (ascending qubit = matrix bit).
+    def dense_matrix(self, support: tuple[int, ...] | None = None) -> np.ndarray:
+        """Dense matrix on ``support`` (default: the string's own qubits),
+        identity on the support qubits it leaves alone; ascending qubit =
+        matrix bit.
 
         Restricted to small supports; full-register application goes through
         :meth:`operator`, which never builds a matrix.
         """
-        if len(self.factors) > _DENSE_SUPPORT_LIMIT:
+        support = self.qubits if support is None else support
+        if len(support) > _DENSE_SUPPORT_LIMIT:
             raise UnsupportedGateError(
                 f"dense Pauli matrix restricted to {_DENSE_SUPPORT_LIMIT} qubits, "
-                f"string spans {len(self.factors)}"
+                f"string spans {len(support)}"
             )
-        if not self.factors:
+        if not support:
             return np.eye(1, dtype=np.complex128)
-        mats = [_PAULI_2X2[label] for _, label in reversed(self.factors)]
-        return reduce(np.kron, mats)
+        labels = dict(self.factors)
+        return reduce(np.kron, [_PAULI_2X2[labels.get(q, "I")] for q in reversed(support)])
 
     def operator(self) -> PauliStringOperator:
         return PauliStringOperator(self.factors)
@@ -126,11 +136,45 @@ class PauliString:
         return " ".join(f"{label}{qubit}" for qubit, label in self.factors)
 
 
-def _embedded_pauli_matrix(pauli: PauliString, support: tuple[int, ...]) -> np.ndarray:
-    """Matrix of ``pauli`` on the given support qubits, identity elsewhere."""
-    labels = dict(pauli.factors)
-    mats = [_PAULI_2X2[labels.get(q, "I")] for q in reversed(support)]
-    return reduce(np.kron, mats)
+def parse_pauli_term(text: str) -> tuple[float, PauliString]:
+    """One ``coeff pauli-word`` term, e.g. ``"0.5 X0 X1"``; a bare coefficient
+    is the identity term.  Raises ValueError."""
+    tokens = text.split()
+    if not tokens:
+        raise ValueError("expected a term 'coeff pauli-word', got nothing")
+    try:
+        weight = float(tokens[0])
+    except ValueError:
+        raise ValueError(f"expected a coefficient, got {tokens[0]!r}") from None
+    return weight, PauliString.parse(" ".join(tokens[1:]))
+
+
+@dataclass(frozen=True, eq=False)
+class PauliSum:
+    """``sum_j w_j sigma_j`` with finite real weights, Hermitian by
+    construction: a Hamiltonian, or the generator of a :class:`GeneratedGate`."""
+
+    terms: tuple[tuple[float, PauliString], ...]
+
+    def __post_init__(self) -> None:
+        terms = tuple((float(weight), pauli) for weight, pauli in self.terms)
+        for weight, pauli in terms:
+            if not np.isfinite(weight):
+                raise ValueError(f"the weight of {pauli} must be finite, got {weight}")
+        object.__setattr__(self, "terms", terms)
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return tuple(sorted({q for _, pauli in self.terms for q in pauli.qubits}))
+
+    @property
+    def max_qubit(self) -> int:
+        """Largest qubit index any term touches; -1 for a constant sum."""
+        return max(self.support, default=-1)
+
+    @cached_property
+    def term_operators(self) -> tuple[tuple[float, PauliStringOperator], ...]:
+        return tuple((weight, pauli.operator()) for weight, pauli in self.terms)
 
 
 def _rotation_matrix(sigma: np.ndarray, angle: float) -> np.ndarray:
@@ -140,52 +184,13 @@ def _rotation_matrix(sigma: np.ndarray, angle: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Generators
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GeneratorTerm:
-    """One ``rate * sigma`` term; the gate's exponent is ``i * theta`` times
-    the sum of its terms."""
-
-    rate: float
-    pauli: PauliString
-
-    def __post_init__(self) -> None:
-        if self.pauli.is_identity:
-            raise ValueError("generator terms must act on at least one qubit")
-        if not np.isfinite(self.rate):
-            raise ValueError(f"generator rate must be finite, got {self.rate}")
-
-
-@dataclass(frozen=True, eq=False)
-class GateGenerator:
-    """Nonempty sum of Pauli-string terms generating a unitary via exp(i * sum)."""
-
-    terms: tuple[GeneratorTerm, ...]
-
-    def __post_init__(self) -> None:
-        terms = tuple(self.terms)
-        if not terms:
-            raise ValueError("a gate generator needs at least one term")
-        object.__setattr__(self, "terms", terms)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        qubits: set[int] = set()
-        for term in self.terms:
-            qubits.update(term.pauli.qubits)
-        return tuple(sorted(qubits))
-
-
-# ---------------------------------------------------------------------------
 # Gate kinds
 # ---------------------------------------------------------------------------
 
 
 class ParameterizedGate(ABC):
-    """A gate family U(theta) owning a single real parameter."""
+    """A gate family U(theta) = exp(i * theta * A) owning a single real
+    parameter."""
 
     @property
     @abstractmethod
@@ -200,9 +205,10 @@ class ParameterizedGate(ABC):
     def derivative(self, theta: float) -> MatrixGateOperator:
         """The (generally non-unitary) operator dU/dtheta at theta."""
 
+    @property
     @abstractmethod
-    def derivative_factor(self, theta: float) -> MatrixGateOperator:
-        """Operator D with dU/dtheta = D . U(theta), applied after the unitary."""
+    def derivative_factor(self) -> MatrixGateOperator:
+        """``D = i * A``, so dU/dtheta = D . U(theta); built once per gate."""
 
     def a_priori_diagonal(self, theta: float,
                           pre_state: Statevector | None = None) -> float | None:
@@ -217,14 +223,24 @@ class ParameterizedGate(ABC):
 
 @dataclass(frozen=True)
 class PauliRotation(ParameterizedGate):
-    """``exp(i * scale * theta * axis)``; the workhorse rotation gate."""
+    """``exp(i * phase_rate * theta) * exp(i * scale * theta * axis)``; the
+    workhorse rotation gate.
+
+    A non-zero ``phase_rate`` adds a parameter-dependent global phase, which
+    shifts the Berry-connection and derivative-overlap terms individually while
+    leaving the geometric tensor unchanged; it exists to exercise exactly that,
+    and such a gate never takes the a-priori diagonal shortcut.
+    """
 
     axis: PauliString
     scale: float = 0.5
+    phase_rate: float = 0.0
 
     def __post_init__(self) -> None:
         if self.axis.is_identity:
             raise ValueError("rotation axis must act on at least one qubit")
+        if not np.isfinite(self.phase_rate):
+            raise ValueError(f"phase rate must be finite, got {self.phase_rate}")
 
     @cached_property
     def _sigma(self) -> np.ndarray:
@@ -234,21 +250,28 @@ class PauliRotation(ParameterizedGate):
     def qubit_indices(self) -> tuple[int, ...]:
         return self.axis.qubits
 
+    def _matrix(self, theta: float) -> np.ndarray:
+        rot = _rotation_matrix(self._sigma, self.scale * theta)
+        return np.exp(1j * self.phase_rate * theta) * rot if self.phase_rate else rot
+
     def unitary(self, theta: float) -> MatrixGateOperator:
-        return MatrixGateOperator(self.axis.qubits,
-                                  _rotation_matrix(self._sigma, self.scale * theta))
+        return MatrixGateOperator(self.axis.qubits, self._matrix(theta))
 
     def derivative(self, theta: float) -> MatrixGateOperator:
-        rot = _rotation_matrix(self._sigma, self.scale * theta)
-        return MatrixGateOperator(self.axis.qubits, 1j * self.scale * self._sigma @ rot)
+        return MatrixGateOperator(self.axis.qubits,
+                                  self.derivative_factor.matrix @ self._matrix(theta))
 
-    def derivative_factor(self, theta: float) -> MatrixGateOperator:
-        return MatrixGateOperator(self.axis.qubits, 1j * self.scale * self._sigma)
+    @cached_property
+    def derivative_factor(self) -> MatrixGateOperator:
+        factor = 1j * self.scale * self._sigma
+        if self.phase_rate:
+            factor = 1j * self.phase_rate * np.eye(len(factor)) + factor
+        return MatrixGateOperator(self.axis.qubits, factor)
 
     def a_priori_diagonal(self, theta: float,
-                          pre_state: Statevector | None = None) -> float:
+                          pre_state: Statevector | None = None) -> float | None:
         # (d/dtheta of the exponent coefficient)^2; state-independent.
-        return self.scale * self.scale
+        return None if self.phase_rate else self.scale * self.scale
 
 
 @dataclass(frozen=True)
@@ -293,7 +316,8 @@ class ControlledPauliRotation(ParameterizedGate):
             zero_uncontrolled=True,
         )
 
-    def derivative_factor(self, theta: float) -> MatrixGateOperator:
+    @cached_property
+    def derivative_factor(self) -> MatrixGateOperator:
         return controlled_matrix_operator(
             self.axis.qubits, 1j * self.scale * self._sigma, (self.control,),
             zero_uncontrolled=True,
@@ -306,67 +330,23 @@ class ControlledPauliRotation(ParameterizedGate):
         return self.scale * self.scale * pre_state.probability_of_one(self.control)
 
 
-@dataclass(frozen=True)
-class PhasedPauliRotation(ParameterizedGate):
-    """``exp(i * phase_rate * theta) * exp(i * scale * theta * axis)``.
-
-    The parameter-dependent global phase shifts the Berry-connection and
-    derivative-overlap terms individually while leaving the geometric tensor
-    unchanged; this kind exists to exercise exactly that.  It never takes the
-    a-priori diagonal shortcut.
-    """
-
-    axis: PauliString
-    phase_rate: float
-    scale: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.axis.is_identity:
-            raise ValueError("rotation axis must act on at least one qubit")
-        if not np.isfinite(self.phase_rate):
-            raise ValueError(f"phase rate must be finite, got {self.phase_rate}")
-
-    @cached_property
-    def _sigma(self) -> np.ndarray:
-        return self.axis.dense_matrix()
-
-    @property
-    def qubit_indices(self) -> tuple[int, ...]:
-        return self.axis.qubits
-
-    def unitary(self, theta: float) -> MatrixGateOperator:
-        rot = _rotation_matrix(self._sigma, self.scale * theta)
-        return MatrixGateOperator(self.axis.qubits,
-                                  np.exp(1j * self.phase_rate * theta) * rot)
-
-    def derivative(self, theta: float) -> MatrixGateOperator:
-        # product rule: (i*phase_rate*I + i*scale*sigma) . U(theta)
-        return MatrixGateOperator(
-            self.axis.qubits,
-            self.derivative_factor(theta).matrix @ self.unitary(theta).matrix,
-        )
-
-    def derivative_factor(self, theta: float) -> MatrixGateOperator:
-        dim = self._sigma.shape[0]
-        factor = 1j * self.phase_rate * np.eye(dim) + 1j * self.scale * self._sigma
-        return MatrixGateOperator(self.axis.qubits, factor)
-
-
 @dataclass(frozen=True, eq=False)
 class GeneratedGate(ParameterizedGate):
-    """``exp(i * theta * A)`` with ``A = sum_j rate_j sigma_j``, a small
-    multi-term generator.
+    """``exp(i * theta * A)`` for a small :class:`PauliSum` ``A``.
 
-    The support is capped at GENERATOR_SUPPORT_LIMIT qubits so the local
-    exponential stays a small dense computation; larger generators are
-    rejected loudly rather than silently slow.  ``A`` is built once per gate;
-    the derivative ``i * A * U(theta)`` is exact also when the terms do not
-    commute.
+    ``A`` needs at least one term and no identity term, and its support is
+    capped at GENERATOR_SUPPORT_LIMIT qubits so the local exponential stays a
+    small dense computation; larger generators are rejected loudly rather
+    than silently slow.
     """
 
-    generator: GateGenerator
+    generator: PauliSum
 
     def __post_init__(self) -> None:
+        if not self.generator.terms:
+            raise ValueError("a generated gate needs at least one term")
+        if any(pauli.is_identity for _, pauli in self.generator.terms):
+            raise ValueError("generator terms must act on at least one qubit")
         support = self.generator.support
         if len(support) > GENERATOR_SUPPORT_LIMIT:
             raise UnsupportedGateError(
@@ -381,16 +361,17 @@ class GeneratedGate(ParameterizedGate):
     @cached_property
     def _generator_matrix(self) -> np.ndarray:
         support = self.generator.support
-        return sum(term.rate * _embedded_pauli_matrix(term.pauli, support)
-                   for term in self.generator.terms)
+        return sum(weight * pauli.dense_matrix(support)
+                   for weight, pauli in self.generator.terms)
 
     def unitary(self, theta: float) -> MatrixGateOperator:
         return MatrixGateOperator(self.generator.support,
                                   expm(1j * theta * self._generator_matrix))
 
     def derivative(self, theta: float) -> MatrixGateOperator:
-        return MatrixGateOperator(self.generator.support, 1j * self._generator_matrix
+        return MatrixGateOperator(self.generator.support, self.derivative_factor.matrix
                                   @ expm(1j * theta * self._generator_matrix))
 
-    def derivative_factor(self, theta: float) -> MatrixGateOperator:
+    @cached_property
+    def derivative_factor(self) -> MatrixGateOperator:
         return MatrixGateOperator(self.generator.support, 1j * self._generator_matrix)

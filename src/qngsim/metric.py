@@ -49,6 +49,7 @@ __all__ = [
     "main_algorithm_cost",
     "mirror_upper",
     "read_tensor_binary",
+    "tensor_matrix",
     "write_tensor_binary",
     "write_tensor_csv",
 ]
@@ -56,11 +57,21 @@ __all__ = [
 
 def mirror_upper(li: np.ndarray) -> np.ndarray:
     """Complete ``li`` in place from its upper triangle, ``L_ij = conj(L_ji)``
-    for i > j, so ``L`` is Hermitian up to the diagonal's rounding; returns
-    ``li``."""
+    for i > j, and drop the rounding left in the imaginary part of its real
+    diagonal ``L_ii = <d_i psi, d_i psi>``, so ``L`` is exactly Hermitian;
+    returns ``li``."""
     lower = np.tril_indices(len(li), k=-1)
     li[lower] = np.conj(li.T[lower])
+    np.fill_diagonal(li, li.diagonal().real)
     return li
+
+
+def tensor_matrix(li: np.ndarray, berry: np.ndarray) -> np.ndarray:
+    """``G = L - conj(T) T^T`` with the rounding in the imaginary part of its
+    real diagonal ``G_ii = L_ii - |T_i|^2`` dropped."""
+    matrix = li - np.outer(np.conj(berry), berry)
+    np.fill_diagonal(matrix, matrix.diagonal().real)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -102,7 +113,8 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
 
     Args:
         circuit: the ansatz; gate k owns parameter k.
-        params: length-P vector of finite reals.
+        params: length-P vector of finite reals, or a ``BoundCircuit`` of
+            ``circuit`` whose operators are then reused.
         counter: receives the exact primitive tally.
         use_diagonal_shortcut: take a-priori values for eligible diagonal
             entries instead of computing ``<phi|phi>``.
@@ -163,7 +175,7 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
         apply_operator(psi, unitaries[j], counter)          # roll the suffix forward
 
     mirror_upper(li)
-    return GeometricTensor(matrix=li - np.outer(np.conj(berry), berry), berry=berry, li=li)
+    return GeometricTensor(matrix=tensor_matrix(li, berry), berry=berry, li=li)
 
 
 def compute_berry_vector(circuit: AnsatzCircuit, params,

@@ -14,14 +14,13 @@ sweep then rolls ``|psi>`` and ``|lambda>`` back through the gate adjoints;
 each component is ``2 * Re<lambda_i| dU_i |psi_{i-1}>``.  That is O(P + T)
 primitives in three registers, counted exactly by :func:`gradient_cost`,
 against the O(P^2) of parameter-wise finite differences.
-``run_optimization`` takes the energy and the gradient at each point from the
-same pass.
+``run_optimization`` binds each point once: the energy, the gradient and the
+tensor all take their gate operators from that one binding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ import scipy.linalg
 
 from .ansatz import AnsatzCircuit, BoundCircuit, prepare_ansatz_state
 from .errors import ParseError, SingularMetricError
-from .gates import PauliString
+from .gates import PauliSum, parse_pauli_term
 from .metric import compute_geometric_tensor
 from .statevector import (
     OpCounter,
@@ -45,7 +44,6 @@ __all__ = [
     "OptimizationTrace",
     "OptimizerConfig",
     "PLAIN_GRADIENT",
-    "PauliSumHamiltonian",
     "StepRecord",
     "energy_expectation",
     "energy_gradient",
@@ -59,33 +57,7 @@ NATURAL_GRADIENT = "natural_gradient"
 PLAIN_GRADIENT = "plain_gradient"
 
 
-@dataclass(frozen=True, eq=False)
-class PauliSumHamiltonian:
-    """A real-weighted sum of Pauli strings; Hermitian by construction."""
-
-    terms: tuple[tuple[float, PauliString], ...]
-
-    def __post_init__(self) -> None:
-        terms = tuple((float(coeff), pauli) for coeff, pauli in self.terms)
-        object.__setattr__(self, "terms", terms)
-
-    @cached_property
-    def _term_operators(self):
-        return tuple((coeff, pauli.operator()) for coeff, pauli in self.terms)
-
-    @property
-    def max_qubit(self) -> int:
-        """Largest qubit index any term touches; -1 for a constant sum."""
-        qubits = [q for _, pauli in self.terms for q in pauli.qubits]
-        return max(qubits) if qubits else -1
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{coeff:g} {pauli}" for coeff, pauli in self.terms)
-
-
-def parse_hamiltonian_text(text: str, source: str = "<string>") -> PauliSumHamiltonian:
+def parse_hamiltonian_text(text: str, source: str = "<string>") -> PauliSum:
     """One term per line: ``coeff pauli-word`` (e.g. ``0.5 X0 X1``).
 
     A line with just a coefficient is an identity term; blank lines and
@@ -96,22 +68,14 @@ def parse_hamiltonian_text(text: str, source: str = "<string>") -> PauliSumHamil
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
         try:
-            coeff = float(tokens[0])
-        except ValueError:
-            raise ParseError(f"{source}:{lineno}: expected a coefficient, got {tokens[0]!r}")
-        if not np.isfinite(coeff):
-            raise ParseError(f"{source}:{lineno}: coefficient {tokens[0]!r} is not finite")
-        try:
-            pauli = PauliString.parse(" ".join(tokens[1:]))
+            terms += PauliSum((parse_pauli_term(line),)).terms
         except ValueError as exc:
-            raise ParseError(f"{source}:{lineno}: {exc}")
-        terms.append((coeff, pauli))
-    return PauliSumHamiltonian(tuple(terms))
+            raise ParseError(f"{source}:{lineno}: {exc}") from None
+    return PauliSum(tuple(terms))
 
 
-def parse_hamiltonian_file(path) -> PauliSumHamiltonian:
+def parse_hamiltonian_file(path) -> PauliSum:
     path = Path(path)
     return parse_hamiltonian_text(path.read_text(), source=str(path))
 
@@ -138,13 +102,13 @@ def gradient_cost(num_parameters: int, num_terms: int) -> tuple[int, int, int, i
             num_parameters + 1, num_terms)
 
 
-def _apply_hamiltonian(psi: Statevector, hamiltonian: PauliSumHamiltonian,
+def _apply_hamiltonian(psi: Statevector, hamiltonian: PauliSum,
                        counter: OpCounter) -> tuple[float, Statevector, Statevector]:
     """``(Re<psi|lambda>, lambda, work)`` with ``|lambda> = H|psi>``, summed
     term by term through the scratch register ``work``."""
     lam = Statevector.zeros(psi.num_qubits)
     work = Statevector.zeros(psi.num_qubits)
-    for coeff, op in hamiltonian._term_operators:
+    for coeff, op in hamiltonian.term_operators:
         clone_into(psi, work, counter)
         apply_operator(work, op, counter)
         axpy(coeff, work, lam, counter)
@@ -152,14 +116,14 @@ def _apply_hamiltonian(psi: Statevector, hamiltonian: PauliSumHamiltonian,
 
 
 def energy_expectation(circuit: AnsatzCircuit, params,
-                       hamiltonian: PauliSumHamiltonian,
+                       hamiltonian: PauliSum,
                        counter: OpCounter) -> float:
     """``Re <psi|H|psi>`` on the prepared state."""
     psi = prepare_ansatz_state(circuit, params, counter)
     return _apply_hamiltonian(psi, hamiltonian, counter)[0]
 
 
-def _energy_and_gradient(bound: BoundCircuit, hamiltonian: PauliSumHamiltonian,
+def _energy_and_gradient(bound: BoundCircuit, hamiltonian: PauliSum,
                          counter: OpCounter) -> tuple[float, np.ndarray]:
     """The energy and all P gradient components from one preparation and one
     reverse sweep over three registers; costs :func:`gradient_cost`."""
@@ -178,7 +142,7 @@ def _energy_and_gradient(bound: BoundCircuit, hamiltonian: PauliSumHamiltonian,
 
 
 def energy_gradient(circuit: AnsatzCircuit, params,
-                    hamiltonian: PauliSumHamiltonian,
+                    hamiltonian: PauliSum,
                     counter: OpCounter) -> np.ndarray:
     """All P components of the energy gradient in O(P + T) primitives."""
     return _energy_and_gradient(circuit.bind(params), hamiltonian, counter)[1]
@@ -282,7 +246,7 @@ def _solve_metric_system(metric: np.ndarray, rhs: np.ndarray,
 
 
 def run_optimization(circuit: AnsatzCircuit, initial_params,
-                     hamiltonian: PauliSumHamiltonian,
+                     hamiltonian: PauliSum,
                      config: OptimizerConfig) -> OptimizationTrace:
     """Iterate updates until ``max_steps`` or the energy change drops below
     ``energy_tolerance``; every evaluated point is recorded in the trace."""
@@ -295,7 +259,7 @@ def run_optimization(circuit: AnsatzCircuit, initial_params,
     for step in range(1, config.max_steps + 1):
         delta = -config.timestep * grad
         if config.mode == NATURAL_GRADIENT:
-            metric = compute_geometric_tensor(circuit, theta, counter).fubini_study_metric
+            metric = compute_geometric_tensor(circuit, bound, counter).fubini_study_metric
             delta = _solve_metric_system(metric, delta, config.regularization)
         bound = circuit.bind(theta + delta)
         theta = bound.theta

@@ -27,9 +27,9 @@ from .ansatz import (
     random_parameters,
 )
 from .baselines import BaselineId, compute_li_tensor, cost_model
-from .gates import PauliString
+from .gates import PauliString, PauliSum
 from .metric import compute_berry_vector, compute_geometric_tensor
-from .optimizer import PauliSumHamiltonian, energy_expectation, energy_gradient, gradient_cost
+from .optimizer import energy_expectation, energy_gradient, gradient_cost
 from .statevector import OpCounter
 
 __all__ = [
@@ -96,7 +96,7 @@ def finite_difference_tensor(circuit: AnsatzCircuit, params,
 
 
 def finite_difference_gradient(circuit: AnsatzCircuit, params,
-                               hamiltonian: PauliSumHamiltonian,
+                               hamiltonian: PauliSum,
                                step: float = 1e-5) -> np.ndarray:
     """The energy gradient by central differences of ``energy_expectation``."""
     theta = circuit.bind(params).theta
@@ -244,7 +244,7 @@ def check_berry_consistency(seed: int, quick: bool, tolerance: float) -> CheckRe
 
 
 def _random_hamiltonian(rng: np.random.Generator, num_qubits: int,
-                        num_terms: int) -> PauliSumHamiltonian:
+                        num_terms: int) -> PauliSum:
     """``num_terms`` terms with coefficients in [-1, 1); each qubit carries
     I, X, Y or Z, so identity terms occur."""
     terms = []
@@ -253,7 +253,7 @@ def _random_hamiltonian(rng: np.random.Generator, num_qubits: int,
         pauli = PauliString(tuple((q, "XYZ"[label - 1])
                                   for q, label in enumerate(labels) if label))
         terms.append((float(rng.uniform(-1.0, 1.0)), pauli))
-    return PauliSumHamiltonian(tuple(terms))
+    return PauliSum(tuple(terms))
 
 
 def check_gradient_count_exactness(seed: int, quick: bool) -> CheckResult:

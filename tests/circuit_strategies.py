@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 from qngsim.ansatz import AnsatzCircuit
 from qngsim.gates import (
     ControlledPauliRotation,
-    GateGenerator,
     GeneratedGate,
-    GeneratorTerm,
     PauliRotation,
     PauliString,
-    PhasedPauliRotation,
+    PauliSum,
 )
 
 GATE_KINDS = ("rotation", "phased", "controlled", "wrap", "gen")
@@ -32,7 +30,7 @@ def circuit_cases(draw, min_qubits, max_qubits, max_gates, kinds=GATE_KINDS):
         if kind == "rotation":
             gates.append(PauliRotation(axis))
         elif kind == "phased":
-            gates.append(PhasedPauliRotation(axis, draw(st.floats(-1.0, 1.0))))
+            gates.append(PauliRotation(axis, phase_rate=draw(st.floats(-1.0, 1.0))))
         elif kind == "controlled":
             control = (qubit + draw(st.integers(1, last))) % num_qubits
             gates.append(ControlledPauliRotation(control, axis))
@@ -43,9 +41,8 @@ def circuit_cases(draw, min_qubits, max_qubits, max_gates, kinds=GATE_KINDS):
         else:
             words = draw(st.lists(st.sampled_from([f"X0 Z{last}", f"Y{last}", "Z0 X1", "Y1"]),
                                   min_size=1, max_size=2, unique=True))
-            gates.append(GeneratedGate(GateGenerator(tuple(
-                GeneratorTerm(draw(st.floats(-1.0, 1.0)), PauliString.parse(word))
-                for word in words))))
+            gates.append(GeneratedGate(PauliSum(tuple(
+                (draw(st.floats(-1.0, 1.0)), PauliString.parse(word)) for word in words))))
     params = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=len(gates),
                            max_size=len(gates)))
     return AnsatzCircuit(num_qubits, tuple(gates)), np.array(params)

@@ -13,9 +13,9 @@ from qngsim.ansatz import (
     random_parameters,
 )
 from qngsim.baselines import BaselineId, compute_li_tensor, cost_model
-from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString
+from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString, PauliSum
 from qngsim.metric import compute_berry_vector, compute_geometric_tensor
-from qngsim.optimizer import OptimizerConfig, PauliSumHamiltonian, run_optimization
+from qngsim.optimizer import OptimizerConfig, run_optimization
 from qngsim.statevector import OpCounter, track_allocations
 from qngsim.verify import finite_difference_tensor
 
@@ -193,7 +193,7 @@ def test_c8_register_economy():
 
 def test_c9_end_to_end_natural_gradient():
     """Seeded 3-layer ansatz reaches the exact pair ground energy monotonically."""
-    hamiltonian = PauliSumHamiltonian((
+    hamiltonian = PauliSum((
         (1.0, PauliString.parse("Z0 Z1")),
         (0.5, PauliString.single(0, "X")),
         (0.5, PauliString.single(1, "X")),

@@ -15,7 +15,6 @@ from qngsim.gates import (
     ControlledPauliRotation,
     PauliRotation,
     PauliString,
-    PhasedPauliRotation,
 )
 from qngsim.statevector import OpCounter
 
@@ -212,7 +211,7 @@ def test_random_parameters_range_and_determinism():
 def test_phased_variant_conversion():
     circuit = random_circuit(2, 4, seed_or_rng=12, include_controlled=False)
     phased = phased_variant(circuit, 0.7)
-    assert all(isinstance(g, PhasedPauliRotation) for g in phased.gates)
+    assert all(isinstance(g, PauliRotation) for g in phased.gates)
     assert all(g.phase_rate == 0.7 for g in phased.gates)
     # rate 0 reproduces the plain circuit's states exactly
     params = random_parameters(4, 13)

@@ -12,12 +12,7 @@ from qngsim.cli import (
     parse_circuit_text,
 )
 from qngsim.errors import ParseError
-from qngsim.gates import (
-    ControlledPauliRotation,
-    GeneratedGate,
-    PauliRotation,
-    PhasedPauliRotation,
-)
+from qngsim.gates import ControlledPauliRotation, GeneratedGate, PauliRotation
 from qngsim.metric import read_tensor_binary
 
 
@@ -55,12 +50,15 @@ def test_parse_phased_and_generated_gates():
         "qubits 2\nprx 0 0.7\ngen 0.5 X0 ; 0.25 Z0 Z1\n"
     )
     phased, generated = circuit.gates
-    assert isinstance(phased, PhasedPauliRotation)
+    assert isinstance(phased, PauliRotation)
     assert phased.phase_rate == 0.7
     assert isinstance(generated, GeneratedGate)
     assert len(generated.generator.terms) == 2
     for line in ("prx 0 nan", "prz 1 -inf", "gen inf X0", "gen 0.5 X0 ; nan Z1"):
         with pytest.raises(ParseError, match=":3:.*finite"):
+            parse_circuit_text(f"qubits 2\nrx 0\n{line}\n")
+    for line in ("gen 0.5 X0 ;", "gen ; 0.5 X0", "gen 0.5", "gen abc X0", "gen"):
+        with pytest.raises(ParseError, match=":3:"):
             parse_circuit_text(f"qubits 2\nrx 0\n{line}\n")
 
 
@@ -157,6 +155,24 @@ def test_tensor_command_no_diag_shortcut(circuit_file, tmp_path):
     assert main(args + ["--no-diag-shortcut", "--out", str(slow)]) == EXIT_OK
     np.testing.assert_allclose(read_tensor_binary(slow), read_tensor_binary(fast),
                                atol=1e-10)
+
+
+@pytest.mark.parametrize("algorithm", ["main", "main-slow"] + [f"alg{k}" for k in range(2, 9)])
+def test_tensor_diagonal_is_real_for_every_algorithm(tmp_path, algorithm):
+    # every gate word, crx/cry on the wrap-around pair and non-zero phase rates
+    circuit = tmp_path / "all.txt"
+    circuit.write_text("qubits 3\nrx 0\nry 1\nrz 2\ncrx 2 0\ncry 0 2\ncrz 1 2\n"
+                       "prx 0 0.7\npry 1 -0.4\nprz 2 0.25\ngen 0.5 X0 ; 0.25 Z0 Z1\n")
+    params = ",".join(str(0.3 + 0.4 * k) for k in range(10))
+    out = tmp_path / "g.bin"
+    args = ["tensor", "--circuit", str(circuit), "--params", params, "--format", "bin",
+            "--out", str(out)]
+    if algorithm == "main-slow":
+        args.append("--no-diag-shortcut")
+    elif algorithm != "main":
+        args += ["--algorithm", algorithm]
+    assert main(args) == EXIT_OK
+    assert np.all(read_tensor_binary(out).diagonal().imag == 0)
 
 
 def test_tensor_command_wrong_parameter_count(circuit_file, tmp_path, capsys):

@@ -7,12 +7,10 @@ import scipy.linalg
 from qngsim.errors import UnsupportedGateError
 from qngsim.gates import (
     ControlledPauliRotation,
-    GateGenerator,
     GeneratedGate,
-    GeneratorTerm,
     PauliRotation,
     PauliString,
-    PhasedPauliRotation,
+    PauliSum,
 )
 from qngsim.statevector import OpCounter, Statevector, apply_operator, make_basis_state
 
@@ -39,13 +37,13 @@ def gate_pool(num_qubits=3):
         PauliRotation(PauliString.parse("X0 Z2")),
         ControlledPauliRotation(0, PauliString.single(1, "Z")),
         ControlledPauliRotation(2, PauliString.parse("Y0 X1"), scale=-0.7),
-        PhasedPauliRotation(PauliString.single(1, "X"), phase_rate=0.7),
-        PhasedPauliRotation(PauliString.single(0, "Z"), phase_rate=-0.25, scale=0.5),
-        GeneratedGate(GateGenerator((GeneratorTerm(0.5, PauliString.single(0, "X")),))),
+        PauliRotation(PauliString.single(1, "X"), phase_rate=0.7),
+        PauliRotation(PauliString.single(0, "Z"), scale=0.5, phase_rate=-0.25),
+        GeneratedGate(PauliSum(((0.5, PauliString.single(0, "X")),))),
         # non-commuting two-term generator: exercises the exact derivative
-        GeneratedGate(GateGenerator((
-            GeneratorTerm(0.3, PauliString.single(0, "X")),
-            GeneratorTerm(-0.2, PauliString.parse("Z0 Y1")),
+        GeneratedGate(PauliSum((
+            (0.3, PauliString.single(0, "X")),
+            (-0.2, PauliString.parse("Z0 Y1")),
         ))),
     ]
 
@@ -123,7 +121,8 @@ def test_rotation_matches_expm_oracle(theta):
         if not isinstance(gate, PauliRotation):
             continue
         sigma = gate.axis.dense_matrix()
-        oracle = scipy.linalg.expm(1j * gate.scale * theta * sigma)
+        oracle = scipy.linalg.expm(1j * theta * (gate.phase_rate * np.eye(len(sigma))
+                                                 + gate.scale * sigma))
         np.testing.assert_allclose(gate.unitary(theta).matrix, oracle, atol=1e-12)
 
 
@@ -190,12 +189,17 @@ def test_derivative_factor_composition(theta):
         staged = state.copy()
         counter = OpCounter()
         apply_operator(staged, gate.unitary(theta), counter)
-        apply_operator(staged, gate.derivative_factor(theta), counter)
+        apply_operator(staged, gate.derivative_factor, counter)
         np.testing.assert_allclose(staged.amplitudes, direct, atol=1e-12)
 
 
+def test_derivative_factor_is_built_once_per_gate():
+    for gate in gate_pool():
+        assert gate.derivative_factor is gate.derivative_factor
+
+
 def test_phased_rotation_product_rule():
-    gate = PhasedPauliRotation(PauliString.single(0, "X"), phase_rate=0.7)
+    gate = PauliRotation(PauliString.single(0, "X"), phase_rate=0.7)
     theta = 0.9
     plain = PauliRotation(PauliString.single(0, "X"))
     expected = (
@@ -237,10 +241,8 @@ def test_controlled_diagonal_control_never_one():
 
 
 def test_phased_and_generated_gates_have_no_shortcut():
-    phased = PhasedPauliRotation(PauliString.single(0, "X"), phase_rate=0.7)
-    generated = GeneratedGate(GateGenerator((
-        GeneratorTerm(0.5, PauliString.single(0, "X")),
-    )))
+    phased = PauliRotation(PauliString.single(0, "X"), phase_rate=0.7)
+    generated = GeneratedGate(PauliSum(((0.5, PauliString.single(0, "X")),)))
     pre = make_basis_state(1, 0)
     assert phased.a_priori_diagonal(0.3, pre) is None
     assert generated.a_priori_diagonal(0.3, pre) is None
@@ -268,11 +270,10 @@ def test_diagonal_matches_explicit_derivative_norm(seed):
 
 
 def test_generated_gate_unitary_matches_expm_oracle():
-    terms = (
-        GeneratorTerm(0.3, PauliString.parse("X0 Y1")),
-        GeneratorTerm(-0.2, PauliString.single(0, "Z")),
-    )
-    gate = GeneratedGate(GateGenerator(terms))
+    gate = GeneratedGate(PauliSum((
+        (0.3, PauliString.parse("X0 Y1")),
+        (-0.2, PauliString.single(0, "Z")),
+    )))
     theta = 0.8
     x0y1 = np.kron(np.array([[0, -1j], [1j, 0]]), X)
     z0 = np.kron(np.eye(2), np.diag([1, -1])).astype(complex)
@@ -281,13 +282,19 @@ def test_generated_gate_unitary_matches_expm_oracle():
 
 
 def test_generated_gate_support_limit():
-    terms = tuple(
-        GeneratorTerm(0.1, PauliString.single(q, "X")) for q in range(4)
-    )
+    terms = tuple((0.1, PauliString.single(q, "X")) for q in range(4))
     with pytest.raises(UnsupportedGateError):
-        GeneratedGate(GateGenerator(terms))
+        GeneratedGate(PauliSum(terms))
 
 
 def test_generator_requires_terms():
-    with pytest.raises(ValueError):
-        GateGenerator(())
+    with pytest.raises(ValueError, match="at least one term"):
+        GeneratedGate(PauliSum(()))
+    with pytest.raises(ValueError, match="at least one qubit"):
+        GeneratedGate(PauliSum(((0.5, PauliString.parse("")),)))
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+def test_pauli_sum_rejects_non_finite_weights(weight):
+    with pytest.raises(ValueError, match="finite"):
+        PauliSum(((weight, PauliString.single(0, "Z")),))

@@ -13,17 +13,13 @@ from qngsim.ansatz import (
     random_parameters,
 )
 from qngsim.baselines import BaselineId, compute_li_tensor, cost_model, naive_full_li_matrix
-from qngsim.gates import (
-    ControlledPauliRotation,
-    PauliRotation,
-    PauliString,
-    PhasedPauliRotation,
-)
+from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString
 from qngsim.metric import (
     compute_berry_vector,
     compute_geometric_tensor,
     main_algorithm_cost,
     read_tensor_binary,
+    tensor_matrix,
     write_tensor_binary,
     write_tensor_csv,
 )
@@ -63,7 +59,7 @@ def test_rz_then_rx_at_zero_matches_finite_differences():
 
 def test_single_phased_rotation_berry_entry():
     # phase term contributes i/2; the axis term averages to zero on |0>
-    gate = PhasedPauliRotation(PauliString.single(0, "X"), phase_rate=0.5)
+    gate = PauliRotation(PauliString.single(0, "X"), phase_rate=0.5)
     circuit = AnsatzCircuit(1, (gate,))
     for theta in (0.0, 0.8, -1.3):
         berry = compute_berry_vector(circuit, [theta], OpCounter())
@@ -182,27 +178,25 @@ def test_tensor_properties_on_random_circuits(case):
     main = compute_geometric_tensor(circuit, params, counter, use_diagonal_shortcut=False)
     assert counter.as_tuple() == main_algorithm_cost(count)
     berry = compute_berry_vector(circuit, params, OpCounter())
-    overlaps = [main.li]
-    tensors = [main.matrix]
+    overlaps = {"main": main.li}
+    tensors = {"main": main.matrix}
     for alg in BaselineId:
         counter = OpCounter()
         li = compute_li_tensor(alg, circuit, params, counter)
         assert (counter.gate_applications, counter.clones) == cost_model(alg, count)[:2]
-        overlaps.append(li)
-        if alg in (BaselineId.ALG6, BaselineId.ALG8):
-            tensors.append(li - np.outer(np.conj(berry), berry))
-    # every route mirrors its upper triangle, so L is Hermitian off the
-    # diagonal bit for bit; alg3-alg6 read the diagonal as <in|...|in>, not a
-    # norm, so its imaginary part is rounding
-    off_diagonal = ~np.eye(count, dtype=bool)
-    for li in overlaps:
-        assert np.array_equal(li[off_diagonal], li.conj().T[off_diagonal])
-        assert np.max(np.abs(np.diag(li).imag)) <= 1e-12
+        overlaps[alg] = li
+        tensors[alg] = tensor_matrix(li, berry)
+    # every route mirrors its upper triangle and keeps only the real part of
+    # its diagonal, so L is Hermitian bit for bit, and G's diagonal is real
+    for li in overlaps.values():
+        assert np.array_equal(li, li.conj().T)
+    for matrix in tensors.values():
+        assert np.all(matrix.diagonal().imag == 0)
     assert np.min(np.linalg.eigvalsh(main.fubini_study_metric)) >= -1e-10
     oracle = finite_difference_tensor(circuit, params)
-    for matrix in tensors:
-        np.testing.assert_allclose(matrix, main.matrix, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(matrix, oracle, rtol=0, atol=1e-6)
+    for route in ("main", BaselineId.ALG6, BaselineId.ALG8):
+        np.testing.assert_allclose(tensors[route], main.matrix, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(tensors[route], oracle, rtol=0, atol=1e-6)
 
 
 @settings(max_examples=40, deadline=None)

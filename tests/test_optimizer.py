@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from qngsim.ansatz import AnsatzCircuit, random_circuit, random_layered_circuit, random_parameters
 from qngsim.errors import ParseError, SingularMetricError
-from qngsim.gates import PauliRotation, PauliString
+from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString, PauliSum
 from qngsim.metric import compute_geometric_tensor
 from qngsim.optimizer import (
     NATURAL_GRADIENT,
     PLAIN_GRADIENT,
     OptimizerConfig,
-    PauliSumHamiltonian,
     _energy_and_gradient,
     energy_expectation,
     energy_gradient,
@@ -32,12 +31,12 @@ def rx_circuit():
 
 
 def z_hamiltonian():
-    return PauliSumHamiltonian(((1.0, PauliString.single(0, "Z")),))
+    return PauliSum(((1.0, PauliString.single(0, "Z")),))
 
 
 def ising_pair():
     """Z x Z plus transverse fields on both qubits."""
-    return PauliSumHamiltonian((
+    return PauliSum((
         (1.0, PauliString.parse("Z0 Z1")),
         (0.5, PauliString.single(0, "X")),
         (0.5, PauliString.single(1, "X")),
@@ -97,7 +96,7 @@ def test_energy_of_z_after_full_x_rotation():
 
 
 def test_energy_of_x_on_zero_state():
-    h = PauliSumHamiltonian(((1.0, PauliString.single(0, "X")),))
+    h = PauliSum(((1.0, PauliString.single(0, "X")),))
     assert energy_expectation(rx_circuit(), [0.0], h, OpCounter()) \
         == pytest.approx(0.0, abs=1e-15)
 
@@ -113,7 +112,7 @@ def test_energy_real_on_random_inputs(seed):
     rng = np.random.default_rng([70, seed])
     circuit = random_circuit(4, 8, rng)
     params = random_parameters(8, rng)
-    h = PauliSumHamiltonian((
+    h = PauliSum((
         (0.8, PauliString.parse("Z0 Z2")),
         (-0.3, PauliString.parse("Y1 X3")),
         (0.1, PauliString.parse("")),
@@ -125,7 +124,7 @@ def test_energy_real_on_random_inputs(seed):
     psi = prepare_ansatz_state(circuit, params, OpCounter())
     work = Statevector.zeros(4)
     total = 0j
-    for coeff, op in h._term_operators:
+    for coeff, op in h.term_operators:
         clone_into(psi, work, OpCounter())
         apply_operator(work, op, OpCounter())
         total += coeff * inner_product(psi, work, OpCounter())
@@ -148,11 +147,11 @@ def test_gradient_is_minus_sine():
 
 
 def test_gradient_of_constant_hamiltonian_is_zero():
-    empty = PauliSumHamiltonian(())
+    empty = PauliSum(())
     grad = energy_gradient(random_circuit(2, 5, 71), random_parameters(5, 72),
                            empty, OpCounter())
     np.testing.assert_array_equal(grad, np.zeros(5))
-    identity_only = PauliSumHamiltonian(((2.0, PauliString.parse("")),))
+    identity_only = PauliSum(((2.0, PauliString.parse("")),))
     grad = energy_gradient(random_circuit(2, 5, 71), random_parameters(5, 72),
                            identity_only, OpCounter())
     np.testing.assert_allclose(grad, np.zeros(5), atol=1e-12)
@@ -163,7 +162,7 @@ def test_gradient_matches_central_differences(seed):
     rng = np.random.default_rng([73, seed])
     circuit = random_circuit(4, 8, rng)
     params = random_parameters(8, rng)
-    h = PauliSumHamiltonian((
+    h = PauliSum((
         (0.7, PauliString.parse("Z0 Z1")),
         (0.3, PauliString.single(2, "X")),
         (-0.4, PauliString.parse("Y3 X0")),
@@ -184,7 +183,7 @@ def gradient_cases(draw):
     terms = draw(st.lists(st.tuples(st.floats(-1.0, 1.0),
                                     st.lists(factor, max_size=3, unique_by=lambda f: f[0])),
                           max_size=4))
-    hamiltonian = PauliSumHamiltonian(tuple((coeff, PauliString(tuple(factors)))
+    hamiltonian = PauliSum(tuple((coeff, PauliString(tuple(factors)))
                                             for coeff, factors in terms))
     return circuit, params, hamiltonian
 
@@ -204,10 +203,10 @@ def test_gradient_counts_equal_cost_model():
     # every count exactly, also for an empty Hamiltonian and an identity term
     assert gradient_cost(128, 8) == (519, 136, 129, 8)
     hamiltonians = (
-        PauliSumHamiltonian(()),
-        PauliSumHamiltonian(((2.0, PauliString.parse("")),)),
-        PauliSumHamiltonian(((0.5, PauliString.single(0, "Z")),)),
-        PauliSumHamiltonian((
+        PauliSum(()),
+        PauliSum(((2.0, PauliString.parse("")),)),
+        PauliSum(((0.5, PauliString.single(0, "Z")),)),
+        PauliSum((
             (0.5, PauliString.parse("Z0 Z1")),
             (-1.0, PauliString.parse("")),
             (0.3, PauliString.parse("X2 Y0")),
@@ -256,6 +255,30 @@ def test_natural_gradient_run_prepares_once_per_point(monkeypatch):
     assert counter.axpys == (steps + 1) * axpys
 
 
+@pytest.mark.parametrize("mode", [NATURAL_GRADIENT, PLAIN_GRADIENT])
+def test_run_builds_each_gate_operator_once_per_point(monkeypatch, mode):
+    # the energy, the gradient and the tensor share one binding per point
+    builds = {"unitary": 0, "derivative": 0}
+
+    def counting(cls, name):
+        method = getattr(cls, name)
+
+        def build(gate, theta):
+            builds[name] += 1
+            return method(gate, theta)
+        monkeypatch.setattr(cls, name, build)
+
+    for cls in (PauliRotation, ControlledPauliRotation):
+        for name in builds:
+            counting(cls, name)
+    circuit = random_circuit(3, 9, 79)
+    config = OptimizerConfig(timestep=0.05, max_steps=3, energy_tolerance=1e-300, mode=mode)
+    trace = run_optimization(circuit, random_parameters(9, 80), ising_pair(), config)
+    points = len(trace.records)
+    assert points == 4
+    assert builds == {"unitary": 9 * points, "derivative": 9 * points}
+
+
 # ---------------------------------------------------------------------------
 # Single step
 # ---------------------------------------------------------------------------
@@ -300,7 +323,7 @@ def test_metric_solve_residual_small():
     rng = np.random.default_rng(76)
     circuit = random_circuit(3, 8, rng)
     params = random_parameters(8, rng)
-    h = PauliSumHamiltonian((
+    h = PauliSum((
         (1.0, PauliString.parse("Z0 Z1")),
         (0.5, PauliString.single(2, "X")),
     ))
