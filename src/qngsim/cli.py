@@ -12,7 +12,8 @@ Commands
               suites; non-zero exit on any failure.
 
 Exit codes: 0 success, 1 verification/optimization failure, 2 usage or parse
-error, 3 resource limit.  The environment variable QNG_MEMORY_BUDGET_BYTES
+error (a path that is missing, unreadable or a directory included), 3 resource
+limit.  The environment variable QNG_MEMORY_BUDGET_BYTES
 overrides the default 4 GiB guard on the register-hungry alg7/alg8 baselines.
 
 Circuit file format (one gate per line after the header; the gate's position
@@ -486,7 +487,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -211,14 +211,16 @@ def _as_matrix(tensor) -> np.ndarray:
 
 
 def write_tensor_csv(tensor, path) -> None:
-    """Write one ``i,j,re,im`` row per entry (0-based indices, row-major)."""
+    """Write one ``i,j,re,im`` line per entry (0-based indices, row-major),
+    formatting each row of G with one ``%`` call."""
     matrix = _as_matrix(tensor)
-    lines = ["i,j,re,im"]
-    for i in range(matrix.shape[0]):
-        for j in range(matrix.shape[1]):
-            value = matrix[i, j]
-            lines.append(f"{i},{j},{value.real:.17g},{value.imag:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    size = len(matrix)
+    row_format = "%d,%d,%.17g,%.17g\n" * size
+    with open(path, "w") as handle:
+        handle.write("i,j,re,im\n")
+        for i, row in enumerate(matrix):
+            entries = zip(repeat(i), range(size), row.real.tolist(), row.imag.tolist())
+            handle.write(row_format % tuple(chain.from_iterable(entries)))
 
 
 def write_tensor_binary(tensor, path) -> None:

@@ -336,6 +336,12 @@ def _diagonal_kernel(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: i
     factors = matrix.diagonal()[pattern]
     ones = (factors == 1).all(axis=-1)
     zeros = ~factors.any(axis=-1)
+    if shape[-1] == 1 << num_qubits:  # one block spans the register: one call
+        if ones:
+            return lambda amplitudes: None
+        if zeros:
+            return lambda amplitudes: amplitudes.fill(0)
+        return lambda amplitudes: np.multiply(amplitudes, factors, out=amplitudes)
     if not (ones.any() or zeros.any()):
         parts = [((), factors.reshape(broadcast))]
     else:
@@ -387,6 +393,8 @@ def _dense_kernel(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int)
             view = amplitudes.reshape(-1, 1 << bits, 1 << low)
             np.matmul(block, view, out=view)
         return apply
+    if bits == num_qubits:  # one row spans the register: a GEMV into a new vector
+        return lambda amplitudes: np.copyto(amplitudes, np.dot(amplitudes, block))
 
     def apply(amplitudes: np.ndarray) -> None:
         view = amplitudes.reshape(-1, 1 << bits)
@@ -412,11 +420,18 @@ class MatrixGateOperator:
       per target bit above the block.  Slices of those axes whose pattern is
       all ones (crz's control-0 half) are skipped, all zeros (a derivative's
       control projector) zeroed; a skipping kernel still counts one gate.
+      Up to N = 6 one block spans the register, and the kernel is a single
+      call: one in-place multiply, a fill if every factor is zero, nothing if
+      every factor is one.
     * dense, all targets within 5 consecutive bits (rx, ry, their derivatives,
       crx and cry on neighbouring qubits): one GEMM against ``K``, the matrix
       kron-expanded to a window holding the targets: ``view(-1, 2**b) @ K.T``
-      at bit 0 (one row up to N = 5), else ``K @ view(-1, 2**b, 2**q)`` from
-      the lowest target ``q``.  ``K`` is at most 32x32, whatever ``N``.
+      at bit 0, else ``K @ view(-1, 2**b, 2**q)`` from the lowest target
+      ``q``.  ``K`` is at most 32x32, whatever ``N``.  Up to N = 5 one row
+      spans the register: a GEMV into a new vector, copied back (a product
+      written into its own operand would copy that operand first, and a
+      scratch buffer on the operator would be shared by every binding and
+      thread).
     * dense, targets further apart: target axes moved to the front, one GEMM.
     """
 

@@ -188,6 +188,28 @@ def test_tensor_command_missing_file(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("case", ["tensor-out", "tensor-circuit", "optimize-hamiltonian"])
+def test_directory_path_is_usage_error(circuit_file, hamiltonian_file, tmp_path, capsys,
+                                       case):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = tmp_path / "out.csv"
+    if case == "tensor-out":
+        out = folder
+        argv = ["tensor", "--circuit", str(circuit_file), "--params", "0.3,0.7,1.1"]
+    elif case == "tensor-circuit":
+        argv = ["tensor", "--circuit", str(folder), "--params", "0.3"]
+    else:
+        argv = ["optimize", "--circuit", str(circuit_file), "--hamiltonian", str(folder),
+                "--steps", "2"]
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == sorted([circuit_file, hamiltonian_file, folder])
+    assert not any(folder.iterdir())
+
+
 def test_tensor_command_qubit_guard(tmp_path, capsys):
     big = tmp_path / "big.txt"
     big.write_text("qubits 29\nrx 0\n")

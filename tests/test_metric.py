@@ -312,6 +312,26 @@ def test_tensor_csv_output(tmp_path):
     assert lines[0] == "i,j,re,im"
     assert lines[1] == "0,0,0.25,0"
 
+    # two-digit indices, signed zeros, a subnormal and values .17g must round-trip
+    rng = np.random.default_rng(51)
+    size = 12
+    matrix = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    special = [-0.0, 0.0, 5e-324, 1e-300, 1 / 3, -2.5e17]
+    matrix.real[10, :6] = special
+    matrix.imag[11, 6:] = special
+    matrix[0, 11] = complex(special[2], special[0])
+    write_tensor_csv(matrix, path)
+    reference = "i,j,re,im\n" + "".join(
+        f"{i},{j},{matrix[i, j].real:.17g},{matrix[i, j].imag:.17g}\n"
+        for i in range(size) for j in range(size))
+    assert path.read_bytes() == reference.encode()
+    lines = path.read_text().splitlines()
+    assert lines[1 + 11] == "0,11,4.9406564584124654e-324,-0"
+    assert [line.split(",")[2] for line in lines[1 + 120:1 + 126]] == [
+        "-0", "0", "4.9406564584124654e-324", "1e-300", "0.33333333333333331", "-2.5e+17"]
+    with pytest.raises(ValueError, match="square"):
+        write_tensor_csv(matrix[:, :5], path)
+
 
 def test_tensor_binary_round_trip(tmp_path):
     rng = np.random.default_rng(50)

@@ -1,5 +1,7 @@
 """Energies, adjoint-pass gradients, regularized metric solves, update loop."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -394,6 +396,9 @@ def test_ising_pair_run_converges_and_is_monotone():
                              energy_tolerance=1e-12)
     trace = run_optimization(circuit, initial, ising_pair(), config)
     assert trace.final_energy <= ising_pair_ground_energy() + 1e-6
+    # plain floats: a numpy scalar here leaks numpy types into JSON reports
+    assert all(type(record.energy) is float for record in trace.records)
+    json.dumps([record.energy for record in trace.records])
     steps = np.diff(trace.energies)
     assert np.max(steps) <= 1e-9  # non-increasing up to float noise
 

@@ -6,7 +6,7 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qngsim.gates import ControlledPauliRotation, PauliString
@@ -145,7 +145,8 @@ def test_inner_product_leaves_operands_alone_and_counts():
     a = random_state(2, seed=2)
     b = random_state(2, seed=3)
     before_a, before_b = a.amplitudes.copy(), b.amplitudes.copy()
-    inner_product(a, b, counter)
+    # a Python complex, not numpy's: energies built from it must stay plain floats
+    assert type(inner_product(a, b, counter)) is complex
     np.testing.assert_array_equal(a.amplitudes, before_a)
     np.testing.assert_array_equal(b.amplitudes, before_b)
     assert counter.inner_products == 1
@@ -290,6 +291,9 @@ def kernel_case_operator(kind, targets, rng):
         return MatrixGateOperator(targets, random_matrix(1 << len(targets)))
     if kind == "diagonal":
         return MatrixGateOperator(targets, random_diagonal(1 << len(targets)))
+    if kind in ("zero_diagonal", "identity_diagonal"):
+        dim = 1 << len(targets)
+        return MatrixGateOperator(targets, np.eye(dim) * (kind == "identity_diagonal"))
     inner = targets[:-1]
     if kind == "controlled_dense":
         return controlled_matrix_operator(inner, random_matrix(1 << len(inner)),
@@ -325,6 +329,14 @@ def kernel_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(kernel_cases())
+# whole-register edges: a diagonal is one block up to N = 6, a dense gate one row up to N = 5
+@example((3, (1,), "zero_diagonal", 1))
+@example((3, (2, 0), "identity_diagonal", 2))
+@example((7, (2,), "zero_diagonal", 3))
+@example((7, (6, 1), "zero_diagonal", 4))
+@example((7, (1, 6), "identity_diagonal", 5))
+@example((5, (4, 0), "dense", 6))
+@example((6, (4,), "dense", 7))
 def test_kernels_match_kron_oracle(case):
     check_kernel_against_oracle(*case)
 
