@@ -2,9 +2,10 @@
 
 The package computes the quantum geometric tensor of a parameterized circuit
 with a recurrent algorithm costing O(P^2) gate/clone operations and a fixed
-number of workspace registers, validates it against seven reference
-strategies and finite differences, and uses it to drive natural-gradient
-minimization of Pauli-sum Hamiltonians.
+number of workspace registers (or, where P + 1 registers are no larger than
+the tensor, from P stored derivative states), validates it against seven
+reference strategies and finite differences, and uses it to drive
+natural-gradient minimization of Pauli-sum Hamiltonians.
 """
 
 from .ansatz import (
@@ -41,6 +42,7 @@ from .metric import (
     GeometricTensor,
     compute_berry_vector,
     compute_geometric_tensor,
+    compute_geometric_tensor_stored,
     main_algorithm_cost,
     read_tensor_binary,
     write_tensor_binary,

@@ -15,7 +15,8 @@ state forward across j iterations; alg5 additionally rolls the infix
 backward across i (which is why its i loop descends); alg6 also rolls the
 prefix, reaching O(P^2) with four registers; alg7 instead materializes all P
 derivative states and defers the inner products, trading O(P) registers for
-fewer gates; alg8 is alg7 with a rolling suffix.
+fewer gates; alg8 is alg7 with a rolling suffix, and is the L half of the
+metric module's stored route (:func:`~qngsim.metric.derivative_states`).
 
 Loop bounds, clone points and application order follow the reference control
 flow line by line, so instrumented counts are auditable against
@@ -32,7 +33,7 @@ import numpy as np
 
 from .ansatz import AnsatzCircuit, input_state
 from .errors import ResourceLimitError
-from .metric import mirror_upper
+from .metric import derivative_states, mirror_upper, overlap_matrix
 from .statevector import (
     OpCounter,
     Statevector,
@@ -168,7 +169,7 @@ def naive_full_li_matrix(circuit: AnsatzCircuit, params,
 
 
 def _run_alg2(circuit, bound, counter, budget):
-    return mirror_upper(naive_full_li_matrix(circuit, bound.theta, counter))
+    return mirror_upper(naive_full_li_matrix(circuit, bound, counter))
 
 
 def _run_alg3(circuit, bound, counter, budget):
@@ -298,35 +299,15 @@ def _run_alg7(circuit, bound, counter, budget):
         apply_operator(states[i], circuit.gates[i].derivative_factor, counter)
         for k in range(i + 1, count):
             apply_operator(states[i], unitaries[k], counter)
-    return _pairwise_products(states, counter)
+    return overlap_matrix(states, counter)
 
 
 def _run_alg8(circuit, bound, counter, budget):
     # As alg7, but the shared pre-derivative suffix rolls forward in a single
-    # extra register, roughly halving the gate count.
-    count = circuit.num_parameters
-    _ensure_memory(count + 1, circuit.num_qubits, budget)
-    unitaries, derivatives = bound.unitaries, bound.derivatives
-    start = input_state(circuit)
-    psi = Statevector.zeros(circuit.num_qubits)
-    states = [Statevector.zeros(circuit.num_qubits) for _ in range(count)]
-    clone_into(start, psi, counter)
-    for i in range(count):
-        clone_into(psi, states[i], counter)
-        apply_operator(states[i], derivatives[i], counter)
-        for k in range(i + 1, count):
-            apply_operator(states[i], unitaries[k], counter)
-        apply_operator(psi, unitaries[i], counter)
-    return _pairwise_products(states, counter)
-
-
-def _pairwise_products(states: list[Statevector], counter: OpCounter) -> np.ndarray:
-    count = len(states)
-    li = np.zeros((count, count), dtype=np.complex128)
-    for i in range(count):
-        for j in range(i, count):
-            li[i, j] = inner_product(states[i], states[j], counter)
-    return mirror_upper(li)
+    # extra register, roughly halving the gate count: the stored route's
+    # forward pass, which applies D_i to psi_i.
+    _ensure_memory(circuit.num_parameters + 1, circuit.num_qubits, budget)
+    return overlap_matrix(derivative_states(bound, counter)[1], counter)
 
 
 _RUNNERS = {

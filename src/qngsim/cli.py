@@ -4,6 +4,15 @@ Commands
 --------
 ``tensor``    compute the geometric tensor of a circuit file at given
               parameters and write it as CSV or a packed binary dump.
+              ``--algorithm auto`` (the default) takes the stored route,
+              (P^2 + 3P)/2 gates and P + 1 clones in P + 1 registers, when
+              ``(P + 1) * 2^N <= P^2`` (its registers take no more memory
+              than G), and otherwise main, the five-register recurrence with
+              (3P^2 + P)/2 gates and (P^2 + 3P + 2)/2 clones; ``main`` and
+              ``alg2``..``alg8`` force a route.  ``--no-diag-shortcut``
+              applies to main only.  Where auto picks the stored route the
+              printed counts are the stored route's and the CSV differs from
+              main's in the last bits (about 1e-16).
 ``bench``     sweep parameter counts for selected algorithms, recording
               measured against predicted primitive counts (plot-ready CSV).
 ``optimize``  natural-gradient (or plain-gradient) minimization of a
@@ -58,7 +67,9 @@ from .gates import (
 from .metric import (
     compute_berry_vector,
     compute_geometric_tensor,
+    compute_geometric_tensor_stored,
     main_algorithm_cost,
+    stored_route_fits,
     tensor_matrix,
     write_tensor_binary,
     write_tensor_csv,
@@ -211,7 +222,9 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
     _guard_qubits(circuit.num_qubits, args.allow_large)
     params = _parse_param_values(args.params, circuit.num_parameters)
     counter = OpCounter()
-    if args.algorithm == "main":
+    if args.algorithm == "auto" and stored_route_fits(circuit):
+        matrix = compute_geometric_tensor_stored(circuit, params, counter).matrix
+    elif args.algorithm in ("auto", "main"):
         tensor = compute_geometric_tensor(
             circuit, params, counter,
             use_diagonal_shortcut=not args.no_diag_shortcut,
@@ -422,10 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
     tensor.add_argument("--circuit", required=True, help="circuit file")
     tensor.add_argument("--params", required=True,
                         help="comma-separated parameter values, one per gate")
-    tensor.add_argument("--algorithm", default="main",
-                        help="main (default) or one of alg2..alg8")
+    tensor.add_argument("--algorithm", default="auto",
+                        help="auto (default): the stored route, P + 1 registers and "
+                             "(P^2+3P)/2 gates, when (P+1)*2^N <= P^2, else main; "
+                             "main: the five-register recurrence, (3P^2+P)/2 gates; "
+                             "or one of alg2..alg8")
     tensor.add_argument("--no-diag-shortcut", action="store_true",
-                        help="always evaluate diagonal entries explicitly")
+                        help="main only: always evaluate diagonal entries explicitly")
     tensor.add_argument("--format", choices=("csv", "bin"), default="csv")
     tensor.add_argument("--out", required=True, help="output path")
     tensor.add_argument("--allow-large", action="store_true",

@@ -1,4 +1,4 @@
-"""Recurrent evaluation of the quantum geometric tensor in O(P^2) gates.
+"""The quantum geometric tensor in O(P^2) gates, by two routes.
 
 For an ansatz state ``|psi(theta)> = U_P ... U_1 |in>`` the tensor is
 
@@ -6,22 +6,40 @@ For an ansatz state ``|psi(theta)> = U_P ... U_1 |in>`` the tensor is
          = L_ij - conj(T_i) T_j
 
 with the derivative-overlap tensor ``L`` and the Berry vector
-``T_i = <psi, d_i psi>``.  Gates beyond max(i, j) cancel between bra and ket,
-so every L and T entry reduces to an inner product between two states that
-each differ from the previous iteration's states by a single gate (or
-adjoint).  :func:`compute_geometric_tensor` exploits that with five fixed
-workspace registers, rolling a suffix state forward over j, and rolling an
-infix state and a prefix state backward over i inside each j iteration.  The
-total cost is O(P^2) gate/clone operations and O(1) registers, against O(P^3)
-for evaluating each matrix element from scratch (see the baselines module).
-Every algorithm returns L as a P x P array whose lower triangle
-:func:`mirror_upper` fills with the conjugate of the upper one.
+``T_i = <psi, d_i psi>``.  Two routes evaluate it, trading registers for
+gates as the paper's abstract describes:
+
+* main, :func:`compute_geometric_tensor`: the paper's recurrence in five
+  fixed registers.  Gates beyond max(i, j) cancel between bra and ket, so
+  every L and T entry is an inner product between two states that each
+  differ from the previous iteration's states by one gate (or adjoint); a
+  suffix state rolls forward over j, an infix and a prefix state roll
+  backward over i.  It costs :func:`main_algorithm_cost`, (3P^2 + P)/2
+  gates and (P^2 + 3P + 2)/2 clones.
+* stored, :func:`compute_geometric_tensor_stored`: all P derivative states
+  ``|d_i psi> = U_P ... U_{i+1} D_i |psi_i>`` kept at once in P + 1
+  registers (``dU_i = D_i U_i`` with the theta-free factor ``D_i``), then
+  ``L_ij = <d_i psi|d_j psi>`` and ``T_i = <psi|d_i psi>``.  It costs
+  :func:`stored_tensor_cost`, (P^2 + 3P)/2 gates, P + 1 clones and
+  (P^2 + 3P)/2 inner products, and builds only the P unitaries of a binding.
+
+:func:`stored_route_fits` is the rule that picks between them for
+``qngsim tensor`` (``--algorithm auto``, the default) and for the optimizer:
+the stored route when its registers take no more memory than G itself,
+``(P + 1) * 2^N <= P^2``, and main otherwise.  The two routes round
+differently, so their G differ in the last bits (about 1e-16): wherever the
+rule picks the stored route, the default ``tensor`` prints the stored
+route's counts and its CSV moves in those bits.  Both routes are O(P^2),
+against O(P^3) for evaluating each matrix element from scratch (see the
+baselines module).  Every route returns L as a P x P array whose lower
+triangle :func:`mirror_upper` fills with the conjugate of the upper one.
 
 Diagonal entries ``L_jj = <phi|phi>`` with ``|phi> = dU_j |psi_{j-1}>`` admit
 an a-priori shortcut for rotation-like gates (scale^2 for a plain Pauli
-rotation, scale^2 times the control-1 probability for a controlled one).  It
-is taken by default; ``use_diagonal_shortcut=False`` evaluates every diagonal
-entry explicitly.
+rotation, scale^2 times the control-1 probability for a controlled one).
+Main takes it by default; ``use_diagonal_shortcut=False`` (``tensor
+--no-diag-shortcut``) evaluates every diagonal entry explicitly.  The stored
+route has no shortcut and ignores the flag.
 """
 
 from __future__ import annotations
@@ -32,7 +50,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .ansatz import AnsatzCircuit, input_state
+from .ansatz import AnsatzCircuit, BoundCircuit, input_state
 from .statevector import (
     OpCounter,
     Statevector,
@@ -46,9 +64,14 @@ __all__ = [
     "TENSOR_MAGIC",
     "compute_berry_vector",
     "compute_geometric_tensor",
+    "compute_geometric_tensor_stored",
+    "derivative_states",
     "main_algorithm_cost",
     "mirror_upper",
+    "overlap_matrix",
     "read_tensor_binary",
+    "stored_route_fits",
+    "stored_tensor_cost",
     "tensor_matrix",
     "write_tensor_binary",
     "write_tensor_csv",
@@ -175,6 +198,81 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
         apply_operator(psi, unitaries[j], counter)          # roll the suffix forward
 
     mirror_upper(li)
+    return GeometricTensor(matrix=tensor_matrix(li, berry), berry=berry, li=li)
+
+
+def stored_tensor_cost(num_parameters: int) -> tuple[int, int, int]:
+    """Exact (gate applications, clones, inner products) of
+    :func:`compute_geometric_tensor_stored` on P gates.
+
+    P gates roll psi forward, P apply the derivative factors and
+    P(P - 1)/2 roll the derivative states to the end; one clone seeds psi and
+    P copy it out; P(P + 1)/2 inner products read L's upper triangle and P
+    read T.
+    """
+    p = num_parameters
+    gates = (p * p + 3 * p) // 2
+    return gates, p + 1, gates
+
+
+def stored_route_fits(circuit: AnsatzCircuit) -> bool:
+    """The route rule: True when the stored route's P + 1 registers take no
+    more memory than the P x P tensor itself, ``(P + 1) * 2^N <= P^2``."""
+    p = circuit.num_parameters
+    return (p + 1) * 2**circuit.num_qubits <= p * p
+
+
+def derivative_states(bound: BoundCircuit,
+                      counter: OpCounter) -> tuple[Statevector, list[Statevector]]:
+    """``|psi>`` and the P derivative states ``|d_i psi>`` in P + 1 registers.
+
+    psi rolls forward through the unitaries; after gate i a clone of
+    ``|psi_i>`` takes the gate's theta-free factor, ``dU_i|psi_{i-1}> =
+    D_i|psi_i>``, and rolls to the end through the later unitaries.  Costs
+    (P^2 + 3P)/2 gates and P + 1 clones.
+    """
+    circuit = bound.circuit
+    unitaries = bound.unitaries
+    psi = Statevector.zeros(circuit.num_qubits)
+    clone_into(input_state(circuit), psi, counter)
+    states = []
+    for i, gate in enumerate(circuit.gates):
+        apply_operator(psi, unitaries[i], counter)
+        state = Statevector.zeros(circuit.num_qubits)
+        clone_into(psi, state, counter)
+        apply_operator(state, gate.derivative_factor, counter)
+        for later in unitaries[i + 1:]:
+            apply_operator(state, later, counter)
+        states.append(state)
+    return psi, states
+
+
+def overlap_matrix(states: list[Statevector], counter: OpCounter) -> np.ndarray:
+    """``L_ij = <s_i|s_j>`` from P(P + 1)/2 inner products for i <= j,
+    completed by :func:`mirror_upper`."""
+    count = len(states)
+    li = np.zeros((count, count), dtype=np.complex128)
+    for i in range(count):
+        for j in range(i, count):
+            li[i, j] = inner_product(states[i], states[j], counter)
+    return mirror_upper(li)
+
+
+def compute_geometric_tensor_stored(circuit: AnsatzCircuit, params,
+                                    counter: OpCounter) -> GeometricTensor:
+    """Evaluate G, L and T for ``circuit`` at ``params`` from the P stored
+    derivative states of :func:`derivative_states`, in P + 1 registers.
+
+    Args:
+        circuit: the ansatz; gate k owns parameter k.
+        params: length-P vector of finite reals, or a ``BoundCircuit`` of
+            ``circuit`` whose unitaries are then reused.
+        counter: receives the exact :func:`stored_tensor_cost`.
+    """
+    psi, states = derivative_states(circuit.bind(params), counter)
+    li = overlap_matrix(states, counter)
+    berry = np.array([inner_product(psi, state, counter) for state in states],
+                     dtype=np.complex128)
     return GeometricTensor(matrix=tensor_matrix(li, berry), berry=berry, li=li)
 
 

@@ -15,7 +15,10 @@ each component is ``2 * Re<lambda_i| dU_i |psi_{i-1}>``.  That is O(P + T)
 primitives in three registers, counted exactly by :func:`gradient_cost`,
 against the O(P^2) of parameter-wise finite differences.
 ``run_optimization`` binds each point once: the energy, the gradient and the
-tensor all take their gate operators from that one binding.
+tensor all take their gate operators from that one binding.  Its tensor
+route follows the metric module's rule, :func:`stored_route_fits`, as
+``qngsim tensor`` does by default: the stored route when its P + 1
+registers take no more memory than G, main otherwise.
 """
 
 from __future__ import annotations
@@ -29,7 +32,11 @@ import scipy.linalg
 from .ansatz import AnsatzCircuit, BoundCircuit, prepare_ansatz_state
 from .errors import ParseError, SingularMetricError
 from .gates import PauliSum, parse_pauli_term
-from .metric import compute_geometric_tensor
+from .metric import (
+    compute_geometric_tensor,
+    compute_geometric_tensor_stored,
+    stored_route_fits,
+)
 from .statevector import (
     OpCounter,
     Statevector,
@@ -253,13 +260,15 @@ def run_optimization(circuit: AnsatzCircuit, initial_params,
     counter = OpCounter()
     bound = circuit.bind(initial_params)
     theta = bound.theta
+    tensor = (compute_geometric_tensor_stored if stored_route_fits(circuit)
+              else compute_geometric_tensor)
     trace = OptimizationTrace()
     energy, grad = _energy_and_gradient(bound, hamiltonian, counter)
     trace.records.append(StepRecord(0, energy, float(np.linalg.norm(grad)), theta.copy()))
     for step in range(1, config.max_steps + 1):
         delta = -config.timestep * grad
         if config.mode == NATURAL_GRADIENT:
-            metric = compute_geometric_tensor(circuit, bound, counter).fubini_study_metric
+            metric = tensor(circuit, bound, counter).fubini_study_metric
             delta = _solve_metric_system(metric, delta, config.regularization)
         bound = circuit.bind(theta + delta)
         theta = bound.theta

@@ -10,7 +10,11 @@ against the closed-form cost model.  Two checks cover the energy gradient:
 ``gradient_count_exactness`` holds its four counts to ``gradient_cost(P, T)``
 for P = 1..10 (quick) or 1..40 and T = 0..4, and
 ``gradient_finite_difference`` holds ``energy_gradient`` to central
-differences of ``energy_expectation``.
+differences of ``energy_expectation``.  Two cover the stored tensor route:
+``stored_count_exactness`` holds its counts to ``stored_tensor_cost(P)`` and
+its peak to P + 1 workspace registers for P = 1..10 (quick) or 1..40, and
+``stored_agreement`` holds its G, L and T to main's on the circuits of the
+baseline-equivalence and finite-difference checks.
 """
 
 from __future__ import annotations
@@ -28,9 +32,14 @@ from .ansatz import (
 )
 from .baselines import BaselineId, compute_li_tensor, cost_model
 from .gates import PauliString, PauliSum
-from .metric import compute_berry_vector, compute_geometric_tensor
+from .metric import (
+    compute_berry_vector,
+    compute_geometric_tensor,
+    compute_geometric_tensor_stored,
+    stored_tensor_cost,
+)
 from .optimizer import energy_expectation, energy_gradient, gradient_cost
-from .statevector import OpCounter
+from .statevector import OpCounter, track_allocations
 
 __all__ = [
     "CheckResult",
@@ -243,6 +252,42 @@ def check_berry_consistency(seed: int, quick: bool, tolerance: float) -> CheckRe
     return CheckResult("berry_consistency", worst <= tolerance, worst, tolerance)
 
 
+def check_stored_count_exactness(seed: int, quick: bool) -> CheckResult:
+    """The stored route's counts equal ``stored_tensor_cost`` and its peak is
+    P + 1 workspace registers, integer for integer."""
+    max_parameters = 10 if quick else 40
+    rng = np.random.default_rng([seed, 97])
+    worst = 0
+    for num_parameters in range(1, max_parameters + 1):
+        circuit = random_circuit(2, num_parameters, rng)
+        params = random_parameters(num_parameters, rng)
+        counter = OpCounter()
+        with track_allocations() as tally:
+            compute_geometric_tensor_stored(circuit, params, counter)
+        measured = counter.as_tuple() + (tally.peak_live("workspace"),)
+        predicted = stored_tensor_cost(num_parameters) + (num_parameters + 1,)
+        worst = max(worst, *(abs(m - p) for m, p in zip(measured, predicted)))
+    return CheckResult("stored_count_exactness", worst == 0, float(worst), 0.0,
+                       f"gates, clones, inner products and registers, P = 1..{max_parameters}")
+
+
+def check_stored_agreement(seed: int, quick: bool, tolerance: float) -> CheckResult:
+    """The stored route's G, L and T against main's, on the circuits of
+    :func:`check_baseline_equivalence` and :func:`check_finite_difference`."""
+    num_cases, num_qubits, num_parameters = (4, 3, 6) if quick else (20, 4, 8)
+    cases = [*_random_cases(seed, num_cases, num_qubits, num_parameters),
+             *_random_cases(seed + 1, 3 if quick else 8, 4, 8)]
+    worst = 0.0
+    for circuit, params in cases:
+        stored = compute_geometric_tensor_stored(circuit, params, OpCounter())
+        main = compute_geometric_tensor(circuit, params, OpCounter())
+        for ours, theirs in ((stored.matrix, main.matrix), (stored.li, main.li),
+                             (stored.berry, main.berry)):
+            worst = max(worst, float(np.max(np.abs(ours - theirs))))
+    return CheckResult("stored_agreement", worst <= tolerance, worst, tolerance,
+                       f"{len(cases)} circuits, G, L and T")
+
+
 def _random_hamiltonian(rng: np.random.Generator, num_qubits: int,
                         num_terms: int) -> PauliSum:
     """``num_terms`` terms with coefficients in [-1, 1); each qubit carries
@@ -304,6 +349,8 @@ def run_checks(seed: int = DEFAULT_SEED, quick: bool = False,
         check_gauge_invariance(seed, quick, tol(1e-9)),
         check_diagonal_shortcut(seed, quick, tol(1e-10)),
         check_berry_consistency(seed, quick, tol(1e-12)),
+        check_stored_count_exactness(seed, quick),
+        check_stored_agreement(seed, quick, tol(1e-10)),
         check_gradient_count_exactness(seed, quick),
         check_gradient_finite_difference(seed, quick, tol(1e-6)),
     ]

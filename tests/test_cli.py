@@ -13,7 +13,13 @@ from qngsim.cli import (
 )
 from qngsim.errors import ParseError
 from qngsim.gates import ControlledPauliRotation, GeneratedGate, PauliRotation
-from qngsim.metric import read_tensor_binary
+from qngsim.metric import (
+    compute_geometric_tensor,
+    main_algorithm_cost,
+    read_tensor_binary,
+    stored_tensor_cost,
+)
+from qngsim.statevector import OpCounter
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +111,17 @@ def circuit_file(tmp_path):
 
 
 @pytest.fixture
+def stored_circuit_file(tmp_path):
+    # 2 qubits and 5 gates: (P + 1) * 2^N = 24 <= P^2 = 25, so auto stores
+    path = tmp_path / "stored.txt"
+    path.write_text("qubits 2\nrx 0\nry 1\ncrz 0 1\nrx 1\nrz 0\n")
+    return path
+
+
+STORED_PARAMS = "0.3,0.7,1.1,-0.4,2.2"
+
+
+@pytest.fixture
 def hamiltonian_file(tmp_path):
     path = tmp_path / "h.txt"
     path.write_text("1.0 Z0 Z1\n0.5 X0\n0.5 X1\n")
@@ -157,7 +174,62 @@ def test_tensor_command_no_diag_shortcut(circuit_file, tmp_path):
                                atol=1e-10)
 
 
-@pytest.mark.parametrize("algorithm", ["main", "main-slow"] + [f"alg{k}" for k in range(2, 9)])
+def _printed_counts(out: str) -> tuple[int, ...]:
+    # the last parenthesised group: "(gates=G, clones=C, inner_products=I)"
+    return tuple(int(part.split("=")[1])
+                 for part in out.rsplit("(", 1)[1].rstrip(")\n").split(", "))
+
+
+def test_tensor_default_route_follows_the_rule(circuit_file, stored_circuit_file, tmp_path,
+                                               capsys):
+    # auto (the default) stores on the 5-gate circuit and keeps main on the
+    # 3-gate one (16 > 9); main is forced with --algorithm main, and
+    # --no-diag-shortcut does not touch the stored route
+    out = tmp_path / "g.bin"
+    common = ["--format", "bin", "--out", str(out)]
+    cases = [
+        (stored_circuit_file, STORED_PARAMS, [], stored_tensor_cost(5)),
+        (stored_circuit_file, STORED_PARAMS, ["--algorithm", "auto", "--no-diag-shortcut"],
+         stored_tensor_cost(5)),
+        (stored_circuit_file, STORED_PARAMS, ["--algorithm", "main", "--no-diag-shortcut"],
+         main_algorithm_cost(5)),
+        (circuit_file, "0.3,0.7,1.1", ["--no-diag-shortcut"], main_algorithm_cost(3)),
+    ]
+    for path, params, extra, expected in cases:
+        argv = ["tensor", "--circuit", str(path), "--params", params] + extra + common
+        assert main(argv) == EXIT_OK
+        assert _printed_counts(capsys.readouterr().out) == expected
+        circuit = parse_circuit_text(path.read_text())
+        values = [float(v) for v in params.split(",")]
+        reference = compute_geometric_tensor(circuit, values, OpCounter()).matrix
+        np.testing.assert_allclose(read_tensor_binary(out), reference, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("algorithm", ["auto", "main"] + [f"alg{k}" for k in range(2, 9)])
+def test_tensor_builds_each_gate_operator_once(stored_circuit_file, tmp_path, monkeypatch,
+                                               algorithm):
+    # one binding per request: P unitaries, and P derivatives for every route
+    # but the stored one, which applies each gate's cached factor D instead
+    builds = {"unitary": 0, "derivative": 0}
+
+    def counting(cls, name):
+        method = getattr(cls, name)
+
+        def build(gate, theta):
+            builds[name] += 1
+            return method(gate, theta)
+        monkeypatch.setattr(cls, name, build)
+
+    for cls in (PauliRotation, ControlledPauliRotation):
+        for name in builds:
+            counting(cls, name)
+    assert main(["tensor", "--circuit", str(stored_circuit_file), "--params", STORED_PARAMS,
+                 "--algorithm", algorithm, "--out", str(tmp_path / "g.csv")]) == EXIT_OK
+    assert builds == {"unitary": 5, "derivative": 0 if algorithm == "auto" else 5}
+
+
+@pytest.mark.parametrize("algorithm",
+                         ["auto", "main", "main-slow"] + [f"alg{k}" for k in range(2, 9)])
 def test_tensor_diagonal_is_real_for_every_algorithm(tmp_path, algorithm):
     # every gate word, crx/cry on the wrap-around pair and non-zero phase rates
     circuit = tmp_path / "all.txt"
@@ -168,8 +240,8 @@ def test_tensor_diagonal_is_real_for_every_algorithm(tmp_path, algorithm):
     args = ["tensor", "--circuit", str(circuit), "--params", params, "--format", "bin",
             "--out", str(out)]
     if algorithm == "main-slow":
-        args.append("--no-diag-shortcut")
-    elif algorithm != "main":
+        args += ["--algorithm", "main", "--no-diag-shortcut"]
+    else:  # auto takes the stored route here: 11 * 2^3 <= 10^2
         args += ["--algorithm", algorithm]
     assert main(args) == EXIT_OK
     assert np.all(read_tensor_binary(out).diagonal().imag == 0)
@@ -255,6 +327,20 @@ def test_memory_error_is_resource_exit(circuit_file, tmp_path, monkeypatch, caps
                  "--out", str(tmp_path / "g.csv")])
     assert code == EXIT_RESOURCE
     assert "out of memory" in capsys.readouterr().err
+
+
+def test_memory_error_on_the_stored_route_is_resource_exit(stored_circuit_file, tmp_path,
+                                                           monkeypatch, capsys):
+    # the same exit where auto picks the stored route
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("qngsim.cli.compute_geometric_tensor_stored", exhausted)
+    code = main(["tensor", "--circuit", str(stored_circuit_file), "--params", STORED_PARAMS,
+                 "--out", str(tmp_path / "g.csv")])
+    assert code == EXIT_RESOURCE
+    assert "out of memory" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +454,17 @@ def test_tensor_over_memory_budget_is_resource_error(circuit_file, tmp_path,
     code = main(["tensor", "--circuit", str(circuit_file), "--params", "0.3,0.7,1.1",
                  "--algorithm", "alg7", "--out", str(tmp_path / "g.csv")])
     assert code == EXIT_RESOURCE
+
+
+def test_memory_budget_guards_only_the_explicit_baselines(stored_circuit_file, tmp_path,
+                                                          monkeypatch):
+    # the stored route's six 2-qubit registers (384 bytes) exceed a 64-byte
+    # budget, which binds alg8 but not auto's choice of the same registers
+    monkeypatch.setenv("QNG_MEMORY_BUDGET_BYTES", "64")
+    args = ["tensor", "--circuit", str(stored_circuit_file), "--params", STORED_PARAMS,
+            "--out", str(tmp_path / "g.csv")]
+    assert main(args) == EXIT_OK
+    assert main(args + ["--algorithm", "alg8"]) == EXIT_RESOURCE
 
 
 def test_bench_rejects_bad_sweep(tmp_path):

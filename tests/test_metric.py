@@ -17,8 +17,11 @@ from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString
 from qngsim.metric import (
     compute_berry_vector,
     compute_geometric_tensor,
+    compute_geometric_tensor_stored,
     main_algorithm_cost,
     read_tensor_binary,
+    stored_route_fits,
+    stored_tensor_cost,
     tensor_matrix,
     write_tensor_binary,
     write_tensor_csv,
@@ -178,8 +181,13 @@ def test_tensor_properties_on_random_circuits(case):
     main = compute_geometric_tensor(circuit, params, counter, use_diagonal_shortcut=False)
     assert counter.as_tuple() == main_algorithm_cost(count)
     berry = compute_berry_vector(circuit, params, OpCounter())
-    overlaps = {"main": main.li}
-    tensors = {"main": main.matrix}
+    counter = OpCounter()
+    with track_allocations() as tally:
+        stored = compute_geometric_tensor_stored(circuit, params, counter)
+    assert counter.as_tuple() == stored_tensor_cost(count)
+    assert tally.peak_live("workspace") == count + 1
+    overlaps = {"main": main.li, "stored": stored.li}
+    tensors = {"main": main.matrix, "stored": stored.matrix}
     for alg in BaselineId:
         counter = OpCounter()
         li = compute_li_tensor(alg, circuit, params, counter)
@@ -192,9 +200,11 @@ def test_tensor_properties_on_random_circuits(case):
         assert np.array_equal(li, li.conj().T)
     for matrix in tensors.values():
         assert np.all(matrix.diagonal().imag == 0)
-    assert np.min(np.linalg.eigvalsh(main.fubini_study_metric)) >= -1e-10
+    for tensor in (main, stored):
+        assert np.min(np.linalg.eigvalsh(tensor.fubini_study_metric)) >= -1e-10
+    np.testing.assert_allclose(stored.berry, main.berry, rtol=0, atol=1e-10)
     oracle = finite_difference_tensor(circuit, params)
-    for route in ("main", BaselineId.ALG6, BaselineId.ALG8):
+    for route in ("main", "stored", BaselineId.ALG6, BaselineId.ALG8):
         np.testing.assert_allclose(tensors[route], main.matrix, rtol=0, atol=1e-10)
         np.testing.assert_allclose(tensors[route], oracle, rtol=0, atol=1e-6)
 
@@ -203,9 +213,10 @@ def test_tensor_properties_on_random_circuits(case):
 @given(circuit_cases(2, 4, 10, kinds=("rotation", "phased")), st.floats(-1.0, 1.0))
 def test_tensor_gauge_invariant_under_phased_variant(case, phase_rate):
     circuit, params = case
-    plain = compute_geometric_tensor(circuit, params, OpCounter())
-    phased = compute_geometric_tensor(phased_variant(circuit, phase_rate), params, OpCounter())
-    np.testing.assert_allclose(phased.matrix, plain.matrix, rtol=0, atol=1e-10)
+    for route in (compute_geometric_tensor, compute_geometric_tensor_stored):
+        plain = route(circuit, params, OpCounter())
+        phased = route(phased_variant(circuit, phase_rate), params, OpCounter())
+        np.testing.assert_allclose(phased.matrix, plain.matrix, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +287,43 @@ def test_exactly_five_workspace_registers(num_parameters):
     assert tally.peak_live("workspace") == 5
     assert tally.total_allocated("workspace") == 5
     assert tally.total_allocated() == 6  # the circuit input is the only extra
+
+
+@pytest.mark.parametrize("num_parameters", [1, 2, 3, 8, 17])
+def test_stored_route_counts_registers_and_builds(num_parameters):
+    rng = np.random.default_rng([52, num_parameters])
+    circuit = random_circuit(3, num_parameters, rng)
+    bound = circuit.bind(random_parameters(num_parameters, rng))
+    counter = OpCounter()
+    with track_allocations() as tally:
+        stored = compute_geometric_tensor_stored(circuit, bound, counter)
+    assert counter.as_tuple() == stored_tensor_cost(num_parameters)
+    assert tally.peak_live("workspace") == num_parameters + 1
+    assert tally.total_allocated("workspace") == num_parameters + 1
+    # the pass takes D_i from the gate, so a binding builds only its unitaries
+    assert "unitaries" in vars(bound)
+    assert not {"adjoints", "derivatives", "derivative_adjoints"} & set(vars(bound))
+    main = compute_geometric_tensor(circuit, bound, OpCounter())
+    np.testing.assert_allclose(stored.matrix, main.matrix, rtol=0, atol=1e-12)
+
+
+def test_stored_tensor_cost_closed_form():
+    assert stored_tensor_cost(1) == (2, 2, 2)
+    assert stored_tensor_cost(128) == (8384, 129, 8384)
+    # alg8's forward pass is the stored route's, so their gates and clones agree
+    for p in (1, 2, 7, 100):
+        assert stored_tensor_cost(p)[:2] == cost_model(BaselineId.ALG8, p)[:2]
+
+
+@pytest.mark.parametrize("num_qubits, num_parameters, fits", [
+    (1, 1, False), (1, 3, True), (3, 8, False), (3, 9, True),
+    (4, 16, False), (4, 17, True), (4, 128, True), (18, 24, False),
+])
+def test_route_rule_compares_registers_with_the_tensor(num_qubits, num_parameters, fits):
+    # (P + 1) * 2^N amplitudes of registers against the P^2 entries of G
+    circuit = random_circuit(num_qubits, num_parameters, 53)
+    assert stored_route_fits(circuit) is fits
+    assert fits == ((num_parameters + 1) * 2**num_qubits <= num_parameters**2)
 
 
 def test_final_state_register_holds_ansatz_state():

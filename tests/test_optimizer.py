@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from qngsim.ansatz import AnsatzCircuit, random_circuit, random_layered_circuit, random_parameters
 from qngsim.errors import ParseError, SingularMetricError
 from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString, PauliSum
-from qngsim.metric import compute_geometric_tensor
+from qngsim.metric import (
+    compute_geometric_tensor,
+    main_algorithm_cost,
+    stored_route_fits,
+    stored_tensor_cost,
+)
 from qngsim.optimizer import (
     NATURAL_GRADIENT,
     PLAIN_GRADIENT,
@@ -228,9 +233,8 @@ def test_gradient_counts_equal_cost_model():
         gradient_cost(1, -1)
 
 
-def test_natural_gradient_run_prepares_once_per_point(monkeypatch):
-    # k steps evaluate k + 1 points, one energy-and-gradient pass each, and
-    # k tensors; nothing else applies a gate or clones a state
+def _recorded_run(monkeypatch, circuit, steps):
+    """Run ``steps`` natural-gradient steps; returns the run's one counter."""
     counters = []
 
     class RecordingCounter(OpCounter):
@@ -240,21 +244,47 @@ def test_natural_gradient_run_prepares_once_per_point(monkeypatch):
             super().__init__()
             counters.append(self)
 
-    steps = 3
-    circuit = random_circuit(3, 9, 79)
-    params = random_parameters(9, 80)
-    tensor = OpCounter()
-    compute_geometric_tensor(circuit, params, tensor)
     monkeypatch.setattr("qngsim.optimizer.OpCounter", RecordingCounter)
     config = OptimizerConfig(timestep=0.05, max_steps=steps, energy_tolerance=1e-300)
+    params = random_parameters(circuit.num_parameters, 80)
     trace = run_optimization(circuit, params, ising_pair(), config)
     assert len(trace.records) == steps + 1
     (counter,) = counters
+    return counter
+
+
+def test_natural_gradient_run_prepares_once_per_point(monkeypatch):
+    # k steps evaluate k + 1 points, one energy-and-gradient pass each, and
+    # k tensors; nothing else applies a gate or clones a state.  At (N, P) =
+    # (3, 9) the route rule picks the stored route for the tensor.
+    steps = 3
+    circuit = random_circuit(3, 9, 79)
+    assert stored_route_fits(circuit)
+    tensor_gates, tensor_clones, tensor_inners = stored_tensor_cost(9)
+    counter = _recorded_run(monkeypatch, circuit, steps)
     gates, clones, inners, axpys = gradient_cost(9, len(ising_pair().terms))
-    assert counter.gate_applications == (steps + 1) * gates + steps * tensor.gate_applications
-    assert counter.clones == (steps + 1) * clones + steps * tensor.clones
-    assert counter.inner_products == (steps + 1) * inners + steps * tensor.inner_products
+    assert counter.gate_applications == (steps + 1) * gates + steps * tensor_gates
+    assert counter.clones == (steps + 1) * clones + steps * tensor_clones
+    assert counter.inner_products == (steps + 1) * inners + steps * tensor_inners
     assert counter.axpys == (steps + 1) * axpys
+
+
+@pytest.mark.parametrize("num_parameters, stored", [(8, False), (9, True)])
+def test_optimizer_tensor_follows_the_route_rule(monkeypatch, num_parameters, stored):
+    # on 3 qubits (P + 1) * 2^N <= P^2 first holds at P = 9: one circuit on
+    # each side of the rule, and each step pays exactly its route's tensor
+    steps = 2
+    circuit = random_circuit(3, num_parameters, 81)
+    assert stored_route_fits(circuit) is stored
+    if stored:
+        expected = stored_tensor_cost(num_parameters)
+    else:  # main with its default diagonal shortcut, taken by every gate here
+        gates, clones, inners = main_algorithm_cost(num_parameters)
+        expected = (gates, clones, inners - num_parameters)
+    counter = _recorded_run(monkeypatch, circuit, steps)
+    passes = np.array(gradient_cost(num_parameters, len(ising_pair().terms))[:3])
+    per_step = (np.array(counter.as_tuple()) - (steps + 1) * passes) / steps
+    assert tuple(per_step) == expected
 
 
 @pytest.mark.parametrize("mode", [NATURAL_GRADIENT, PLAIN_GRADIENT])
@@ -342,6 +372,7 @@ def test_plain_mode_skips_tensor_and_scales_linearly(monkeypatch):
         raise AssertionError("plain mode must not evaluate the geometric tensor")
 
     monkeypatch.setattr("qngsim.optimizer.compute_geometric_tensor", no_tensor)
+    monkeypatch.setattr("qngsim.optimizer.compute_geometric_tensor_stored", no_tensor)
     circuit = random_circuit(3, 9, 77)
     params = random_parameters(9, 78)
     config = OptimizerConfig(timestep=0.05, max_steps=1, mode=PLAIN_GRADIENT)
