@@ -348,6 +348,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     else:
         if args.pmax < args.pmin:
             raise ParseError("--pmax must be >= --pmin")
+        if args.pstep < 1:
+            raise ParseError("--pstep must be >= 1")
         p_values = list(range(args.pmin, args.pmax + 1, args.pstep))
     if not p_values or min(p_values) < 1:
         raise ParseError("sweep values must be >= 1")
@@ -406,6 +408,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0):
+        raise ParseError(f"--tol must be finite and >= 0, got {args.tol}")
     results = run_checks(seed=args.seed, quick=args.quick,
                          tolerance_override=args.tol)
     for result in results:
@@ -486,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="reduced suite, finishes in a few seconds")
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     verify.add_argument("--tol", type=float, default=None,
-                        help="override every comparison tolerance")
+                        help="override every comparison tolerance (finite, >= 0)")
     verify.set_defaults(handler=_cmd_verify)
 
     return parser

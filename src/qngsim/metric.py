@@ -130,8 +130,7 @@ def main_algorithm_cost(num_parameters: int) -> tuple[int, int, int]:
 
 
 def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
-                             use_diagonal_shortcut: bool = True,
-                             final_state: Statevector | None = None) -> GeometricTensor:
+                             use_diagonal_shortcut: bool = True) -> GeometricTensor:
     """Evaluate G, L and T for ``circuit`` at ``params`` with 5 fixed registers.
 
     Args:
@@ -141,8 +140,6 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
         counter: receives the exact primitive tally.
         use_diagonal_shortcut: take a-priori values for eligible diagonal
             entries instead of computing ``<phi|phi>``.
-        final_state: optional pre-allocated register to use as the rolling
-            suffix state; on return it holds the full ansatz state.
 
     The five registers are: the rolling suffix state (the state before the
     current gate j), the derivative seed being rolled backward through the
@@ -157,7 +154,7 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
 
     start = input_state(circuit)
     chi = Statevector.zeros(circuit.num_qubits)   # U_1|in>, permanently
-    psi = final_state if final_state is not None else Statevector.zeros(circuit.num_qubits)
+    psi = Statevector.zeros(circuit.num_qubits)   # rolling suffix state
     phi = Statevector.zeros(circuit.num_qubits)   # rolling derivative seed
     lam = Statevector.zeros(circuit.num_qubits)   # rolling prefix state
     mu = Statevector.zeros(circuit.num_qubits)    # prefix derivative image
@@ -278,17 +275,17 @@ def compute_geometric_tensor_stored(circuit: AnsatzCircuit, params,
 
 def compute_berry_vector(circuit: AnsatzCircuit, params,
                          counter: OpCounter) -> np.ndarray:
-    """Standalone ``T_i = <psi_i| dU_i |psi_{i-1}>`` in O(P) gate applications."""
+    """Standalone ``T_i = <psi_i| D_i |psi_i>`` with each gate's cached factor
+    ``D_i``: 2P gates, P + 1 clones and P inner products."""
     bound = circuit.bind(params)
     psi = Statevector.zeros(circuit.num_qubits)
     work = Statevector.zeros(circuit.num_qubits)
-    start = input_state(circuit)
-    clone_into(start, psi, counter)
+    clone_into(input_state(circuit), psi, counter)
     berry = np.zeros(circuit.num_parameters, dtype=np.complex128)
-    for i, (unitary, derivative) in enumerate(zip(bound.unitaries, bound.derivatives)):
-        clone_into(psi, work, counter)
-        apply_operator(work, derivative, counter)
+    for i, (gate, unitary) in enumerate(zip(circuit.gates, bound.unitaries)):
         apply_operator(psi, unitary, counter)
+        clone_into(psi, work, counter)
+        apply_operator(work, gate.derivative_factor, counter)
         berry[i] = inner_product(psi, work, counter)
     return berry
 

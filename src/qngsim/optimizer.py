@@ -11,14 +11,16 @@ and Gacon, arXiv:2009.02823): prepare ``|psi>``, sum the Hamiltonian into one
 register, ``|lambda> = sum_t c_t sigma_t |psi>`` (a clone, a Pauli string and
 an axpy per term), and read the energy ``Re<psi|lambda>``.  One reverse
 sweep then rolls ``|psi>`` and ``|lambda>`` back through the gate adjoints;
-each component is ``2 * Re<lambda_i| dU_i |psi_{i-1}>``.  That is O(P + T)
+each component is ``2 * Re<lambda_i| D_i |psi_i>`` with the gate's cached
+factor ``D_i`` (``dU_i |psi_{i-1}> = D_i |psi_i>``).  That is O(P + T)
 primitives in three registers, counted exactly by :func:`gradient_cost`,
 against the O(P^2) of parameter-wise finite differences.
 ``run_optimization`` binds each point once: the energy, the gradient and the
 tensor all take their gate operators from that one binding.  Its tensor
 route follows the metric module's rule, :func:`stored_route_fits`, as
 ``qngsim tensor`` does by default: the stored route when its P + 1
-registers take no more memory than G, main otherwise.
+registers take no more memory than G (a point then builds only unitaries
+and adjoints), main otherwise.
 """
 
 from __future__ import annotations
@@ -98,14 +100,14 @@ def gradient_cost(num_parameters: int, num_terms: int) -> tuple[int, int, int, i
 
     P gates prepare psi; each term costs a clone, its Pauli string and an
     axpy into lambda; the energy is one inner product; the sweep costs P
-    clones, P inner products and 3P - 1 gates (P adjoints on psi, P
-    derivatives, P - 1 adjoints on lambda).
+    clones, P inner products and 3P - 2 gates (P derivative factors, P - 1
+    adjoints each on psi and on lambda).
     """
     if num_parameters < 1:
         raise ValueError(f"num_parameters must be >= 1, got {num_parameters}")
     if num_terms < 0:
         raise ValueError(f"num_terms must be >= 0, got {num_terms}")
-    return (4 * num_parameters + num_terms - 1, num_parameters + num_terms,
+    return (4 * num_parameters + num_terms - 2, num_parameters + num_terms,
             num_parameters + 1, num_terms)
 
 
@@ -134,16 +136,16 @@ def _energy_and_gradient(bound: BoundCircuit, hamiltonian: PauliSum,
                          counter: OpCounter) -> tuple[float, np.ndarray]:
     """The energy and all P gradient components from one preparation and one
     reverse sweep over three registers; costs :func:`gradient_cost`."""
-    adjoints, derivatives = bound.adjoints, bound.derivatives
+    gates, adjoints = bound.circuit.gates, bound.adjoints
     psi = bound.prepare(counter)
     energy, lam, work = _apply_hamiltonian(psi, hamiltonian, counter)
-    grad = np.zeros(len(adjoints), dtype=np.float64)
-    for i in range(len(adjoints) - 1, -1, -1):
-        apply_operator(psi, adjoints[i], counter)  # psi = |psi_{i-1}>
-        clone_into(psi, work, counter)
-        apply_operator(work, derivatives[i], counter)
+    grad = np.zeros(len(gates), dtype=np.float64)
+    for i in range(len(gates) - 1, -1, -1):
+        clone_into(psi, work, counter)  # psi = |psi_i>, so dU_i|psi_{i-1}> = D_i|psi_i>
+        apply_operator(work, gates[i].derivative_factor, counter)
         grad[i] = 2.0 * inner_product(lam, work, counter).real
         if i > 0:
+            apply_operator(psi, adjoints[i], counter)
             apply_operator(lam, adjoints[i], counter)
     return energy, grad
 

@@ -15,7 +15,8 @@ Conventions fixed here and used everywhere:
   operators are legitimately non-unit vectors and are stored as-is,
 * operators carry small matrices on a few target qubits (or bit masks for
   Pauli strings) and act in place with a kernel picked from their structure
-  (see :class:`MatrixGateOperator`); nothing forms a ``2^N x 2^N`` matrix.
+  (see :class:`MatrixGateOperator`), built per N by ``_kernel(N)`` and cached
+  by :func:`apply_operator`; nothing forms a ``2^N x 2^N`` matrix.
 
 Inner products reduce with a single fixed BLAS call, so repeated runs on the
 same machine are bit-identical.  A Statevector must not be mutated from two
@@ -30,7 +31,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg.blas import zaxpy
@@ -271,30 +272,24 @@ def axpy(alpha: complex, x: Statevector, y: Statevector, counter: OpCounter) -> 
     counter.axpys += 1
 
 
-@runtime_checkable
-class GateOperator(Protocol):
-    """Anything apply_operator can act with: a target list plus an in-place action."""
-
-    qubit_indices: tuple[int, ...]
-    _max_qubit: int
-
-    def _apply_inplace(self, amplitudes: np.ndarray, num_qubits: int) -> None: ...
-
-    def adjoint(self) -> "GateOperator": ...
-
-
-def apply_operator(state: Statevector, op: GateOperator, counter: OpCounter) -> None:
+def apply_operator(state: Statevector, op: MatrixGateOperator | PauliStringOperator,
+                   counter: OpCounter) -> None:
     """Transform ``state`` in place by ``op``; counts one gate application.
 
-    Works for non-unitary operators (derivative gates); the result is then in
-    general not a unit vector and is left unnormalized.
+    Calls the kernel ``op._kernel(N)`` built and cached in ``op._kernels`` on
+    first use at N qubits, which is when ``op``'s qubits are checked against
+    N.  Non-unitary operators (derivative gates) leave the state unnormalized.
     """
-    if op._max_qubit >= state.num_qubits:
-        raise ValueError(
-            f"operator acts on qubit {op._max_qubit}, but the state has only "
-            f"{state.num_qubits} qubits"
-        )
-    op._apply_inplace(state.amplitudes, state.num_qubits)
+    kernel = op._kernels.get(state.num_qubits)
+    if kernel is None:
+        top = max(op.qubit_indices, default=-1)
+        if top >= state.num_qubits:
+            raise ValueError(
+                f"operator acts on qubit {top}, but the state has only "
+                f"{state.num_qubits} qubits"
+            )
+        kernel = op._kernels[state.num_qubits] = op._kernel(state.num_qubits)
+    kernel(state.amplitudes)
     counter.gate_applications += 1
 
 
@@ -452,7 +447,6 @@ class MatrixGateOperator:
             )
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_max_qubit", max(targets))
         object.__setattr__(self, "_kernels", {})
 
     @property
@@ -462,13 +456,10 @@ class MatrixGateOperator:
     def adjoint(self) -> "MatrixGateOperator":
         return MatrixGateOperator(self.targets, self.matrix.conj().T)
 
-    def _apply_inplace(self, amplitudes: np.ndarray, num_qubits: int) -> None:
-        kernel = self._kernels.get(num_qubits)
-        if kernel is None:
-            dense = np.count_nonzero(self.matrix) > np.count_nonzero(self.matrix.diagonal())
-            build = _dense_kernel if dense else _diagonal_kernel
-            kernel = self._kernels[num_qubits] = build(self.matrix, self.targets, num_qubits)
-        kernel(amplitudes)
+    def _kernel(self, num_qubits: int):
+        dense = np.count_nonzero(self.matrix) > np.count_nonzero(self.matrix.diagonal())
+        return (_dense_kernel if dense else _diagonal_kernel)(self.matrix, self.targets,
+                                                              num_qubits)
 
 
 def controlled_matrix_operator(targets: tuple[int, ...], matrix: np.ndarray,
@@ -502,7 +493,7 @@ class PauliStringOperator:
     strings stay O(2^N).  Hermitian, hence self-adjoint.
     """
 
-    __slots__ = ("qubit_indices", "_max_qubit", "_x_mask", "_sign_mask", "_phase", "_kernels")
+    __slots__ = ("qubit_indices", "_x_mask", "_sign_mask", "_phase", "_kernels")
 
     def __init__(self, factors: tuple[tuple[int, str], ...]) -> None:
         qubits = [int(qubit) for qubit, _ in factors]
@@ -515,7 +506,6 @@ class PauliStringOperator:
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"Pauli factors act on duplicate qubits: {qubits}")
         self.qubit_indices = tuple(sorted(qubits))
-        self._max_qubit = max(qubits, default=-1)
         # X and Y flip their bit; Y and Z give a sign; each Y adds a factor i
         self._x_mask = sum(1 << q for q, label in zip(qubits, labels) if label != "Z")
         self._sign_mask = sum(1 << q for q, label in zip(qubits, labels) if label != "X")
@@ -526,8 +516,9 @@ class PauliStringOperator:
         return self
 
     def _kernel(self, num_qubits: int):
-        """Row width, row and column permutations (None without X or Y) and
-        the sign vectors that are not all ones, indexed by source amplitude."""
+        """Multiply rows of ``2**low`` amplitudes in place by the sign vectors
+        that are not all ones (indexed by source amplitude), then permute rows
+        and columns unless the string has no X or Y."""
         low = max(min(num_qubits, _BLOCK_BITS), (num_qubits + 1) // 2)
         perms, signs = [], []
         for size, shift, shape, phase in ((1 << (num_qubits - low), low, (-1, 1), 1),
@@ -537,16 +528,14 @@ class PauliStringOperator:
             sign = phase * np.array([1 - 2 * ((i & mask).bit_count() & 1) for i in range(size)])
             if np.any(sign != 1):
                 signs.append(sign.reshape(shape))
-        return 1 << low, (perms if self._x_mask else None), signs
+        rows, cols = perms if self._x_mask else (None, None)
+        width = 1 << low
 
-    def _apply_inplace(self, amplitudes: np.ndarray, num_qubits: int) -> None:
-        kernel = self._kernels.get(num_qubits)
-        if kernel is None:
-            kernel = self._kernels[num_qubits] = self._kernel(num_qubits)
-        width, perms, signs = kernel
-        view = amplitudes.reshape(-1, width)
-        for sign in signs:
-            np.multiply(view, sign, out=view)
-        if perms is not None:
-            # the column take reads the row-permuted copy: one temporary, not two
-            view.take(perms[0], axis=0).take(perms[1], axis=1, out=view, mode="clip")
+        def apply(amplitudes: np.ndarray) -> None:
+            view = amplitudes.reshape(-1, width)
+            for sign in signs:
+                np.multiply(view, sign, out=view)
+            if rows is not None:
+                # the column take reads the row-permuted copy: one temporary, not two
+                view.take(rows, axis=0).take(cols, axis=1, out=view, mode="clip")
+        return apply

@@ -208,8 +208,9 @@ def test_tensor_default_route_follows_the_rule(circuit_file, stored_circuit_file
 @pytest.mark.parametrize("algorithm", ["auto", "main"] + [f"alg{k}" for k in range(2, 9)])
 def test_tensor_builds_each_gate_operator_once(stored_circuit_file, tmp_path, monkeypatch,
                                                algorithm):
-    # one binding per request: P unitaries, and P derivatives for every route
-    # but the stored one, which applies each gate's cached factor D instead
+    # one binding per request: P unitaries, and P derivatives for main and
+    # alg2..alg6 only; the stored route, alg7, alg8 and the Berry vector apply
+    # each gate's cached factor D instead
     builds = {"unitary": 0, "derivative": 0}
 
     def counting(cls, name):
@@ -225,7 +226,8 @@ def test_tensor_builds_each_gate_operator_once(stored_circuit_file, tmp_path, mo
             counting(cls, name)
     assert main(["tensor", "--circuit", str(stored_circuit_file), "--params", STORED_PARAMS,
                  "--algorithm", algorithm, "--out", str(tmp_path / "g.csv")]) == EXIT_OK
-    assert builds == {"unitary": 5, "derivative": 0 if algorithm == "auto" else 5}
+    assert builds == {"unitary": 5,
+                      "derivative": 0 if algorithm in ("auto", "alg7", "alg8") else 5}
 
 
 @pytest.mark.parametrize("algorithm",
@@ -474,6 +476,15 @@ def test_bench_rejects_bad_sweep(tmp_path):
                  "--out", str(tmp_path / "b.csv")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_bench_rejects_step_below_one(tmp_path, capsys, step):
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--pmin", "1", "--pmax", "4", "--pstep", step,
+                 "--out", str(out)]) == EXIT_USAGE
+    assert "--pstep must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # optimize command
 # ---------------------------------------------------------------------------
@@ -583,6 +594,14 @@ def test_verify_quick_passes(capsys):
     assert "all" in out and "passed" in out
     assert out.count("PASS") >= 6
     assert elapsed < 10.0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-3"])
+def test_verify_rejects_unusable_tolerance_before_any_check(capsys, tol):
+    assert main(["verify", "--quick", f"--tol={tol}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--tol must be finite and >= 0" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_with_absurd_tolerance_fails(capsys):

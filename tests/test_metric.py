@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qngsim.ansatz import (
     AnsatzCircuit,
     phased_variant,
-    prepare_ansatz_state,
     random_circuit,
     random_parameters,
 )
@@ -26,7 +25,7 @@ from qngsim.metric import (
     write_tensor_binary,
     write_tensor_csv,
 )
-from qngsim.statevector import OpCounter, Statevector, track_allocations
+from qngsim.statevector import OpCounter, track_allocations
 from qngsim.verify import finite_difference_tensor
 
 from circuit_strategies import circuit_cases
@@ -324,16 +323,6 @@ def test_route_rule_compares_registers_with_the_tensor(num_qubits, num_parameter
     circuit = random_circuit(num_qubits, num_parameters, 53)
     assert stored_route_fits(circuit) is fits
     assert fits == ((num_parameters + 1) * 2**num_qubits <= num_parameters**2)
-
-
-def test_final_state_register_holds_ansatz_state():
-    rng = np.random.default_rng(48)
-    circuit = random_circuit(3, 6, rng)
-    params = random_parameters(6, rng)
-    register = Statevector.zeros(circuit.num_qubits)
-    compute_geometric_tensor(circuit, params, OpCounter(), final_state=register)
-    expected = prepare_ansatz_state(circuit, params, OpCounter())
-    np.testing.assert_allclose(register.amplitudes, expected.amplitudes, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from qngsim.gates import ControlledPauliRotation, PauliString
 from qngsim.statevector import (
     MatrixGateOperator,
     OpCounter,
+    PauliStringOperator,
     Statevector,
     apply_operator,
     clone_into,
@@ -209,6 +210,19 @@ def test_apply_rx_pi_matches_matrix_exponential_oracle():
 def test_apply_rejects_out_of_range_qubit():
     with pytest.raises(ValueError):
         apply_operator(make_basis_state(1, 0), MatrixGateOperator((1,), X), OpCounter())
+
+
+@pytest.mark.parametrize("op", [MatrixGateOperator((2,), X),
+                                PauliStringOperator(((0, "Z"), (2, "Y")))],
+                         ids=["matrix", "pauli"])
+def test_cached_kernel_still_rejects_a_narrower_register(op):
+    # the range check runs when a kernel is built, once per register size, so
+    # a kernel cached for 3 qubits must not let the operator act on 1
+    counter = OpCounter()
+    apply_operator(make_basis_state(3, 0), op, counter)
+    with pytest.raises(ValueError, match="acts on qubit 2"):
+        apply_operator(make_basis_state(1, 0), op, counter)
+    assert counter.gate_applications == 1
 
 
 def test_operator_rejects_duplicate_targets():

@@ -9,8 +9,13 @@ import inspect
 from pathlib import Path
 
 import qngsim.ansatz
+import qngsim.cli
 import qngsim.metric
 import qngsim.optimizer
+from qngsim.ansatz import random_circuit, random_parameters
+from qngsim.gates import PauliString, PauliSum
+from qngsim.optimizer import OptimizerConfig
+from qngsim.statevector import OpCounter
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -38,3 +43,52 @@ def test_counter_sits_where_the_tracer_reads_it():
                             (qngsim.optimizer.energy_gradient, 3),
                             (qngsim.optimizer.energy_expectation, 3)):
         assert list(inspect.signature(function).parameters)[index] == "counter", function
+
+
+def test_traced_counts_agree_with_the_counter(monkeypatch):
+    # every counted primitive of the tensor routes, the gradient and one
+    # natural-gradient step passes through a name the tracer wraps
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    counters = []
+
+    class RecordedCounter(OpCounter):
+        def __init__(self):
+            super().__init__()
+            counters.append(self)
+
+    monkeypatch.setattr(qngsim.optimizer, "OpCounter", RecordedCounter)
+    circuit = random_circuit(3, 9, 91)
+    params = random_parameters(9, 92)
+    hamiltonian = PauliSum(((-1.0, PauliString.parse("Z0 Z1")),
+                            (0.5, PauliString.parse("X1 Y2")),
+                            (0.25, PauliString.parse(""))))
+    config = OptimizerConfig(timestep=0.05, max_steps=1, energy_tolerance=1e-300)
+    operations = {
+        "stored": lambda counter: qngsim.metric.compute_geometric_tensor_stored(
+            circuit, params, counter),
+        "tensor": lambda counter: qngsim.cli.compute_geometric_tensor(
+            circuit, params, counter),
+        "gradient": lambda counter: qngsim.optimizer.energy_gradient(
+            circuit, params, hamiltonian, counter),
+        "qng": lambda counter: qngsim.optimizer.run_optimization(
+            circuit, params, hamiltonian, config),
+    }
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for kind, operation in operations.items():
+            counter = OpCounter()
+            tracer.begin_op(kind)
+            try:
+                operation(counter)
+            finally:
+                root = tracer.end_op()
+            if kind == "qng":
+                (counter,) = counters  # the one run_optimization made
+            assert counter.as_tuple() != (0, 0, 0), kind
+            assert (root.gates, root.clones, root.inners) == counter.as_tuple(), kind
+    finally:
+        tracer.uninstall()
+    assert tracer.mismatches == []
