@@ -2,8 +2,9 @@
 
 The package computes the quantum geometric tensor of a parameterized circuit
 with a recurrent algorithm costing O(P^2) gate/clone operations and a fixed
-number of workspace registers (or, where P + 1 registers are no larger than
-the tensor, from P stored derivative states), validates it against seven
+number of workspace registers, or with fewer gates from derivative states
+kept B at a time (all P of them where P + 1 registers are no larger than the
+tensor, three otherwise), validates it against seven
 reference strategies and finite differences, and uses it to drive
 natural-gradient minimization of Pauli-sum Hamiltonians.
 """
@@ -40,11 +41,14 @@ from .gates import (
 )
 from .metric import (
     GeometricTensor,
+    blocked_tensor_cost,
     compute_berry_vector,
     compute_geometric_tensor,
+    compute_geometric_tensor_blocked,
     compute_geometric_tensor_stored,
     main_algorithm_cost,
     read_tensor_binary,
+    route_block,
     write_tensor_binary,
     write_tensor_csv,
 )
@@ -56,9 +60,13 @@ from .optimizer import (
     StepRecord,
     energy_expectation,
     energy_gradient,
+    run_optimization,
+)
+from .parsing import (
+    parse_circuit_file,
+    parse_circuit_text,
     parse_hamiltonian_file,
     parse_hamiltonian_text,
-    run_optimization,
 )
 from .statevector import (
     MatrixGateOperator,

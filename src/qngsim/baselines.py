@@ -16,7 +16,8 @@ backward across i (which is why its i loop descends); alg6 also rolls the
 prefix, reaching O(P^2) with four registers; alg7 instead materializes all P
 derivative states and defers the inner products, trading O(P) registers for
 fewer gates; alg8 is alg7 with a rolling suffix, and is the L half of the
-metric module's stored route (:func:`~qngsim.metric.derivative_states`).
+metric module's stored route, the blocked route with B = P
+(:func:`~qngsim.metric.blocked_overlaps`).
 
 Loop bounds, clone points and application order follow the reference control
 flow line by line, so instrumented counts are auditable against
@@ -33,7 +34,7 @@ import numpy as np
 
 from .ansatz import AnsatzCircuit, input_state
 from .errors import ResourceLimitError
-from .metric import derivative_states, mirror_upper, overlap_matrix
+from .metric import blocked_overlaps, mirror_upper, overlap_matrix
 from .statevector import (
     OpCounter,
     Statevector,
@@ -305,9 +306,9 @@ def _run_alg7(circuit, bound, counter, budget):
 def _run_alg8(circuit, bound, counter, budget):
     # As alg7, but the shared pre-derivative suffix rolls forward in a single
     # extra register, roughly halving the gate count: the stored route's
-    # forward pass, which applies D_i to psi_i.
+    # forward pass, which applies D_i to psi_i, without T.
     _ensure_memory(circuit.num_parameters + 1, circuit.num_qubits, budget)
-    return overlap_matrix(derivative_states(bound, counter)[1], counter)
+    return blocked_overlaps(bound, circuit.num_parameters, counter)
 
 
 _RUNNERS = {

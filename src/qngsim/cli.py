@@ -4,15 +4,16 @@ Commands
 --------
 ``tensor``    compute the geometric tensor of a circuit file at given
               parameters and write it as CSV or a packed binary dump.
-              ``--algorithm auto`` (the default) takes the stored route,
-              (P^2 + 3P)/2 gates and P + 1 clones in P + 1 registers, when
+              ``--algorithm auto`` (the default) takes the blocked route
+              with the block B of ``qngsim.metric.route_block``: B = P, the
+              stored route, (P^2 + 3P)/2 gates in P + 1 registers, when
               ``(P + 1) * 2^N <= P^2`` (its registers take no more memory
-              than G), and otherwise main, the five-register recurrence with
-              (3P^2 + P)/2 gates and (P^2 + 3P + 2)/2 clones; ``main`` and
+              than G), and otherwise B = 3, in main's five registers;
+              ``main`` (the recurrence, (3P^2 + P)/2 gates) and
               ``alg2``..``alg8`` force a route.  ``--no-diag-shortcut``
-              applies to main only.  Where auto picks the stored route the
-              printed counts are the stored route's and the CSV differs from
-              main's in the last bits (about 1e-16).
+              applies to main only.  Auto prints the blocked route's counts,
+              and its CSV differs from main's in the last bits (about
+              1e-16).
 ``bench``     sweep parameter counts for selected algorithms, recording
               measured against predicted primitive counts (plot-ready CSV).
 ``optimize``  natural-gradient (or plain-gradient) minimization of a
@@ -24,22 +25,15 @@ Exit codes: 0 success, 1 verification/optimization failure, 2 usage or parse
 error (a path that is missing, unreadable or a directory included), 3 resource
 limit.  The environment variable QNG_MEMORY_BUDGET_BYTES
 overrides the default 4 GiB guard on the register-hungry alg7/alg8 baselines.
-
-Circuit file format (one gate per line after the header; the gate's position
-is its parameter index; ``#`` starts a comment):
-
-    qubits N
-    rx Q | ry Q | rz Q          Pauli rotation exp(i*theta/2 * sigma) on Q
-    crx C Q | cry C Q | crz C Q rotation on Q controlled by C
-    prx Q RATE | pry .. | prz ..  phased rotation (gauge tests)
-    gen C P.. [; C P..]         exp(i*sum c_j*theta*sigma_j), <= 3 qubits,
-                                e.g.  gen 0.5 X0 ; 0.25 Z0 Z1
+The circuit and Hamiltonian file formats are described in
+:mod:`qngsim.parsing`.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -47,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ansatz import AnsatzCircuit, random_circuit, random_parameters
+from .ansatz import random_circuit, random_parameters
 from .baselines import (
     DEFAULT_MEMORY_BUDGET_BYTES,
     BaselineId,
@@ -55,21 +49,11 @@ from .baselines import (
     cost_model,
 )
 from .errors import ParseError, ResourceLimitError, SingularMetricError
-from .gates import (
-    ControlledPauliRotation,
-    GeneratedGate,
-    ParameterizedGate,
-    PauliRotation,
-    PauliString,
-    PauliSum,
-    parse_pauli_term,
-)
 from .metric import (
     compute_berry_vector,
     compute_geometric_tensor,
-    compute_geometric_tensor_stored,
     main_algorithm_cost,
-    stored_route_fits,
+    route_block,
     tensor_matrix,
     write_tensor_binary,
     write_tensor_csv,
@@ -78,9 +62,11 @@ from .optimizer import (
     NATURAL_GRADIENT,
     PLAIN_GRADIENT,
     OptimizerConfig,
-    parse_hamiltonian_file,
     run_optimization,
 )
+# _cmd_tensor calls parse_circuit_file by this module's name, which a tracer
+# can wrap; parse_circuit_text is re-exported
+from .parsing import parse_circuit_file, parse_circuit_text, parse_hamiltonian_file
 from .statevector import OpCounter, track_allocations
 from .verify import DEFAULT_SEED, run_checks
 
@@ -96,90 +82,6 @@ MAX_QUBITS_GUARD = 28
 MEMORY_BUDGET_ENV = "QNG_MEMORY_BUDGET_BYTES"
 
 BENCH_SEED_DEFAULT = 1234
-
-_ROTATIONS = {"rx": "X", "ry": "Y", "rz": "Z"}
-_CONTROLLED = {"crx": "X", "cry": "Y", "crz": "Z"}
-_PHASED = {"prx": "X", "pry": "Y", "prz": "Z"}
-
-
-# ---------------------------------------------------------------------------
-# Circuit file parsing
-# ---------------------------------------------------------------------------
-
-
-def _parse_qubit(token: str, num_qubits: int, role: str) -> int:
-    if not token.isdigit():
-        raise ValueError(f"{role} must be a qubit index, got {token!r}")
-    qubit = int(token)
-    if qubit >= num_qubits:
-        raise ValueError(f"{role} {qubit} out of range for {num_qubits} qubits")
-    return qubit
-
-
-def _parse_gate_line(tokens: list[str], num_qubits: int) -> ParameterizedGate:
-    word = tokens[0].lower()
-    if word in _ROTATIONS:
-        if len(tokens) != 2:
-            raise ValueError(f"{word} takes exactly one qubit")
-        qubit = _parse_qubit(tokens[1], num_qubits, "target")
-        return PauliRotation(PauliString.single(qubit, _ROTATIONS[word]))
-    if word in _CONTROLLED:
-        if len(tokens) != 3:
-            raise ValueError(f"{word} takes a control and a target qubit")
-        control = _parse_qubit(tokens[1], num_qubits, "control")
-        target = _parse_qubit(tokens[2], num_qubits, "target")
-        if control == target:
-            raise ValueError(f"control and target must differ, both are {control}")
-        return ControlledPauliRotation(control, PauliString.single(target, _CONTROLLED[word]))
-    if word in _PHASED:
-        if len(tokens) != 3:
-            raise ValueError(f"{word} takes a qubit and a phase rate")
-        qubit = _parse_qubit(tokens[1], num_qubits, "target")
-        try:
-            rate = float(tokens[2])
-        except ValueError:
-            raise ValueError(f"phase rate must be a number, got {tokens[2]!r}")
-        return PauliRotation(PauliString.single(qubit, _PHASED[word]), phase_rate=rate)
-    if word == "gen":
-        chunks = " ".join(tokens[1:]).split(";")
-        gate = GeneratedGate(PauliSum(tuple(parse_pauli_term(chunk) for chunk in chunks)))
-        for qubit in gate.qubit_indices:
-            _parse_qubit(str(qubit), num_qubits, "gen qubit")
-        return gate
-    raise ValueError(f"unknown gate {word!r}")
-
-
-def parse_circuit_text(text: str, source: str = "<string>") -> AnsatzCircuit:
-    """Parse the line-based circuit format; see the module docstring."""
-    num_qubits: int | None = None
-    gates: list[ParameterizedGate] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if num_qubits is None:
-            if tokens[0].lower() != "qubits" or len(tokens) != 2 or not tokens[1].isdigit():
-                raise ParseError(f"{source}:{lineno}: expected header 'qubits N'")
-            num_qubits = int(tokens[1])
-            if num_qubits < 1:
-                raise ParseError(f"{source}:{lineno}: need at least one qubit")
-            continue
-        try:
-            gates.append(_parse_gate_line(tokens, num_qubits))
-        except ValueError as exc:
-            raise ParseError(f"{source}:{lineno}: {exc}")
-    if num_qubits is None:
-        raise ParseError(f"{source}: missing 'qubits N' header")
-    if not gates:
-        raise ParseError(f"{source}: circuit has no gates")
-    return AnsatzCircuit(num_qubits, tuple(gates))
-
-
-def parse_circuit_file(path) -> AnsatzCircuit:
-    path = Path(path)
-    return parse_circuit_text(path.read_text(), source=str(path))
-
 
 def _parse_param_values(text: str, expected: int) -> np.ndarray:
     try:
@@ -222,14 +124,13 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
     _guard_qubits(circuit.num_qubits, args.allow_large)
     params = _parse_param_values(args.params, circuit.num_parameters)
     counter = OpCounter()
-    if args.algorithm == "auto" and stored_route_fits(circuit):
-        matrix = compute_geometric_tensor_stored(circuit, params, counter).matrix
-    elif args.algorithm in ("auto", "main"):
-        tensor = compute_geometric_tensor(
-            circuit, params, counter,
-            use_diagonal_shortcut=not args.no_diag_shortcut,
-        )
-        matrix = tensor.matrix
+    if args.algorithm == "auto":
+        matrix = compute_geometric_tensor(circuit, params, counter,
+                                          block=route_block(circuit)).matrix
+    elif args.algorithm == "main":
+        matrix = compute_geometric_tensor(
+            circuit, params, counter, use_diagonal_shortcut=not args.no_diag_shortcut
+        ).matrix
     else:
         alg = BaselineId.parse(args.algorithm)
         bound = circuit.bind(params)
@@ -427,8 +328,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+# argparse's own pattern, ^-\d+$|^-\d*\.\d+$, misses exponents, inf and comma
+# lists, so it reads "--tol -1e-3" as two options; no option of this program
+# starts with "-" and a digit, ".", "inf" or "nan", so every argument that
+# does is a value.
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads ``-1e-3`` and ``-inf`` as values; its
+    subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
+def _seed(text: str) -> int:
+    """The ``--seed`` type: an integer >= 0, as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qngsim",
         description="Geometric-tensor computation, benchmarks and "
                     "natural-gradient optimization on a statevector simulator.",
@@ -440,8 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     tensor.add_argument("--params", required=True,
                         help="comma-separated parameter values, one per gate")
     tensor.add_argument("--algorithm", default="auto",
-                        help="auto (default): the stored route, P + 1 registers and "
-                             "(P^2+3P)/2 gates, when (P+1)*2^N <= P^2, else main; "
+                        help="auto (default): the blocked route, with B = P (the "
+                             "stored route: P + 1 registers, (P^2+3P)/2 gates) when "
+                             "(P+1)*2^N <= P^2, else B = 3 (five registers); "
                              "main: the five-register recurrence, (3P^2+P)/2 gates; "
                              "or one of alg2..alg8")
     tensor.add_argument("--no-diag-shortcut", action="store_true",
@@ -462,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="explicit comma-separated P values (overrides the range)")
     bench.add_argument("--qubits", type=int, default=4,
                        help="fixed circuit width for every sweep point")
-    bench.add_argument("--seed", type=int, default=BENCH_SEED_DEFAULT)
+    bench.add_argument("--seed", type=_seed, default=BENCH_SEED_DEFAULT)
     bench.add_argument("--out", required=True)
     bench.set_defaults(handler=_cmd_bench)
 
@@ -477,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="stop when the energy change drops below this")
     optimize.add_argument("--params", default=None,
                           help="initial parameters (default: seeded uniform)")
-    optimize.add_argument("--seed", type=int, default=BENCH_SEED_DEFAULT)
+    optimize.add_argument("--seed", type=_seed, default=BENCH_SEED_DEFAULT)
     optimize.add_argument("--plain", action="store_true",
                           help="plain gradient descent instead of natural gradient")
     optimize.add_argument("--out", required=True)
@@ -488,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the consistency suites")
     verify.add_argument("--quick", action="store_true",
                         help="reduced suite, finishes in a few seconds")
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    verify.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     verify.add_argument("--tol", type=float, default=None,
                         help="override every comparison tolerance (finite, >= 0)")
     verify.set_defaults(handler=_cmd_verify)

@@ -16,30 +16,33 @@ gates as the paper's abstract describes:
   suffix state rolls forward over j, an infix and a prefix state roll
   backward over i.  It costs :func:`main_algorithm_cost`, (3P^2 + P)/2
   gates and (P^2 + 3P + 2)/2 clones.
-* stored, :func:`compute_geometric_tensor_stored`: all P derivative states
-  ``|d_i psi> = U_P ... U_{i+1} D_i |psi_i>`` kept at once in P + 1
-  registers (``dU_i = D_i U_i`` with the theta-free factor ``D_i``), then
-  ``L_ij = <d_i psi|d_j psi>`` and ``T_i = <psi|d_i psi>``.  It costs
-  :func:`stored_tensor_cost`, (P^2 + 3P)/2 gates, P + 1 clones and
-  (P^2 + 3P)/2 inner products, and builds only the P unitaries of a binding.
+* blocked, :func:`compute_geometric_tensor_blocked`: the derivative states
+  ``|d_i psi> = U_P ... U_{i+1} D_i |psi_i>`` (``dU_i = D_i U_i`` with the
+  theta-free factor ``D_i``) kept B at a time, in min(B, P) + 2 registers
+  (P + 1 when B >= P); see :func:`blocked_overlaps`.  It costs
+  :func:`blocked_tensor_cost`, 576 gates and 116 clones at P = 24, B = 3
+  against main's 876 and 325, and builds only the P unitaries of a binding.
+  Its case B = P is the stored route, :func:`compute_geometric_tensor_stored`,
+  with :func:`stored_tensor_cost`, (P^2 + 3P)/2 gates and P + 1 clones.
 
-:func:`stored_route_fits` is the rule that picks between them for
-``qngsim tensor`` (``--algorithm auto``, the default) and for the optimizer:
-the stored route when its registers take no more memory than G itself,
-``(P + 1) * 2^N <= P^2``, and main otherwise.  The two routes round
-differently, so their G differ in the last bits (about 1e-16): wherever the
-rule picks the stored route, the default ``tensor`` prints the stored
-route's counts and its CSV moves in those bits.  Both routes are O(P^2),
-against O(P^3) for evaluating each matrix element from scratch (see the
-baselines module).  Every route returns L as a P x P array whose lower
-triangle :func:`mirror_upper` fills with the conjugate of the upper one.
+:func:`route_block` is the rule that picks B for ``qngsim tensor``
+(``--algorithm auto``, the default) and for the optimizer: B = P where the
+stored registers take no more memory than G itself,
+``(P + 1) * 2^N <= P^2`` (:func:`stored_route_fits`), and B = 3 otherwise,
+in main's five registers.  The two routes round differently, so their G
+differ in the last bits (about 1e-16): the default ``tensor`` prints the
+blocked route's counts and its CSV differs from main's in those bits.  Both
+routes are O(P^2), against O(P^3) for evaluating each matrix element from
+scratch (see the baselines module).  Every route returns L as a P x P array
+whose lower triangle :func:`mirror_upper` fills with the conjugate of the
+upper one.
 
 Diagonal entries ``L_jj = <phi|phi>`` with ``|phi> = dU_j |psi_{j-1}>`` admit
 an a-priori shortcut for rotation-like gates (scale^2 for a plain Pauli
 rotation, scale^2 times the control-1 probability for a controlled one).
 Main takes it by default; ``use_diagonal_shortcut=False`` (``tensor
---no-diag-shortcut``) evaluates every diagonal entry explicitly.  The stored
-route has no shortcut and ignores the flag.
+--no-diag-shortcut``) evaluates every diagonal entry explicitly.  The blocked
+route has no shortcut.
 """
 
 from __future__ import annotations
@@ -62,14 +65,19 @@ from .statevector import (
 __all__ = [
     "GeometricTensor",
     "TENSOR_MAGIC",
+    "WIDE_BLOCK",
+    "blocked_overlaps",
+    "blocked_tensor_cost",
+    "blocked_tensor_registers",
     "compute_berry_vector",
     "compute_geometric_tensor",
+    "compute_geometric_tensor_blocked",
     "compute_geometric_tensor_stored",
-    "derivative_states",
     "main_algorithm_cost",
     "mirror_upper",
     "overlap_matrix",
     "read_tensor_binary",
+    "route_block",
     "stored_route_fits",
     "stored_tensor_cost",
     "tensor_matrix",
@@ -130,8 +138,10 @@ def main_algorithm_cost(num_parameters: int) -> tuple[int, int, int]:
 
 
 def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
-                             use_diagonal_shortcut: bool = True) -> GeometricTensor:
-    """Evaluate G, L and T for ``circuit`` at ``params`` with 5 fixed registers.
+                             use_diagonal_shortcut: bool = True,
+                             block: int | None = None) -> GeometricTensor:
+    """Evaluate G, L and T for ``circuit`` at ``params`` with 5 fixed registers,
+    or by :func:`compute_geometric_tensor_blocked` when ``block`` is given.
 
     Args:
         circuit: the ansatz; gate k owns parameter k.
@@ -139,7 +149,13 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
             ``circuit`` whose operators are then reused.
         counter: receives the exact primitive tally.
         use_diagonal_shortcut: take a-priori values for eligible diagonal
-            entries instead of computing ``<phi|phi>``.
+            entries instead of computing ``<phi|phi>``; does nothing when
+            ``block`` is given.
+        block: None for main; B >= 1 for the blocked route with B live
+            derivative states, as :func:`route_block` picks it.  The CLI and
+            the optimizer reach the blocked route through this function, so
+            a wrapper of this one name (a tracer's span, a test's stub) sees
+            every tensor they compute.
 
     The five registers are: the rolling suffix state (the state before the
     current gate j), the derivative seed being rolled backward through the
@@ -147,6 +163,8 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
     derivative image, and one register permanently holding ``U_1|in>`` for the
     Berry-vector inner products.
     """
+    if block is not None:
+        return compute_geometric_tensor_blocked(circuit, params, counter, block)
     bound = circuit.bind(params)
     theta = bound.theta
     count = circuit.num_parameters
@@ -200,48 +218,104 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
 
 def stored_tensor_cost(num_parameters: int) -> tuple[int, int, int]:
     """Exact (gate applications, clones, inner products) of
-    :func:`compute_geometric_tensor_stored` on P gates.
+    :func:`compute_geometric_tensor_stored` on P gates: (P^2 + 3P)/2,
+    P + 1 and (P^2 + 3P)/2, the blocked route's cost with B = P."""
+    return blocked_tensor_cost(num_parameters, num_parameters)
 
-    P gates roll psi forward, P apply the derivative factors and
-    P(P - 1)/2 roll the derivative states to the end; one clone seeds psi and
-    P copy it out; P(P + 1)/2 inner products read L's upper triangle and P
-    read T.
+
+def blocked_tensor_cost(num_parameters: int, block: int) -> tuple[int, int, int]:
+    """Exact (gate applications, clones, inner products) of
+    :func:`compute_geometric_tensor_blocked` on P gates in blocks of B.
+
+    With n = ceil(P/B) blocks ending at e_1..e_n and tail = sum(P - e_m):
+    each block rolls psi through all P gates from one clone of the input
+    (nP gates, n clones); a gate's derivative state costs a clone and its
+    factor D in its own block and again, in the work register, in each
+    earlier block (P + tail of each); and the live states roll to the end
+    (P(P - 1)/2 gates).  The inner products are L's upper triangle and T.
     """
-    p = num_parameters
-    gates = (p * p + 3 * p) // 2
-    return gates, p + 1, gates
+    p, b = num_parameters, block
+    if b < 1:
+        raise ValueError(f"block must be >= 1, got {b}")
+    ends = [min(end, p) for end in range(b, p + b, b)]
+    tail = sum(p - end for end in ends)
+    gates = len(ends) * p + p + tail + p * (p - 1) // 2
+    return gates, len(ends) + p + tail, p * (p + 1) // 2 + p
+
+
+def blocked_tensor_registers(num_parameters: int, block: int) -> int:
+    """Peak workspace registers of :func:`compute_geometric_tensor_blocked`:
+    psi, min(B, P) derivative states and, when B < P, one work register."""
+    return num_parameters + 1 if block >= num_parameters else block + 2
 
 
 def stored_route_fits(circuit: AnsatzCircuit) -> bool:
-    """The route rule: True when the stored route's P + 1 registers take no
-    more memory than the P x P tensor itself, ``(P + 1) * 2^N <= P^2``."""
+    """True when the stored route's P + 1 registers take no more memory than
+    the P x P tensor itself, ``(P + 1) * 2^N <= P^2``."""
     p = circuit.num_parameters
     return (p + 1) * 2**circuit.num_qubits <= p * p
 
 
-def derivative_states(bound: BoundCircuit,
-                      counter: OpCounter) -> tuple[Statevector, list[Statevector]]:
-    """``|psi>`` and the P derivative states ``|d_i psi>`` in P + 1 registers.
+WIDE_BLOCK = 3
 
-    psi rolls forward through the unitaries; after gate i a clone of
-    ``|psi_i>`` takes the gate's theta-free factor, ``dU_i|psi_{i-1}> =
-    D_i|psi_i>``, and rolls to the end through the later unitaries.  Costs
-    (P^2 + 3P)/2 gates and P + 1 clones.
+
+def route_block(circuit: AnsatzCircuit) -> int:
+    """The route rule: the block B of the blocked route, P (the stored route)
+    where :func:`stored_route_fits`, else ``WIDE_BLOCK`` = 3, which holds
+    main's five workspace registers."""
+    return circuit.num_parameters if stored_route_fits(circuit) else WIDE_BLOCK
+
+
+def blocked_overlaps(bound: BoundCircuit, block: int, counter: OpCounter,
+                     berry: np.ndarray | None = None) -> np.ndarray:
+    """L from the derivative states ``|d_k psi>`` taken B = ``block`` at a
+    time, and T into ``berry`` when one is given.
+
+    For each block [a, b) psi is cloned from the input and rolls through all
+    P unitaries; the block's live states take each unitary after their own
+    gate.  At gate i of the block a clone of ``|psi_i>`` takes the gate's
+    theta-free factor, ``dU_i|psi_{i-1}> = D_i|psi_i>``, and stays live; at a
+    later gate j the clone goes to one work register instead and
+    ``L_kj = <d_k psi_j|work>`` is read for the block's k.  At the end of the
+    block the live states are ``|d_k psi>``: the block's square of L and
+    ``T_k = <psi|d_k psi>`` are read from them.  Costs
+    :func:`blocked_tensor_cost` (without the P inner products of T when
+    ``berry`` is None) in :func:`blocked_tensor_registers`.
     """
     circuit = bound.circuit
-    unitaries = bound.unitaries
-    psi = Statevector.zeros(circuit.num_qubits)
-    clone_into(input_state(circuit), psi, counter)
-    states = []
-    for i, gate in enumerate(circuit.gates):
-        apply_operator(psi, unitaries[i], counter)
-        state = Statevector.zeros(circuit.num_qubits)
-        clone_into(psi, state, counter)
-        apply_operator(state, gate.derivative_factor, counter)
-        for later in unitaries[i + 1:]:
-            apply_operator(state, later, counter)
-        states.append(state)
-    return psi, states
+    count, width = circuit.num_parameters, circuit.num_qubits
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+    start = input_state(circuit)
+    psi = Statevector.zeros(width)
+    states = [Statevector.zeros(width) for _ in range(min(block, count))]
+    work = Statevector.zeros(width) if block < count else None
+    gates = tuple(zip(circuit.gates, bound.unitaries))
+    li = np.zeros((count, count), dtype=np.complex128)
+    for first in range(0, count, block):
+        stop = min(first + block, count)
+        live: list[Statevector] = []
+        clone_into(start, psi, counter)
+        for j, (gate, unitary) in enumerate(gates):
+            apply_operator(psi, unitary, counter)
+            for state in live:
+                apply_operator(state, unitary, counter)
+            if j < first:
+                continue
+            target = states[j - first] if j < stop else work
+            clone_into(psi, target, counter)
+            apply_operator(target, gate.derivative_factor, counter)
+            if j < stop:
+                live.append(target)
+                continue
+            for k, state in enumerate(live, start=first):
+                li[k, j] = inner_product(state, work, counter)
+        for k, state in enumerate(live, start=first):
+            for i in range(k, stop):
+                li[k, i] = inner_product(state, live[i - first], counter)
+            if berry is not None:
+                berry[k] = inner_product(psi, state, counter)
+    return mirror_upper(li)
 
 
 def overlap_matrix(states: list[Statevector], counter: OpCounter) -> np.ndarray:
@@ -255,22 +329,28 @@ def overlap_matrix(states: list[Statevector], counter: OpCounter) -> np.ndarray:
     return mirror_upper(li)
 
 
-def compute_geometric_tensor_stored(circuit: AnsatzCircuit, params,
-                                    counter: OpCounter) -> GeometricTensor:
-    """Evaluate G, L and T for ``circuit`` at ``params`` from the P stored
-    derivative states of :func:`derivative_states`, in P + 1 registers.
+def compute_geometric_tensor_blocked(circuit: AnsatzCircuit, params,
+                                     counter: OpCounter, block: int) -> GeometricTensor:
+    """Evaluate G, L and T for ``circuit`` at ``params`` from the derivative
+    states taken ``block`` at a time (:func:`blocked_overlaps`).
 
     Args:
         circuit: the ansatz; gate k owns parameter k.
         params: length-P vector of finite reals, or a ``BoundCircuit`` of
             ``circuit`` whose unitaries are then reused.
-        counter: receives the exact :func:`stored_tensor_cost`.
+        counter: receives the exact :func:`blocked_tensor_cost`.
+        block: B >= 1, the number of derivative states live at once.
     """
-    psi, states = derivative_states(circuit.bind(params), counter)
-    li = overlap_matrix(states, counter)
-    berry = np.array([inner_product(psi, state, counter) for state in states],
-                     dtype=np.complex128)
+    berry = np.zeros(circuit.num_parameters, dtype=np.complex128)
+    li = blocked_overlaps(circuit.bind(params), block, counter, berry)
     return GeometricTensor(matrix=tensor_matrix(li, berry), berry=berry, li=li)
+
+
+def compute_geometric_tensor_stored(circuit: AnsatzCircuit, params,
+                                    counter: OpCounter) -> GeometricTensor:
+    """The blocked route with B = P: all P derivative states at once, in
+    P + 1 registers, for :func:`stored_tensor_cost`."""
+    return compute_geometric_tensor_blocked(circuit, params, counter, circuit.num_parameters)
 
 
 def compute_berry_vector(circuit: AnsatzCircuit, params,

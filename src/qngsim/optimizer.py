@@ -16,11 +16,12 @@ factor ``D_i`` (``dU_i |psi_{i-1}> = D_i |psi_i>``).  That is O(P + T)
 primitives in three registers, counted exactly by :func:`gradient_cost`,
 against the O(P^2) of parameter-wise finite differences.
 ``run_optimization`` binds each point once: the energy, the gradient and the
-tensor all take their gate operators from that one binding.  Its tensor
-route follows the metric module's rule, :func:`stored_route_fits`, as
-``qngsim tensor`` does by default: the stored route when its P + 1
-registers take no more memory than G (a point then builds only unitaries
-and adjoints), main otherwise.
+tensor all take their gate operators from that one binding.  Its tensor is
+the blocked route with the block the metric module's rule,
+:func:`~qngsim.metric.route_block`, picks, as ``qngsim tensor`` does by
+default: B = P (the stored route) when P + 1 registers take no more memory
+than G, else B = 3 in five registers.  Either way a point builds only
+unitaries and adjoints.
 """
 
 from __future__ import annotations
@@ -32,13 +33,10 @@ import numpy as np
 import scipy.linalg
 
 from .ansatz import AnsatzCircuit, BoundCircuit, prepare_ansatz_state
-from .errors import ParseError, SingularMetricError
-from .gates import PauliSum, parse_pauli_term
-from .metric import (
-    compute_geometric_tensor,
-    compute_geometric_tensor_stored,
-    stored_route_fits,
-)
+from .errors import SingularMetricError
+from .gates import PauliSum
+from .metric import compute_geometric_tensor, route_block
+from .parsing import parse_hamiltonian_file, parse_hamiltonian_text  # re-exported
 from .statevector import (
     OpCounter,
     Statevector,
@@ -64,29 +62,6 @@ __all__ = [
 
 NATURAL_GRADIENT = "natural_gradient"
 PLAIN_GRADIENT = "plain_gradient"
-
-
-def parse_hamiltonian_text(text: str, source: str = "<string>") -> PauliSum:
-    """One term per line: ``coeff pauli-word`` (e.g. ``0.5 X0 X1``).
-
-    A line with just a coefficient is an identity term; blank lines and
-    ``#`` comments are skipped.
-    """
-    terms = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            terms += PauliSum((parse_pauli_term(line),)).terms
-        except ValueError as exc:
-            raise ParseError(f"{source}:{lineno}: {exc}") from None
-    return PauliSum(tuple(terms))
-
-
-def parse_hamiltonian_file(path) -> PauliSum:
-    path = Path(path)
-    return parse_hamiltonian_text(path.read_text(), source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +237,15 @@ def run_optimization(circuit: AnsatzCircuit, initial_params,
     counter = OpCounter()
     bound = circuit.bind(initial_params)
     theta = bound.theta
-    tensor = (compute_geometric_tensor_stored if stored_route_fits(circuit)
-              else compute_geometric_tensor)
+    block = route_block(circuit)
     trace = OptimizationTrace()
     energy, grad = _energy_and_gradient(bound, hamiltonian, counter)
     trace.records.append(StepRecord(0, energy, float(np.linalg.norm(grad)), theta.copy()))
     for step in range(1, config.max_steps + 1):
         delta = -config.timestep * grad
         if config.mode == NATURAL_GRADIENT:
-            metric = tensor(circuit, bound, counter).fubini_study_metric
+            metric = compute_geometric_tensor(circuit, bound, counter,
+                                              block=block).fubini_study_metric
             delta = _solve_metric_system(metric, delta, config.regularization)
         bound = circuit.bind(theta + delta)
         theta = bound.theta

@@ -10,10 +10,12 @@ against the closed-form cost model.  Two checks cover the energy gradient:
 ``gradient_count_exactness`` holds its four counts to ``gradient_cost(P, T)``
 for P = 1..10 (quick) or 1..40 and T = 0..4, and
 ``gradient_finite_difference`` holds ``energy_gradient`` to central
-differences of ``energy_expectation``.  Two cover the stored tensor route:
-``stored_count_exactness`` holds its counts to ``stored_tensor_cost(P)`` and
-its peak to P + 1 workspace registers for P = 1..10 (quick) or 1..40, and
-``stored_agreement`` holds its G, L and T to main's on the circuits of the
+differences of ``energy_expectation``.  Two cover the blocked tensor route,
+whose case B = P is the stored route: ``blocked_count_exactness`` holds its
+counts to ``blocked_tensor_cost(P, B)`` and its peak to
+``blocked_tensor_registers(P, B)`` workspace registers for P = 1..10 (quick)
+or 1..40 and every B from 1 to P + 1, and ``blocked_agreement`` holds its
+G, L and T for every B from 1 to P to main's on the circuits of the
 baseline-equivalence and finite-difference checks.
 """
 
@@ -33,10 +35,11 @@ from .ansatz import (
 from .baselines import BaselineId, compute_li_tensor, cost_model
 from .gates import PauliString, PauliSum
 from .metric import (
+    blocked_tensor_cost,
+    blocked_tensor_registers,
     compute_berry_vector,
     compute_geometric_tensor,
-    compute_geometric_tensor_stored,
-    stored_tensor_cost,
+    compute_geometric_tensor_blocked,
 )
 from .optimizer import energy_expectation, energy_gradient, gradient_cost
 from .statevector import OpCounter, track_allocations
@@ -252,40 +255,47 @@ def check_berry_consistency(seed: int, quick: bool, tolerance: float) -> CheckRe
     return CheckResult("berry_consistency", worst <= tolerance, worst, tolerance)
 
 
-def check_stored_count_exactness(seed: int, quick: bool) -> CheckResult:
-    """The stored route's counts equal ``stored_tensor_cost`` and its peak is
-    P + 1 workspace registers, integer for integer."""
+def check_blocked_count_exactness(seed: int, quick: bool) -> CheckResult:
+    """The blocked route's counts equal ``blocked_tensor_cost`` and its peak
+    is ``blocked_tensor_registers`` workspace registers, integer for integer,
+    for every block from 1 to P + 1."""
     max_parameters = 10 if quick else 40
     rng = np.random.default_rng([seed, 97])
     worst = 0
     for num_parameters in range(1, max_parameters + 1):
         circuit = random_circuit(2, num_parameters, rng)
-        params = random_parameters(num_parameters, rng)
-        counter = OpCounter()
-        with track_allocations() as tally:
-            compute_geometric_tensor_stored(circuit, params, counter)
-        measured = counter.as_tuple() + (tally.peak_live("workspace"),)
-        predicted = stored_tensor_cost(num_parameters) + (num_parameters + 1,)
-        worst = max(worst, *(abs(m - p) for m, p in zip(measured, predicted)))
-    return CheckResult("stored_count_exactness", worst == 0, float(worst), 0.0,
-                       f"gates, clones, inner products and registers, P = 1..{max_parameters}")
+        bound = circuit.bind(random_parameters(num_parameters, rng))
+        for block in range(1, num_parameters + 2):
+            counter = OpCounter()
+            with track_allocations() as tally:
+                compute_geometric_tensor_blocked(circuit, bound, counter, block)
+            measured = counter.as_tuple() + (tally.peak_live("workspace"),)
+            predicted = (blocked_tensor_cost(num_parameters, block)
+                         + (blocked_tensor_registers(num_parameters, block),))
+            worst = max(worst, *(abs(m - p) for m, p in zip(measured, predicted)))
+    return CheckResult("blocked_count_exactness", worst == 0, float(worst), 0.0,
+                       f"gates, clones, inner products and registers, P = 1..{max_parameters}, "
+                       f"B = 1..P + 1")
 
 
-def check_stored_agreement(seed: int, quick: bool, tolerance: float) -> CheckResult:
-    """The stored route's G, L and T against main's, on the circuits of
-    :func:`check_baseline_equivalence` and :func:`check_finite_difference`."""
+def check_blocked_agreement(seed: int, quick: bool, tolerance: float) -> CheckResult:
+    """The blocked route's G, L and T for every block from 1 to P against
+    main's, on the circuits of :func:`check_baseline_equivalence` and
+    :func:`check_finite_difference`."""
     num_cases, num_qubits, num_parameters = (4, 3, 6) if quick else (20, 4, 8)
     cases = [*_random_cases(seed, num_cases, num_qubits, num_parameters),
              *_random_cases(seed + 1, 3 if quick else 8, 4, 8)]
     worst = 0.0
     for circuit, params in cases:
-        stored = compute_geometric_tensor_stored(circuit, params, OpCounter())
-        main = compute_geometric_tensor(circuit, params, OpCounter())
-        for ours, theirs in ((stored.matrix, main.matrix), (stored.li, main.li),
-                             (stored.berry, main.berry)):
-            worst = max(worst, float(np.max(np.abs(ours - theirs))))
-    return CheckResult("stored_agreement", worst <= tolerance, worst, tolerance,
-                       f"{len(cases)} circuits, G, L and T")
+        bound = circuit.bind(params)
+        main = compute_geometric_tensor(circuit, bound, OpCounter())
+        for block in range(1, circuit.num_parameters + 1):
+            blocked = compute_geometric_tensor_blocked(circuit, bound, OpCounter(), block)
+            for ours, theirs in ((blocked.matrix, main.matrix), (blocked.li, main.li),
+                                 (blocked.berry, main.berry)):
+                worst = max(worst, float(np.max(np.abs(ours - theirs))))
+    return CheckResult("blocked_agreement", worst <= tolerance, worst, tolerance,
+                       f"{len(cases)} circuits, B = 1..P, G, L and T")
 
 
 def _random_hamiltonian(rng: np.random.Generator, num_qubits: int,
@@ -349,8 +359,8 @@ def run_checks(seed: int = DEFAULT_SEED, quick: bool = False,
         check_gauge_invariance(seed, quick, tol(1e-9)),
         check_diagonal_shortcut(seed, quick, tol(1e-10)),
         check_berry_consistency(seed, quick, tol(1e-12)),
-        check_stored_count_exactness(seed, quick),
-        check_stored_agreement(seed, quick, tol(1e-10)),
+        check_blocked_count_exactness(seed, quick),
+        check_blocked_agreement(seed, quick, tol(1e-10)),
         check_gradient_count_exactness(seed, quick),
         check_gradient_finite_difference(seed, quick, tol(1e-6)),
     ]

@@ -46,3 +46,11 @@ def circuit_cases(draw, min_qubits, max_qubits, max_gates, kinds=GATE_KINDS):
     params = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=len(gates),
                            max_size=len(gates)))
     return AnsatzCircuit(num_qubits, tuple(gates)), np.array(params)
+
+
+@st.composite
+def blocked_cases(draw, min_qubits, max_qubits, max_gates, kinds=GATE_KINDS):
+    """``(circuit, params, block)``: a :func:`circuit_cases` draw and a block
+    size B of the blocked tensor route from 1 to P + 1."""
+    circuit, params = draw(circuit_cases(min_qubits, max_qubits, max_gates, kinds))
+    return circuit, params, draw(st.integers(1, circuit.num_parameters + 1))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qngsim.cli
 from qngsim.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -14,7 +15,9 @@ from qngsim.cli import (
 from qngsim.errors import ParseError
 from qngsim.gates import ControlledPauliRotation, GeneratedGate, PauliRotation
 from qngsim.metric import (
+    blocked_tensor_cost,
     compute_geometric_tensor,
+    compute_geometric_tensor_blocked,
     main_algorithm_cost,
     read_tensor_binary,
     stored_tensor_cost,
@@ -135,7 +138,13 @@ def test_tensor_command_writes_csv(circuit_file, tmp_path, capsys):
     assert code == EXIT_OK
     lines = out.read_text().splitlines()
     assert lines[0] == "i,j,re,im"
-    assert lines[1].startswith("0,0,0.25")
+    # auto takes the blocked route with B = P = 3 here, whose G_00 rounds to
+    # 0.25 - 2.8e-17 (main's diagonal shortcut gives 0.25 exactly); the CSV
+    # holds its bits exactly
+    circuit = parse_circuit_text(circuit_file.read_text())
+    g00 = compute_geometric_tensor_blocked(circuit, [0.3, 0.7, 1.1], OpCounter(), 3).matrix[0, 0]
+    assert lines[1] == "0,0,%.17g,%.17g" % (g00.real, g00.imag)
+    assert g00 == pytest.approx(0.25, rel=0, abs=1e-15)
     assert len(lines) == 1 + 9
     assert "3x3 tensor" in capsys.readouterr().out
 
@@ -182,9 +191,12 @@ def _printed_counts(out: str) -> tuple[int, ...]:
 
 def test_tensor_default_route_follows_the_rule(circuit_file, stored_circuit_file, tmp_path,
                                                capsys):
-    # auto (the default) stores on the 5-gate circuit and keeps main on the
-    # 3-gate one (16 > 9); main is forced with --algorithm main, and
-    # --no-diag-shortcut does not touch the stored route
+    # auto (the default) stores (B = P) on the 5-gate circuit; where the stored
+    # rule fails it takes B = 3, which is all of the 3-gate circuit (16 > 9)
+    # and blocks of 3 and 2 on a 3-qubit 5-gate one (48 > 25); main is forced
+    # with --algorithm main, and --no-diag-shortcut does not touch auto
+    wide_circuit_file = tmp_path / "wide.txt"
+    wide_circuit_file.write_text("qubits 3\nrx 0\nry 1\ncrz 0 1\nrx 2\ncry 2 0\n")
     out = tmp_path / "g.bin"
     common = ["--format", "bin", "--out", str(out)]
     cases = [
@@ -193,7 +205,10 @@ def test_tensor_default_route_follows_the_rule(circuit_file, stored_circuit_file
          stored_tensor_cost(5)),
         (stored_circuit_file, STORED_PARAMS, ["--algorithm", "main", "--no-diag-shortcut"],
          main_algorithm_cost(5)),
-        (circuit_file, "0.3,0.7,1.1", ["--no-diag-shortcut"], main_algorithm_cost(3)),
+        (circuit_file, "0.3,0.7,1.1", ["--no-diag-shortcut"], blocked_tensor_cost(3, 3)),
+        (wide_circuit_file, STORED_PARAMS, [], blocked_tensor_cost(5, 3)),
+        (wide_circuit_file, STORED_PARAMS, ["--algorithm", "main", "--no-diag-shortcut"],
+         main_algorithm_cost(5)),
     ]
     for path, params, extra, expected in cases:
         argv = ["tensor", "--circuit", str(path), "--params", params] + extra + common
@@ -320,6 +335,23 @@ def test_tensor_command_rejects_non_finite_params(circuit_file, tmp_path, capsys
     assert not out.exists()
 
 
+def test_tensor_looks_up_the_circuit_parser_in_the_cli_module(circuit_file, tmp_path,
+                                                            monkeypatch):
+    # the parser lives in qngsim.parsing; a tracer that wraps the cli's name
+    # still sees every tensor request parse its circuit
+    calls = []
+    parse = qngsim.cli.parse_circuit_file
+
+    def recorded(path):
+        calls.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(qngsim.cli, "parse_circuit_file", recorded)
+    assert main(["tensor", "--circuit", str(circuit_file), "--params", "0.3,0.7,1.1",
+                 "--out", str(tmp_path / "g.csv")]) == EXIT_OK
+    assert calls == [str(circuit_file)]
+
+
 def test_memory_error_is_resource_exit(circuit_file, tmp_path, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError
@@ -333,11 +365,11 @@ def test_memory_error_is_resource_exit(circuit_file, tmp_path, monkeypatch, caps
 
 def test_memory_error_on_the_stored_route_is_resource_exit(stored_circuit_file, tmp_path,
                                                            monkeypatch, capsys):
-    # the same exit where auto picks the stored route
+    # the same exit on auto's blocked route, here with B = P (stored)
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr("qngsim.cli.compute_geometric_tensor_stored", exhausted)
+    monkeypatch.setattr("qngsim.metric.compute_geometric_tensor_blocked", exhausted)
     code = main(["tensor", "--circuit", str(stored_circuit_file), "--params", STORED_PARAMS,
                  "--out", str(tmp_path / "g.csv")])
     assert code == EXIT_RESOURCE
@@ -601,6 +633,58 @@ def test_verify_rejects_unusable_tolerance_before_any_check(capsys, tol):
     assert main(["verify", "--quick", f"--tol={tol}"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert "--tol must be finite and >= 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["-1e-3", "-1E-3", "-2.5e+1", "-inf"])
+def test_verify_reads_a_negative_number_as_the_tolerance(capsys, tol):
+    # argparse's own pattern reads -1e-3 and -inf as options
+    assert main(["verify", "--quick", "--tol", tol]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--tol must be finite and >= 0" in captured.err
+    assert "expected one argument" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dt", "-1e-3", "timestep must be positive"),
+    ("--lambda", "-1e-9", "regularization must be non-negative"),
+    ("--energy-tol", "-1e-12", "energy_tolerance must be positive"),
+    ("--params", "-0.3,0.7", "circuit has 3 parameters, got 2"),
+])
+def test_optimize_reads_a_negative_number_as_a_value(circuit_file, hamiltonian_file, tmp_path,
+                                                    capsys, flag, value, message):
+    out = tmp_path / "t.csv"
+    code = main(["optimize", "--circuit", str(circuit_file), "--hamiltonian",
+                 str(hamiltonian_file), flag, value, "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err
+    assert "expected one argument" not in err
+    assert not out.exists()
+
+
+def test_params_may_start_with_a_negative_number(circuit_file, hamiltonian_file, tmp_path):
+    # argparse's own pattern reads "-0.3,0.7,1.1" as an option
+    params = ["--params", "-0.3,0.7,1.1"]
+    assert main(["tensor", "--circuit", str(circuit_file), "--out",
+                 str(tmp_path / "g.csv")] + params) == EXIT_OK
+    assert main(["optimize", "--circuit", str(circuit_file), "--hamiltonian",
+                 str(hamiltonian_file), "--steps", "1", "--out",
+                 str(tmp_path / "t.csv")] + params) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["verify", "optimize", "bench"])
+@pytest.mark.parametrize("seed", ["-3", "1.5"])
+def test_seed_below_zero_names_the_flag(circuit_file, hamiltonian_file, tmp_path, capsys,
+                                        command, seed):
+    argv = {"verify": ["verify", "--quick"],
+            "optimize": ["optimize", "--circuit", str(circuit_file), "--hamiltonian",
+                         str(hamiltonian_file), "--out", str(tmp_path / "t.csv")],
+            "bench": ["bench", "--plist", "2", "--out", str(tmp_path / "b.csv")]}[command]
+    assert main(argv + ["--seed", seed]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"argument --seed: must be an integer >= 0, got '{seed}'" in captured.err
     assert captured.out == ""
 
 

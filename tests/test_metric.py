@@ -14,11 +14,16 @@ from qngsim.ansatz import (
 from qngsim.baselines import BaselineId, compute_li_tensor, cost_model, naive_full_li_matrix
 from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString
 from qngsim.metric import (
+    WIDE_BLOCK,
+    blocked_tensor_cost,
+    blocked_tensor_registers,
     compute_berry_vector,
     compute_geometric_tensor,
+    compute_geometric_tensor_blocked,
     compute_geometric_tensor_stored,
     main_algorithm_cost,
     read_tensor_binary,
+    route_block,
     stored_route_fits,
     stored_tensor_cost,
     tensor_matrix,
@@ -28,7 +33,7 @@ from qngsim.metric import (
 from qngsim.statevector import OpCounter, track_allocations
 from qngsim.verify import finite_difference_tensor
 
-from circuit_strategies import circuit_cases
+from circuit_strategies import blocked_cases
 
 
 def rx_circuit():
@@ -172,9 +177,9 @@ def test_berry_vector_linear_gate_cost():
 
 
 @settings(max_examples=40, deadline=None)
-@given(circuit_cases(2, 4, 10))
+@given(blocked_cases(2, 4, 10))
 def test_tensor_properties_on_random_circuits(case):
-    circuit, params = case
+    circuit, params, block = case
     count = circuit.num_parameters
     counter = OpCounter()
     main = compute_geometric_tensor(circuit, params, counter, use_diagonal_shortcut=False)
@@ -182,11 +187,11 @@ def test_tensor_properties_on_random_circuits(case):
     berry = compute_berry_vector(circuit, params, OpCounter())
     counter = OpCounter()
     with track_allocations() as tally:
-        stored = compute_geometric_tensor_stored(circuit, params, counter)
-    assert counter.as_tuple() == stored_tensor_cost(count)
-    assert tally.peak_live("workspace") == count + 1
-    overlaps = {"main": main.li, "stored": stored.li}
-    tensors = {"main": main.matrix, "stored": stored.matrix}
+        blocked = compute_geometric_tensor_blocked(circuit, params, counter, block)
+    assert counter.as_tuple() == blocked_tensor_cost(count, block)
+    assert tally.peak_live("workspace") == blocked_tensor_registers(count, block)
+    overlaps = {"main": main.li, "blocked": blocked.li}
+    tensors = {"main": main.matrix, "blocked": blocked.matrix}
     for alg in BaselineId:
         counter = OpCounter()
         li = compute_li_tensor(alg, circuit, params, counter)
@@ -199,20 +204,21 @@ def test_tensor_properties_on_random_circuits(case):
         assert np.array_equal(li, li.conj().T)
     for matrix in tensors.values():
         assert np.all(matrix.diagonal().imag == 0)
-    for tensor in (main, stored):
+    for tensor in (main, blocked):
         assert np.min(np.linalg.eigvalsh(tensor.fubini_study_metric)) >= -1e-10
-    np.testing.assert_allclose(stored.berry, main.berry, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(blocked.berry, main.berry, rtol=0, atol=1e-10)
     oracle = finite_difference_tensor(circuit, params)
-    for route in ("main", "stored", BaselineId.ALG6, BaselineId.ALG8):
+    for route in ("main", "blocked", BaselineId.ALG6, BaselineId.ALG8):
         np.testing.assert_allclose(tensors[route], main.matrix, rtol=0, atol=1e-10)
         np.testing.assert_allclose(tensors[route], oracle, rtol=0, atol=1e-6)
 
 
 @settings(max_examples=40, deadline=None)
-@given(circuit_cases(2, 4, 10, kinds=("rotation", "phased")), st.floats(-1.0, 1.0))
+@given(blocked_cases(2, 4, 10, kinds=("rotation", "phased")), st.floats(-1.0, 1.0))
 def test_tensor_gauge_invariant_under_phased_variant(case, phase_rate):
-    circuit, params = case
-    for route in (compute_geometric_tensor, compute_geometric_tensor_stored):
+    circuit, params, block = case
+    for route in (compute_geometric_tensor, compute_geometric_tensor_stored,
+                  lambda *args: compute_geometric_tensor_blocked(*args, block)):
         plain = route(circuit, params, OpCounter())
         phased = route(phased_variant(circuit, phase_rate), params, OpCounter())
         np.testing.assert_allclose(phased.matrix, plain.matrix, rtol=0, atol=1e-10)
@@ -312,6 +318,55 @@ def test_stored_tensor_cost_closed_form():
     # alg8's forward pass is the stored route's, so their gates and clones agree
     for p in (1, 2, 7, 100):
         assert stored_tensor_cost(p)[:2] == cost_model(BaselineId.ALG8, p)[:2]
+
+
+@pytest.mark.parametrize("num_parameters, block", [(1, 1), (7, 1), (7, 3), (7, 6), (7, 7),
+                                                    (7, 9), (12, 4), (17, 3)])
+def test_blocked_route_holds_its_registers_and_builds(num_parameters, block):
+    # psi, min(B, P) live derivative states and, when B < P, one work
+    # register, allocated once for all blocks, against a 5-register main
+    rng = np.random.default_rng([54, num_parameters])
+    circuit = random_circuit(3, num_parameters, rng)
+    bound = circuit.bind(random_parameters(num_parameters, rng))
+    counter = OpCounter()
+    with track_allocations() as tally:
+        blocked = compute_geometric_tensor_blocked(circuit, bound, counter, block)
+    registers = min(block, num_parameters) + (2 if block < num_parameters else 1)
+    assert blocked_tensor_registers(num_parameters, block) == registers
+    assert tally.peak_live("workspace") == registers
+    assert tally.total_allocated("workspace") == registers
+    assert tally.total_allocated() == registers + 1  # and the circuit input
+    assert counter.as_tuple() == blocked_tensor_cost(num_parameters, block)
+    # like the stored route, it builds only the unitaries of a binding
+    assert not {"adjoints", "derivatives", "derivative_adjoints"} & set(vars(bound))
+    main = compute_geometric_tensor(circuit, bound, OpCounter())
+    np.testing.assert_allclose(blocked.matrix, main.matrix, rtol=0, atol=1e-12)
+
+
+def test_blocked_tensor_cost_closed_form():
+    # (gates, clones, inner products) at P = 24 against main's 876 / 325 / 324
+    assert blocked_tensor_cost(24, 3) == (576, 116, 324)
+    assert blocked_tensor_cost(24, 4) == (504, 90, 324)
+    assert blocked_tensor_cost(128, 3)[:2] == (16427, 2838)
+    assert blocked_tensor_registers(24, WIDE_BLOCK) == 5
+    # B >= P is the stored route
+    for p in (1, 2, 3, 7, 24, 100):
+        for block in (p, p + 1, 2 * p):
+            assert blocked_tensor_cost(p, block) == stored_tensor_cost(p)
+    with pytest.raises(ValueError):
+        blocked_tensor_cost(5, 0)
+    with pytest.raises(ValueError):
+        compute_geometric_tensor_blocked(random_circuit(2, 5, 55), random_parameters(5, 56),
+                                         OpCounter(), 0)
+
+
+@pytest.mark.parametrize("num_qubits, num_parameters, block", [
+    (1, 3, 3), (3, 8, WIDE_BLOCK), (3, 9, 9), (4, 128, 128), (18, 24, WIDE_BLOCK),
+])
+def test_route_rule_picks_the_block(num_qubits, num_parameters, block):
+    # B = P where the stored registers fit, else B = 3: main's five registers
+    circuit = random_circuit(num_qubits, num_parameters, 57)
+    assert route_block(circuit) == block
 
 
 @pytest.mark.parametrize("num_qubits, num_parameters, fits", [

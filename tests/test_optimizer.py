@@ -11,8 +11,8 @@ from qngsim.ansatz import AnsatzCircuit, random_circuit, random_layered_circuit,
 from qngsim.errors import ParseError, SingularMetricError
 from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString, PauliSum
 from qngsim.metric import (
+    blocked_tensor_cost,
     compute_geometric_tensor,
-    main_algorithm_cost,
     stored_route_fits,
     stored_tensor_cost,
 )
@@ -272,15 +272,14 @@ def test_natural_gradient_run_prepares_once_per_point(monkeypatch):
 @pytest.mark.parametrize("num_parameters, stored", [(8, False), (9, True)])
 def test_optimizer_tensor_follows_the_route_rule(monkeypatch, num_parameters, stored):
     # on 3 qubits (P + 1) * 2^N <= P^2 first holds at P = 9: one circuit on
-    # each side of the rule, and each step pays exactly its route's tensor
+    # each side of the rule, and each step pays exactly its block's tensor
     steps = 2
     circuit = random_circuit(3, num_parameters, 81)
     assert stored_route_fits(circuit) is stored
     if stored:
         expected = stored_tensor_cost(num_parameters)
-    else:  # main with its default diagonal shortcut, taken by every gate here
-        gates, clones, inners = main_algorithm_cost(num_parameters)
-        expected = (gates, clones, inners - num_parameters)
+    else:  # the blocked route with B = 3
+        expected = blocked_tensor_cost(num_parameters, 3)
     counter = _recorded_run(monkeypatch, circuit, steps)
     passes = np.array(gradient_cost(num_parameters, len(ising_pair().terms))[:3])
     per_step = (np.array(counter.as_tuple()) - (steps + 1) * passes) / steps
@@ -373,7 +372,7 @@ def test_plain_mode_skips_tensor_and_scales_linearly(monkeypatch):
         raise AssertionError("plain mode must not evaluate the geometric tensor")
 
     monkeypatch.setattr("qngsim.optimizer.compute_geometric_tensor", no_tensor)
-    monkeypatch.setattr("qngsim.optimizer.compute_geometric_tensor_stored", no_tensor)
+    monkeypatch.setattr("qngsim.metric.compute_geometric_tensor_blocked", no_tensor)
     circuit = random_circuit(3, 9, 77)
     params = random_parameters(9, 78)
     config = OptimizerConfig(timestep=0.05, max_steps=1, mode=PLAIN_GRADIENT)
