@@ -3,8 +3,8 @@
 The package computes the quantum geometric tensor of a parameterized circuit
 with a recurrent algorithm costing O(P^2) gate/clone operations and a fixed
 number of workspace registers, or with fewer gates from derivative states
-kept B at a time (all P of them where P + 1 registers are no larger than the
-tensor, three otherwise), validates it against seven
+kept B at a time (B = P, in P + 1 registers, where those registers are no
+larger than the tensor, B = 3 otherwise), validates it against seven
 reference strategies and finite differences, and uses it to drive
 natural-gradient minimization of Pauli-sum Hamiltonians.
 """
@@ -45,7 +45,6 @@ from .metric import (
     compute_berry_vector,
     compute_geometric_tensor,
     compute_geometric_tensor_blocked,
-    compute_geometric_tensor_stored,
     main_algorithm_cost,
     read_tensor_binary,
     route_block,

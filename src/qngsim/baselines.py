@@ -16,7 +16,7 @@ backward across i (which is why its i loop descends); alg6 also rolls the
 prefix, reaching O(P^2) with four registers; alg7 instead materializes all P
 derivative states and defers the inner products, trading O(P) registers for
 fewer gates; alg8 is alg7 with a rolling suffix, and is the L half of the
-metric module's stored route, the blocked route with B = P
+metric module's blocked route with B = P
 (:func:`~qngsim.metric.blocked_overlaps`).
 
 Loop bounds, clone points and application order follow the reference control
@@ -109,15 +109,6 @@ def cost_model(alg: BaselineId, num_parameters: int) -> CostModel:
     raise ValueError(f"unknown baseline {alg!r}")
 
 
-def _ensure_memory(num_registers: int, num_qubits: int, budget_bytes: int) -> None:
-    needed = num_registers * (1 << num_qubits) * _BYTES_PER_AMPLITUDE
-    if needed > budget_bytes:
-        raise ResourceLimitError(
-            f"{num_registers} registers of {num_qubits} qubits need {needed} bytes, "
-            f"over the {budget_bytes}-byte budget"
-        )
-
-
 def compute_li_tensor(alg: BaselineId, circuit: AnsatzCircuit, params,
                       counter: OpCounter,
                       memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES) -> np.ndarray:
@@ -125,10 +116,19 @@ def compute_li_tensor(alg: BaselineId, circuit: AnsatzCircuit, params,
     ends up matching :func:`cost_model`.
 
     Raises:
-        ResourceLimitError: for alg7/alg8 when the P (or P+1) derivative
-            registers would exceed ``memory_budget_bytes``.
+        ResourceLimitError: for alg7/alg8 when their P (or P + 1) registers,
+            ``cost_model(alg, P).registers``, would exceed
+            ``memory_budget_bytes``.
     """
-    return _RUNNERS[alg](circuit, circuit.bind(params), counter, memory_budget_bytes)
+    if alg in (BaselineId.ALG7, BaselineId.ALG8):
+        registers = cost_model(alg, circuit.num_parameters).registers
+        needed = registers * (1 << circuit.num_qubits) * _BYTES_PER_AMPLITUDE
+        if needed > memory_budget_bytes:
+            raise ResourceLimitError(
+                f"{registers} registers of {circuit.num_qubits} qubits need {needed} "
+                f"bytes, over the {memory_budget_bytes}-byte budget"
+            )
+    return _RUNNERS[alg](circuit, circuit.bind(params), counter)
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +169,11 @@ def naive_full_li_matrix(circuit: AnsatzCircuit, params,
     return full
 
 
-def _run_alg2(circuit, bound, counter, budget):
+def _run_alg2(circuit, bound, counter):
     return mirror_upper(naive_full_li_matrix(circuit, bound, counter))
 
 
-def _run_alg3(circuit, bound, counter, budget):
+def _run_alg3(circuit, bound, counter):
     # Upper triangle only; gates above j cancel analytically, so each element
     # is one forward sweep to the derivative of gate j and one adjoint sweep
     # back down through the derivative of gate i.
@@ -198,7 +198,7 @@ def _run_alg3(circuit, bound, counter, budget):
     return mirror_upper(li)
 
 
-def _run_alg4(circuit, bound, counter, budget):
+def _run_alg4(circuit, bound, counter):
     # As alg3, but the pre-gate-j state rolls forward one gate per j iteration
     # instead of being rebuilt from scratch.
     count = circuit.num_parameters
@@ -225,7 +225,7 @@ def _run_alg4(circuit, bound, counter, budget):
     return mirror_upper(li)
 
 
-def _run_alg5(circuit, bound, counter, budget):
+def _run_alg5(circuit, bound, counter):
     # Rolling suffix and rolling infix: the i loop descends so the infix state
     # extends by a single adjoint per iteration.  The final i = 0 roll would
     # be overwritten immediately and is skipped.
@@ -253,7 +253,7 @@ def _run_alg5(circuit, bound, counter, budget):
     return mirror_upper(li)
 
 
-def _run_alg6(circuit, bound, counter, budget):
+def _run_alg6(circuit, bound, counter):
     # Rolling suffix, infix and prefix; every state in an (i, j) iteration
     # comes from the previous iteration in O(1) gates, for O(P^2) total.
     # Dead rolls at i = 0 are skipped, as in alg5.
@@ -282,13 +282,12 @@ def _run_alg6(circuit, bound, counter, budget):
     return mirror_upper(li)
 
 
-def _run_alg7(circuit, bound, counter, budget):
+def _run_alg7(circuit, bound, counter):
     # Materialize every derivative state independently, then take all inner
     # products at the end.  The derivative image is produced as the gate
     # unitary followed by its generator factor: two counted applications,
     # which is what cost_model charges this strategy per state.
     count = circuit.num_parameters
-    _ensure_memory(count, circuit.num_qubits, budget)
     unitaries = bound.unitaries
     start = input_state(circuit)
     states = [Statevector.zeros(circuit.num_qubits) for _ in range(count)]
@@ -303,11 +302,10 @@ def _run_alg7(circuit, bound, counter, budget):
     return overlap_matrix(states, counter)
 
 
-def _run_alg8(circuit, bound, counter, budget):
+def _run_alg8(circuit, bound, counter):
     # As alg7, but the shared pre-derivative suffix rolls forward in a single
-    # extra register, roughly halving the gate count: the stored route's
-    # forward pass, which applies D_i to psi_i, without T.
-    _ensure_memory(circuit.num_parameters + 1, circuit.num_qubits, budget)
+    # extra register, roughly halving the gate count: the forward pass of the
+    # blocked route with B = P, which applies D_i to psi_i, without T.
     return blocked_overlaps(bound, circuit.num_parameters, counter)
 
 

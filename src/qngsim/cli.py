@@ -5,8 +5,8 @@ Commands
 ``tensor``    compute the geometric tensor of a circuit file at given
               parameters and write it as CSV or a packed binary dump.
               ``--algorithm auto`` (the default) takes the blocked route
-              with the block B of ``qngsim.metric.route_block``: B = P, the
-              stored route, (P^2 + 3P)/2 gates in P + 1 registers, when
+              with the block B of ``qngsim.metric.route_block``: B = P,
+              (P^2 + 3P)/2 gates in P + 1 registers, when
               ``(P + 1) * 2^N <= P^2`` (its registers take no more memory
               than G), and otherwise B = 3, in main's five registers;
               ``main`` (the recurrence, (3P^2 + P)/2 gates) and
@@ -85,7 +85,7 @@ BENCH_SEED_DEFAULT = 1234
 
 def _parse_param_values(text: str, expected: int) -> np.ndarray:
     try:
-        values = np.array([float(part) for part in text.split(",") if part.strip()])
+        values = np.array([float(part) for part in text.split(",")])
     except ValueError:
         raise ParseError(f"could not parse parameter list {text!r}")
     if values.size != expected:
@@ -132,7 +132,7 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
             circuit, params, counter, use_diagonal_shortcut=not args.no_diag_shortcut
         ).matrix
     else:
-        alg = BaselineId.parse(args.algorithm)
+        alg = BaselineId(args.algorithm)
         bound = circuit.bind(params)
         li = compute_li_tensor(alg, circuit, bound, counter,
                                memory_budget_bytes=_memory_budget())
@@ -187,17 +187,20 @@ def _parse_algorithm_list(spec: str) -> list[str]:
             continue
         if token == "all":
             names.extend(ordered + ["main"])
+        elif token == "main" or token in ordered:
+            names.append(token)
         elif ".." in token:
             lo, hi = token.split("..", 1)
-            BaselineId.parse(lo), BaselineId.parse(hi)
+            if lo not in ordered or hi not in ordered:
+                raise ParseError(f"algorithm range {token!r} must run between two "
+                                 f"of {', '.join(ordered)}")
             start, stop = ordered.index(lo), ordered.index(hi)
             if start > stop:
                 raise ParseError(f"empty algorithm range {token!r}")
             names.extend(ordered[start:stop + 1])
-        elif token == "main":
-            names.append("main")
         else:
-            names.append(BaselineId.parse(token).value)
+            raise ParseError(f"unknown algorithm {token!r} (expected one of "
+                             f"{', '.join(ordered)}, main or all)")
     if not names:
         raise ParseError(f"no algorithms selected in {spec!r}")
     return names
@@ -363,12 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
     tensor.add_argument("--circuit", required=True, help="circuit file")
     tensor.add_argument("--params", required=True,
                         help="comma-separated parameter values, one per gate")
-    tensor.add_argument("--algorithm", default="auto",
-                        help="auto (default): the blocked route, with B = P (the "
-                             "stored route: P + 1 registers, (P^2+3P)/2 gates) when "
+    tensor.add_argument("--algorithm", default="auto", type=str.lower,
+                        choices=["auto", "main"] + [alg.value for alg in BaselineId],
+                        help="auto (default): the blocked route, with B = P "
+                             "(P + 1 registers, (P^2+3P)/2 gates) when "
                              "(P+1)*2^N <= P^2, else B = 3 (five registers); "
                              "main: the five-register recurrence, (3P^2+P)/2 gates; "
-                             "or one of alg2..alg8")
+                             "or one of alg2..alg8 (any case)")
     tensor.add_argument("--no-diag-shortcut", action="store_true",
                         help="main only: always evaluate diagonal entries explicitly")
     tensor.add_argument("--format", choices=("csv", "bin"), default="csv")

@@ -22,13 +22,13 @@ gates as the paper's abstract describes:
   (P + 1 when B >= P); see :func:`blocked_overlaps`.  It costs
   :func:`blocked_tensor_cost`, 576 gates and 116 clones at P = 24, B = 3
   against main's 876 and 325, and builds only the P unitaries of a binding.
-  Its case B = P is the stored route, :func:`compute_geometric_tensor_stored`,
-  with :func:`stored_tensor_cost`, (P^2 + 3P)/2 gates and P + 1 clones.
+  With B = P it keeps every derivative state at once, in P + 1 registers,
+  for (P^2 + 3P)/2 gates and P + 1 clones.
 
 :func:`route_block` is the rule that picks B for ``qngsim tensor``
-(``--algorithm auto``, the default) and for the optimizer: B = P where the
-stored registers take no more memory than G itself,
-``(P + 1) * 2^N <= P^2`` (:func:`stored_route_fits`), and B = 3 otherwise,
+(``--algorithm auto``, the default) and for the optimizer: B = P where its
+P + 1 registers take no more memory than G itself,
+``(P + 1) * 2^N <= P^2``, and B = 3 otherwise,
 in main's five registers.  The two routes round differently, so their G
 differ in the last bits (about 1e-16): the default ``tensor`` prints the
 blocked route's counts and its CSV differs from main's in those bits.  Both
@@ -65,21 +65,17 @@ from .statevector import (
 __all__ = [
     "GeometricTensor",
     "TENSOR_MAGIC",
-    "WIDE_BLOCK",
     "blocked_overlaps",
     "blocked_tensor_cost",
     "blocked_tensor_registers",
     "compute_berry_vector",
     "compute_geometric_tensor",
     "compute_geometric_tensor_blocked",
-    "compute_geometric_tensor_stored",
     "main_algorithm_cost",
     "mirror_upper",
     "overlap_matrix",
     "read_tensor_binary",
     "route_block",
-    "stored_route_fits",
-    "stored_tensor_cost",
     "tensor_matrix",
     "write_tensor_binary",
     "write_tensor_csv",
@@ -216,13 +212,6 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
     return GeometricTensor(matrix=tensor_matrix(li, berry), berry=berry, li=li)
 
 
-def stored_tensor_cost(num_parameters: int) -> tuple[int, int, int]:
-    """Exact (gate applications, clones, inner products) of
-    :func:`compute_geometric_tensor_stored` on P gates: (P^2 + 3P)/2,
-    P + 1 and (P^2 + 3P)/2, the blocked route's cost with B = P."""
-    return blocked_tensor_cost(num_parameters, num_parameters)
-
-
 def blocked_tensor_cost(num_parameters: int, block: int) -> tuple[int, int, int]:
     """Exact (gate applications, clones, inner products) of
     :func:`compute_geometric_tensor_blocked` on P gates in blocks of B.
@@ -249,21 +238,13 @@ def blocked_tensor_registers(num_parameters: int, block: int) -> int:
     return num_parameters + 1 if block >= num_parameters else block + 2
 
 
-def stored_route_fits(circuit: AnsatzCircuit) -> bool:
-    """True when the stored route's P + 1 registers take no more memory than
-    the P x P tensor itself, ``(P + 1) * 2^N <= P^2``."""
-    p = circuit.num_parameters
-    return (p + 1) * 2**circuit.num_qubits <= p * p
-
-
-WIDE_BLOCK = 3
-
-
 def route_block(circuit: AnsatzCircuit) -> int:
-    """The route rule: the block B of the blocked route, P (the stored route)
-    where :func:`stored_route_fits`, else ``WIDE_BLOCK`` = 3, which holds
-    main's five workspace registers."""
-    return circuit.num_parameters if stored_route_fits(circuit) else WIDE_BLOCK
+    """The route rule: the block B of the blocked route, P where its P + 1
+    registers take no more memory than the P x P tensor itself,
+    ``(P + 1) * 2^N <= P^2``, else 3, which holds main's five workspace
+    registers."""
+    p = circuit.num_parameters
+    return p if (p + 1) * 2**circuit.num_qubits <= p * p else 3
 
 
 def blocked_overlaps(bound: BoundCircuit, block: int, counter: OpCounter,
@@ -277,8 +258,8 @@ def blocked_overlaps(bound: BoundCircuit, block: int, counter: OpCounter,
     theta-free factor, ``dU_i|psi_{i-1}> = D_i|psi_i>``, and stays live; at a
     later gate j the clone goes to one work register instead and
     ``L_kj = <d_k psi_j|work>`` is read for the block's k.  At the end of the
-    block the live states are ``|d_k psi>``: the block's square of L and
-    ``T_k = <psi|d_k psi>`` are read from them.  Costs
+    block the live states are ``|d_k psi>``: the block's square of L is read
+    from them by :func:`overlap_matrix`, then ``T_k = <psi|d_k psi>``.  Costs
     :func:`blocked_tensor_cost` (without the P inner products of T when
     ``berry`` is None) in :func:`blocked_tensor_registers`.
     """
@@ -310,10 +291,9 @@ def blocked_overlaps(bound: BoundCircuit, block: int, counter: OpCounter,
                 continue
             for k, state in enumerate(live, start=first):
                 li[k, j] = inner_product(state, work, counter)
-        for k, state in enumerate(live, start=first):
-            for i in range(k, stop):
-                li[k, i] = inner_product(state, live[i - first], counter)
-            if berry is not None:
+        li[first:stop, first:stop] = overlap_matrix(live, counter)
+        if berry is not None:
+            for k, state in enumerate(live, start=first):
                 berry[k] = inner_product(psi, state, counter)
     return mirror_upper(li)
 
@@ -344,13 +324,6 @@ def compute_geometric_tensor_blocked(circuit: AnsatzCircuit, params,
     berry = np.zeros(circuit.num_parameters, dtype=np.complex128)
     li = blocked_overlaps(circuit.bind(params), block, counter, berry)
     return GeometricTensor(matrix=tensor_matrix(li, berry), berry=berry, li=li)
-
-
-def compute_geometric_tensor_stored(circuit: AnsatzCircuit, params,
-                                    counter: OpCounter) -> GeometricTensor:
-    """The blocked route with B = P: all P derivative states at once, in
-    P + 1 registers, for :func:`stored_tensor_cost`."""
-    return compute_geometric_tensor_blocked(circuit, params, counter, circuit.num_parameters)
 
 
 def compute_berry_vector(circuit: AnsatzCircuit, params,

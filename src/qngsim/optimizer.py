@@ -19,8 +19,8 @@ against the O(P^2) of parameter-wise finite differences.
 tensor all take their gate operators from that one binding.  Its tensor is
 the blocked route with the block the metric module's rule,
 :func:`~qngsim.metric.route_block`, picks, as ``qngsim tensor`` does by
-default: B = P (the stored route) when P + 1 registers take no more memory
-than G, else B = 3 in five registers.  Either way a point builds only
+default: B = P, in P + 1 registers, when those take no more memory than G,
+else B = 3 in five registers.  Either way a point builds only
 unitaries and adjoints.
 """
 

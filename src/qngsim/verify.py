@@ -11,8 +11,8 @@ against the closed-form cost model.  Two checks cover the energy gradient:
 for P = 1..10 (quick) or 1..40 and T = 0..4, and
 ``gradient_finite_difference`` holds ``energy_gradient`` to central
 differences of ``energy_expectation``.  Two cover the blocked tensor route,
-whose case B = P is the stored route: ``blocked_count_exactness`` holds its
-counts to ``blocked_tensor_cost(P, B)`` and its peak to
+B = P (all derivative states at once) included: ``blocked_count_exactness``
+holds its counts to ``blocked_tensor_cost(P, B)`` and its peak to
 ``blocked_tensor_registers(P, B)`` workspace registers for P = 1..10 (quick)
 or 1..40 and every B from 1 to P + 1, and ``blocked_agreement`` holds its
 G, L and T for every B from 1 to P to main's on the circuits of the

@@ -20,7 +20,6 @@ from qngsim.metric import (
     compute_geometric_tensor_blocked,
     main_algorithm_cost,
     read_tensor_binary,
-    stored_tensor_cost,
 )
 from qngsim.statevector import OpCounter
 
@@ -115,7 +114,7 @@ def circuit_file(tmp_path):
 
 @pytest.fixture
 def stored_circuit_file(tmp_path):
-    # 2 qubits and 5 gates: (P + 1) * 2^N = 24 <= P^2 = 25, so auto stores
+    # 2 qubits and 5 gates: (P + 1) * 2^N = 24 <= P^2 = 25, so auto takes B = P
     path = tmp_path / "stored.txt"
     path.write_text("qubits 2\nrx 0\nry 1\ncrz 0 1\nrx 1\nrz 0\n")
     return path
@@ -191,8 +190,8 @@ def _printed_counts(out: str) -> tuple[int, ...]:
 
 def test_tensor_default_route_follows_the_rule(circuit_file, stored_circuit_file, tmp_path,
                                                capsys):
-    # auto (the default) stores (B = P) on the 5-gate circuit; where the stored
-    # rule fails it takes B = 3, which is all of the 3-gate circuit (16 > 9)
+    # auto (the default) takes B = P on the 5-gate circuit; where its P + 1
+    # registers do not fit it takes B = 3, all of the 3-gate circuit (16 > 9)
     # and blocks of 3 and 2 on a 3-qubit 5-gate one (48 > 25); main is forced
     # with --algorithm main, and --no-diag-shortcut does not touch auto
     wide_circuit_file = tmp_path / "wide.txt"
@@ -200,9 +199,9 @@ def test_tensor_default_route_follows_the_rule(circuit_file, stored_circuit_file
     out = tmp_path / "g.bin"
     common = ["--format", "bin", "--out", str(out)]
     cases = [
-        (stored_circuit_file, STORED_PARAMS, [], stored_tensor_cost(5)),
+        (stored_circuit_file, STORED_PARAMS, [], blocked_tensor_cost(5, 5)),
         (stored_circuit_file, STORED_PARAMS, ["--algorithm", "auto", "--no-diag-shortcut"],
-         stored_tensor_cost(5)),
+         blocked_tensor_cost(5, 5)),
         (stored_circuit_file, STORED_PARAMS, ["--algorithm", "main", "--no-diag-shortcut"],
          main_algorithm_cost(5)),
         (circuit_file, "0.3,0.7,1.1", ["--no-diag-shortcut"], blocked_tensor_cost(3, 3)),
@@ -224,7 +223,7 @@ def test_tensor_default_route_follows_the_rule(circuit_file, stored_circuit_file
 def test_tensor_builds_each_gate_operator_once(stored_circuit_file, tmp_path, monkeypatch,
                                                algorithm):
     # one binding per request: P unitaries, and P derivatives for main and
-    # alg2..alg6 only; the stored route, alg7, alg8 and the Berry vector apply
+    # alg2..alg6 only; the blocked route, alg7, alg8 and the Berry vector apply
     # each gate's cached factor D instead
     builds = {"unitary": 0, "derivative": 0}
 
@@ -258,7 +257,7 @@ def test_tensor_diagonal_is_real_for_every_algorithm(tmp_path, algorithm):
             "--out", str(out)]
     if algorithm == "main-slow":
         args += ["--algorithm", "main", "--no-diag-shortcut"]
-    else:  # auto takes the stored route here: 11 * 2^3 <= 10^2
+    else:  # auto takes B = P here: 11 * 2^3 <= 10^2
         args += ["--algorithm", algorithm]
     assert main(args) == EXIT_OK
     assert np.all(read_tensor_binary(out).diagonal().imag == 0)
@@ -335,6 +334,40 @@ def test_tensor_command_rejects_non_finite_params(circuit_file, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["tensor", "optimize"])
+@pytest.mark.parametrize("params", ["0.1,,0.2,0.3", "0.3,0.7,1.1,", ",0.3,0.7,1.1"])
+def test_empty_parameter_field_is_usage_error(circuit_file, hamiltonian_file, tmp_path,
+                                              capsys, command, params):
+    # an empty field is not skipped: "0.1,,0.2,0.3" is not 0.1, 0.2, 0.3
+    out = tmp_path / "out.csv"
+    argv = {"tensor": ["tensor", "--circuit", str(circuit_file)],
+            "optimize": ["optimize", "--circuit", str(circuit_file), "--hamiltonian",
+                         str(hamiltonian_file), "--steps", "1"]}[command]
+    assert main(argv + ["--params", params, "--out", str(out)]) == EXIT_USAGE
+    assert "could not parse parameter list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm", ["AUTO", "Main", "ALG4"])
+def test_tensor_algorithm_is_case_insensitive(circuit_file, tmp_path, capsys, algorithm):
+    def counts(name):
+        assert main(["tensor", "--circuit", str(circuit_file), "--params", "0.3,0.7,1.1",
+                     "--algorithm", name, "--out", str(tmp_path / "g.csv")]) == EXIT_OK
+        return _printed_counts(capsys.readouterr().out)
+
+    assert counts(algorithm) == counts(algorithm.lower())
+
+
+def test_tensor_unknown_algorithm_names_every_choice(circuit_file, tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert main(["tensor", "--circuit", str(circuit_file), "--params", "0.3,0.7,1.1",
+                 "--algorithm", "alg9", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    for name in ["auto", "main"] + [f"alg{k}" for k in range(2, 9)]:
+        assert f"'{name}'" in err, name
+    assert not out.exists()
+
+
 def test_tensor_looks_up_the_circuit_parser_in_the_cli_module(circuit_file, tmp_path,
                                                             monkeypatch):
     # the parser lives in qngsim.parsing; a tracer that wraps the cli's name
@@ -365,7 +398,7 @@ def test_memory_error_is_resource_exit(circuit_file, tmp_path, monkeypatch, caps
 
 def test_memory_error_on_the_stored_route_is_resource_exit(stored_circuit_file, tmp_path,
                                                            monkeypatch, capsys):
-    # the same exit on auto's blocked route, here with B = P (stored)
+    # the same exit on auto's blocked route, here with B = P
     def exhausted(*args, **kwargs):
         raise MemoryError
 
@@ -492,7 +525,7 @@ def test_tensor_over_memory_budget_is_resource_error(circuit_file, tmp_path,
 
 def test_memory_budget_guards_only_the_explicit_baselines(stored_circuit_file, tmp_path,
                                                           monkeypatch):
-    # the stored route's six 2-qubit registers (384 bytes) exceed a 64-byte
+    # B = P's six 2-qubit registers (384 bytes) exceed a 64-byte
     # budget, which binds alg8 but not auto's choice of the same registers
     monkeypatch.setenv("QNG_MEMORY_BUDGET_BYTES", "64")
     args = ["tensor", "--circuit", str(stored_circuit_file), "--params", STORED_PARAMS,
@@ -506,6 +539,17 @@ def test_bench_rejects_bad_sweep(tmp_path):
                  "--out", str(tmp_path / "b.csv")]) == EXIT_USAGE
     assert main(["bench", "--algorithms", "alg9",
                  "--out", str(tmp_path / "b.csv")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("spec", ["alg9", "alg6,mian", "main..alg8"])
+def test_bench_unknown_algorithm_names_main_and_all(tmp_path, capsys, spec):
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--algorithms", spec, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "alg2" in err and "alg8" in err
+    if ".." not in spec:  # a range runs between two baselines only
+        assert "main" in err and "all" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("step", ["0", "-1"])

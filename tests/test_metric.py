@@ -14,18 +14,14 @@ from qngsim.ansatz import (
 from qngsim.baselines import BaselineId, compute_li_tensor, cost_model, naive_full_li_matrix
 from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString
 from qngsim.metric import (
-    WIDE_BLOCK,
     blocked_tensor_cost,
     blocked_tensor_registers,
     compute_berry_vector,
     compute_geometric_tensor,
     compute_geometric_tensor_blocked,
-    compute_geometric_tensor_stored,
     main_algorithm_cost,
     read_tensor_binary,
     route_block,
-    stored_route_fits,
-    stored_tensor_cost,
     tensor_matrix,
     write_tensor_binary,
     write_tensor_csv,
@@ -217,7 +213,7 @@ def test_tensor_properties_on_random_circuits(case):
 @given(blocked_cases(2, 4, 10, kinds=("rotation", "phased")), st.floats(-1.0, 1.0))
 def test_tensor_gauge_invariant_under_phased_variant(case, phase_rate):
     circuit, params, block = case
-    for route in (compute_geometric_tensor, compute_geometric_tensor_stored,
+    for route in (compute_geometric_tensor,
                   lambda *args: compute_geometric_tensor_blocked(*args, block)):
         plain = route(circuit, params, OpCounter())
         phased = route(phased_variant(circuit, phase_rate), params, OpCounter())
@@ -296,13 +292,14 @@ def test_exactly_five_workspace_registers(num_parameters):
 
 @pytest.mark.parametrize("num_parameters", [1, 2, 3, 8, 17])
 def test_stored_route_counts_registers_and_builds(num_parameters):
+    # B = P: psi and all P derivative states, no work register
     rng = np.random.default_rng([52, num_parameters])
     circuit = random_circuit(3, num_parameters, rng)
     bound = circuit.bind(random_parameters(num_parameters, rng))
     counter = OpCounter()
     with track_allocations() as tally:
-        stored = compute_geometric_tensor_stored(circuit, bound, counter)
-    assert counter.as_tuple() == stored_tensor_cost(num_parameters)
+        stored = compute_geometric_tensor_blocked(circuit, bound, counter, num_parameters)
+    assert counter.as_tuple() == blocked_tensor_cost(num_parameters, num_parameters)
     assert tally.peak_live("workspace") == num_parameters + 1
     assert tally.total_allocated("workspace") == num_parameters + 1
     # the pass takes D_i from the gate, so a binding builds only its unitaries
@@ -313,11 +310,12 @@ def test_stored_route_counts_registers_and_builds(num_parameters):
 
 
 def test_stored_tensor_cost_closed_form():
-    assert stored_tensor_cost(1) == (2, 2, 2)
-    assert stored_tensor_cost(128) == (8384, 129, 8384)
-    # alg8's forward pass is the stored route's, so their gates and clones agree
+    # B = P: (P^2 + 3P)/2 gates, P + 1 clones, (P^2 + 3P)/2 inner products
+    assert blocked_tensor_cost(1, 1) == (2, 2, 2)
+    assert blocked_tensor_cost(128, 128) == (8384, 129, 8384)
+    # alg8's forward pass is B = P's, so their gates and clones agree
     for p in (1, 2, 7, 100):
-        assert stored_tensor_cost(p)[:2] == cost_model(BaselineId.ALG8, p)[:2]
+        assert blocked_tensor_cost(p, p)[:2] == cost_model(BaselineId.ALG8, p)[:2]
 
 
 @pytest.mark.parametrize("num_parameters, block", [(1, 1), (7, 1), (7, 3), (7, 6), (7, 7),
@@ -337,7 +335,8 @@ def test_blocked_route_holds_its_registers_and_builds(num_parameters, block):
     assert tally.total_allocated("workspace") == registers
     assert tally.total_allocated() == registers + 1  # and the circuit input
     assert counter.as_tuple() == blocked_tensor_cost(num_parameters, block)
-    # like the stored route, it builds only the unitaries of a binding
+    # the pass takes D_i from the gate, so a binding builds only its unitaries
+    assert "unitaries" in vars(bound)
     assert not {"adjoints", "derivatives", "derivative_adjoints"} & set(vars(bound))
     main = compute_geometric_tensor(circuit, bound, OpCounter())
     np.testing.assert_allclose(blocked.matrix, main.matrix, rtol=0, atol=1e-12)
@@ -348,11 +347,12 @@ def test_blocked_tensor_cost_closed_form():
     assert blocked_tensor_cost(24, 3) == (576, 116, 324)
     assert blocked_tensor_cost(24, 4) == (504, 90, 324)
     assert blocked_tensor_cost(128, 3)[:2] == (16427, 2838)
-    assert blocked_tensor_registers(24, WIDE_BLOCK) == 5
-    # B >= P is the stored route
+    assert blocked_tensor_registers(24, 3) == 5
+    # B >= P is the B = P route
     for p in (1, 2, 3, 7, 24, 100):
+        expected = ((p * p + 3 * p) // 2, p + 1, (p * p + 3 * p) // 2)
         for block in (p, p + 1, 2 * p):
-            assert blocked_tensor_cost(p, block) == stored_tensor_cost(p)
+            assert blocked_tensor_cost(p, block) == expected
     with pytest.raises(ValueError):
         blocked_tensor_cost(5, 0)
     with pytest.raises(ValueError):
@@ -361,10 +361,10 @@ def test_blocked_tensor_cost_closed_form():
 
 
 @pytest.mark.parametrize("num_qubits, num_parameters, block", [
-    (1, 3, 3), (3, 8, WIDE_BLOCK), (3, 9, 9), (4, 128, 128), (18, 24, WIDE_BLOCK),
+    (1, 3, 3), (3, 8, 3), (3, 9, 9), (4, 128, 128), (18, 24, 3),
 ])
 def test_route_rule_picks_the_block(num_qubits, num_parameters, block):
-    # B = P where the stored registers fit, else B = 3: main's five registers
+    # B = P where its P + 1 registers fit, else B = 3: main's five registers
     circuit = random_circuit(num_qubits, num_parameters, 57)
     assert route_block(circuit) == block
 
@@ -376,7 +376,7 @@ def test_route_rule_picks_the_block(num_qubits, num_parameters, block):
 def test_route_rule_compares_registers_with_the_tensor(num_qubits, num_parameters, fits):
     # (P + 1) * 2^N amplitudes of registers against the P^2 entries of G
     circuit = random_circuit(num_qubits, num_parameters, 53)
-    assert stored_route_fits(circuit) is fits
+    assert route_block(circuit) == (num_parameters if fits else 3)
     assert fits == ((num_parameters + 1) * 2**num_qubits <= num_parameters**2)
 
 

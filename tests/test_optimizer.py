@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 from qngsim.ansatz import AnsatzCircuit, random_circuit, random_layered_circuit, random_parameters
 from qngsim.errors import ParseError, SingularMetricError
 from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString, PauliSum
-from qngsim.metric import (
-    blocked_tensor_cost,
-    compute_geometric_tensor,
-    stored_route_fits,
-    stored_tensor_cost,
-)
+from qngsim.metric import blocked_tensor_cost, compute_geometric_tensor, route_block
 from qngsim.optimizer import (
     NATURAL_GRADIENT,
     PLAIN_GRADIENT,
@@ -256,11 +251,11 @@ def _recorded_run(monkeypatch, circuit, steps):
 def test_natural_gradient_run_prepares_once_per_point(monkeypatch):
     # k steps evaluate k + 1 points, one energy-and-gradient pass each, and
     # k tensors; nothing else applies a gate or clones a state.  At (N, P) =
-    # (3, 9) the route rule picks the stored route for the tensor.
+    # (3, 9) the route rule picks B = P for the tensor.
     steps = 3
     circuit = random_circuit(3, 9, 79)
-    assert stored_route_fits(circuit)
-    tensor_gates, tensor_clones, tensor_inners = stored_tensor_cost(9)
+    assert route_block(circuit) == 9
+    tensor_gates, tensor_clones, tensor_inners = blocked_tensor_cost(9, 9)
     counter = _recorded_run(monkeypatch, circuit, steps)
     gates, clones, inners, axpys = gradient_cost(9, len(ising_pair().terms))
     assert counter.gate_applications == (steps + 1) * gates + steps * tensor_gates
@@ -275,11 +270,9 @@ def test_optimizer_tensor_follows_the_route_rule(monkeypatch, num_parameters, st
     # each side of the rule, and each step pays exactly its block's tensor
     steps = 2
     circuit = random_circuit(3, num_parameters, 81)
-    assert stored_route_fits(circuit) is stored
-    if stored:
-        expected = stored_tensor_cost(num_parameters)
-    else:  # the blocked route with B = 3
-        expected = blocked_tensor_cost(num_parameters, 3)
+    block = num_parameters if stored else 3
+    assert route_block(circuit) == block
+    expected = blocked_tensor_cost(num_parameters, block)
     counter = _recorded_run(monkeypatch, circuit, steps)
     passes = np.array(gradient_cost(num_parameters, len(ising_pair().terms))[:3])
     per_step = (np.array(counter.as_tuple()) - (steps + 1) * passes) / steps
@@ -289,7 +282,7 @@ def test_optimizer_tensor_follows_the_route_rule(monkeypatch, num_parameters, st
 @pytest.mark.parametrize("mode", [NATURAL_GRADIENT, PLAIN_GRADIENT])
 def test_run_builds_each_gate_operator_once_per_point(monkeypatch, mode):
     # the energy, the gradient and the tensor share one binding per point; the
-    # circuit takes the stored route, so nothing applies a per-theta dU
+    # circuit takes the blocked route, so nothing applies a per-theta dU
     builds = {"unitary": 0, "derivative": 0}
 
     def counting(cls, name):

@@ -66,10 +66,13 @@ def test_traced_counts_agree_with_the_counter(monkeypatch):
                             (0.25, PauliString.parse(""))))
     config = OptimizerConfig(timestep=0.05, max_steps=1, energy_tolerance=1e-300)
     operations = {
-        "stored": lambda counter: qngsim.metric.compute_geometric_tensor_stored(
-            circuit, params, counter),
         "tensor": lambda counter: qngsim.cli.compute_geometric_tensor(
             circuit, params, counter),
+        # the two blocks tensor --algorithm auto takes: B = P and B = 3
+        "blocked-9": lambda counter: qngsim.cli.compute_geometric_tensor(
+            circuit, params, counter, block=9),
+        "blocked-3": lambda counter: qngsim.cli.compute_geometric_tensor(
+            circuit, params, counter, block=3),
         "gradient": lambda counter: qngsim.optimizer.energy_gradient(
             circuit, params, hamiltonian, counter),
         "qng": lambda counter: qngsim.optimizer.run_optimization(
