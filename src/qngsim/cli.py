@@ -184,7 +184,7 @@ def _parse_algorithm_list(spec: str) -> list[str]:
     for token in spec.split(","):
         token = token.strip().lower()
         if not token:
-            continue
+            raise ParseError(f"--algorithms: empty field in {spec!r}")
         if token == "all":
             names.extend(ordered + ["main"])
         elif token == "main" or token in ordered:
@@ -201,8 +201,6 @@ def _parse_algorithm_list(spec: str) -> list[str]:
         else:
             raise ParseError(f"unknown algorithm {token!r} (expected one of "
                              f"{', '.join(ordered)}, main or all)")
-    if not names:
-        raise ParseError(f"no algorithms selected in {spec!r}")
     return names
 
 
@@ -247,8 +245,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ResourceLimitError(
             f"bench runs at most {MAX_QUBITS_GUARD} qubits, got {args.qubits}")
     algorithms = _parse_algorithm_list(args.algorithms)
-    if args.plist:
-        p_values = sorted({int(part) for part in args.plist.split(",") if part.strip()})
+    if args.plist is not None:
+        try:  # every field must parse: an empty one is not skipped
+            p_values = sorted({int(field) for field in args.plist.split(",")})
+        except ValueError:
+            raise ParseError(f"--plist: expected comma-separated integers, "
+                             f"got {args.plist!r}") from None
     else:
         if args.pmax < args.pmin:
             raise ParseError("--pmax must be >= --pmin")

@@ -210,13 +210,12 @@ class ParameterizedGate(ABC):
     def derivative_factor(self) -> MatrixGateOperator:
         """``D = i * A``, so dU/dtheta = D . U(theta); built once per gate."""
 
-    def a_priori_diagonal(self, theta: float,
-                          pre_state: Statevector | None = None) -> float | None:
-        """``<phi|phi>`` for ``|phi> = dU/dtheta |pre_state>`` when known cheaply.
+    def a_priori_diagonal(self, state: Statevector) -> float | None:
+        """``<phi|phi> = <state|A^2|state>`` for ``|phi> = D|state>`` when it
+        is known without an inner product, else None.
 
-        Returns None when the value must be computed explicitly (either the
-        gate kind has no shortcut, or it needs ``pre_state`` and none was
-        given).
+        ``state`` is the state just after this gate, ``U|pre>``, so
+        ``|phi> = dU/dtheta |pre>``; the value does not depend on theta.
         """
         return None
 
@@ -268,9 +267,8 @@ class PauliRotation(ParameterizedGate):
             factor = 1j * self.phase_rate * np.eye(len(factor)) + factor
         return MatrixGateOperator(self.axis.qubits, factor)
 
-    def a_priori_diagonal(self, theta: float,
-                          pre_state: Statevector | None = None) -> float | None:
-        # (d/dtheta of the exponent coefficient)^2; state-independent.
+    def a_priori_diagonal(self, state: Statevector) -> float | None:
+        # A^2 = scale^2 for a self-inverse axis; state-independent.
         return None if self.phase_rate else self.scale * self.scale
 
 
@@ -323,11 +321,9 @@ class ControlledPauliRotation(ParameterizedGate):
             zero_uncontrolled=True,
         )
 
-    def a_priori_diagonal(self, theta: float,
-                          pre_state: Statevector | None = None) -> float | None:
-        if pre_state is None:
-            return None
-        return self.scale * self.scale * pre_state.probability_of_one(self.control)
+    def a_priori_diagonal(self, state: Statevector) -> float | None:
+        # A^2 = scale^2 |1><1|_control; the gate leaves P(control = 1) unchanged.
+        return self.scale * self.scale * state.probability_of_one(self.control)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,11 +17,11 @@ gates as the paper's abstract describes:
   backward over i.  It costs :func:`main_algorithm_cost`, (3P^2 + P)/2
   gates and (P^2 + 3P + 2)/2 clones.
 * blocked, :func:`compute_geometric_tensor_blocked`: the derivative states
-  ``|d_i psi> = U_P ... U_{i+1} D_i |psi_i>`` (``dU_i = D_i U_i`` with the
-  theta-free factor ``D_i``) kept B at a time, in min(B, P) + 2 registers
-  (P + 1 when B >= P); see :func:`blocked_overlaps`.  It costs
-  :func:`blocked_tensor_cost`, 576 gates and 116 clones at P = 24, B = 3
-  against main's 876 and 325, and builds only the P unitaries of a binding.
+  ``|d_i psi> = U_P ... U_{i+1} D_i |psi_i>`` kept B at a time, in
+  min(B, P) + 2 registers (P + 1 when B >= P); see :func:`blocked_overlaps`.
+  It costs :func:`blocked_tensor_cost`, 576 gates and 116 clones at P = 24,
+  B = 3 against main's 876 and 325, and builds only the P unitaries of a
+  binding.
   With B = P it keeps every derivative state at once, in P + 1 registers,
   for (P^2 + 3P)/2 gates and P + 1 clones.
 
@@ -37,9 +37,14 @@ scratch (see the baselines module).  Every route returns L as a P x P array
 whose lower triangle :func:`mirror_upper` fills with the conjugate of the
 upper one.
 
-Diagonal entries ``L_jj = <phi|phi>`` with ``|phi> = dU_j |psi_{j-1}>`` admit
-an a-priori shortcut for rotation-like gates (scale^2 for a plain Pauli
-rotation, scale^2 times the control-1 probability for a controlled one).
+Both routes take each derivative state from ``|psi_j> = U_j ... U_1 |in>``
+and the gate's cached theta-free factor ``D_j``, as
+``dU_j |psi_{j-1}> = D_j |psi_j>``, so neither builds a per-theta dU.
+
+Diagonal entries ``L_jj = <phi|phi>`` with ``|phi> = D_j |psi_j>`` admit an
+a-priori shortcut for rotation-like gates (scale^2 for a plain Pauli
+rotation, scale^2 times the control-1 probability of ``|psi_j>`` for a
+controlled one; see :meth:`~qngsim.gates.ParameterizedGate.a_priori_diagonal`).
 Main takes it by default; ``use_diagonal_shortcut=False`` (``tensor
 --no-diag-shortcut``) evaluates every diagonal entry explicitly.  The blocked
 route has no shortcut.
@@ -153,18 +158,20 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
             a wrapper of this one name (a tracer's span, a test's stub) sees
             every tensor they compute.
 
-    The five registers are: the rolling suffix state (the state before the
-    current gate j), the derivative seed being rolled backward through the
-    infix, the rolling prefix state, a scratch register for the prefix
-    derivative image, and one register permanently holding ``U_1|in>`` for the
-    Berry-vector inner products.
+    The five registers are: the rolling suffix state ``|psi_j>`` (the state
+    after the current gate j), the derivative seed ``D_j|psi_j>`` being rolled
+    backward through the infix, the rolling prefix state ``|psi_i>``, a
+    scratch register for the prefix derivative image ``D_i|psi_i>``, and one
+    register permanently holding ``U_1|in>`` for the Berry-vector inner
+    products.  Each ``D`` is the gate's cached theta-free factor, so a
+    binding builds only its unitaries and their adjoints.
     """
     if block is not None:
         return compute_geometric_tensor_blocked(circuit, params, counter, block)
     bound = circuit.bind(params)
-    theta = bound.theta
-    count = circuit.num_parameters
-    unitaries, adjoints, derivatives = bound.unitaries, bound.adjoints, bound.derivatives
+    gates, count = circuit.gates, circuit.num_parameters
+    unitaries, adjoints = bound.unitaries, bound.adjoints
+    factors = tuple(gate.derivative_factor for gate in gates)
 
     start = input_state(circuit)
     chi = Statevector.zeros(circuit.num_qubits)   # U_1|in>, permanently
@@ -176,37 +183,21 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
     berry = np.zeros(count, dtype=np.complex128)
     li = np.zeros((count, count), dtype=np.complex128)
 
-    def diagonal(j: int, pre_state: Statevector) -> complex:
-        if use_diagonal_shortcut:
-            value = circuit.gates[j].a_priori_diagonal(theta[j], pre_state)
-            if value is not None:
-                return complex(value)
-        return inner_product(phi, phi, counter)
-
-    # First parameter handled separately: it seeds the permanent U_1|in>
-    # register and the rolling suffix state.
-    clone_into(start, chi, counter)
-    apply_operator(chi, unitaries[0], counter)
-    clone_into(chi, psi, counter)
-    clone_into(start, phi, counter)
-    apply_operator(phi, derivatives[0], counter)
-    berry[0] = inner_product(chi, phi, counter)
-    li[0, 0] = diagonal(0, start)
-
-    for j in range(1, count):
-        # psi currently holds the state before gate j
-        clone_into(psi, lam, counter)
+    clone_into(start, psi, counter)
+    for j in range(count):
+        apply_operator(psi, unitaries[j], counter)          # psi = |psi_j>
+        clone_into(psi, lam if j else chi, counter)         # chi keeps U_1|in>
         clone_into(psi, phi, counter)
-        apply_operator(phi, derivatives[j], counter)
-        li[j, j] = diagonal(j, psi)
+        apply_operator(phi, factors[j], counter)            # dU_j|psi_{j-1}> = D_j|psi_j>
+        value = gates[j].a_priori_diagonal(psi) if use_diagonal_shortcut else None
+        li[j, j] = inner_product(phi, phi, counter) if value is None else value
         for i in range(j - 1, -1, -1):
             apply_operator(phi, adjoints[i + 1], counter)   # roll the infix back
-            apply_operator(lam, adjoints[i], counter)       # roll the prefix back
+            apply_operator(lam, adjoints[i + 1], counter)   # roll the prefix back to |psi_i>
             clone_into(lam, mu, counter)
-            apply_operator(mu, derivatives[i], counter)
+            apply_operator(mu, factors[i], counter)
             li[i, j] = inner_product(mu, phi, counter)
         berry[j] = inner_product(chi, phi, counter)
-        apply_operator(psi, unitaries[j], counter)          # roll the suffix forward
 
     mirror_upper(li)
     return GeometricTensor(matrix=tensor_matrix(li, berry), berry=berry, li=li)

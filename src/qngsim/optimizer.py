@@ -112,7 +112,7 @@ def _energy_and_gradient(bound: BoundCircuit, hamiltonian: PauliSum,
     """The energy and all P gradient components from one preparation and one
     reverse sweep over three registers; costs :func:`gradient_cost`."""
     gates, adjoints = bound.circuit.gates, bound.adjoints
-    psi = bound.prepare(counter)
+    psi = prepare_ansatz_state(bound.circuit, bound, counter)
     energy, lam, work = _apply_hamiltonian(psi, hamiltonian, counter)
     grad = np.zeros(len(gates), dtype=np.float64)
     for i in range(len(gates) - 1, -1, -1):

@@ -15,7 +15,8 @@ is its parameter index:
                                 e.g.  gen 0.5 X0 ; 0.25 Z0 Z1
 
 Hamiltonian files hold one term per line, ``coeff pauli-word`` (e.g.
-``0.5 X0 X1``); a line with just a coefficient is an identity term.
+``0.5 X0 X1``), and at least one term; a line with just a coefficient is an
+identity term.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def parse_hamiltonian_text(text: str, source: str = "<string>") -> PauliSum:
     """One term per line: ``coeff pauli-word`` (e.g. ``0.5 X0 X1``).
 
     A line with just a coefficient is an identity term; blank lines and
-    ``#`` comments are skipped.
+    ``#`` comments are skipped.  Text without a term raises ParseError.
     """
     terms = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -135,6 +136,8 @@ def parse_hamiltonian_text(text: str, source: str = "<string>") -> PauliSum:
             terms += PauliSum((parse_pauli_term(line),)).terms
         except ValueError as exc:
             raise ParseError(f"{source}:{lineno}: {exc}") from None
+    if not terms:
+        raise ParseError(f"{source}: hamiltonian has no terms")
     return PauliSum(tuple(terms))
 
 

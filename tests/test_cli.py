@@ -222,9 +222,9 @@ def test_tensor_default_route_follows_the_rule(circuit_file, stored_circuit_file
 @pytest.mark.parametrize("algorithm", ["auto", "main"] + [f"alg{k}" for k in range(2, 9)])
 def test_tensor_builds_each_gate_operator_once(stored_circuit_file, tmp_path, monkeypatch,
                                                algorithm):
-    # one binding per request: P unitaries, and P derivatives for main and
-    # alg2..alg6 only; the blocked route, alg7, alg8 and the Berry vector apply
-    # each gate's cached factor D instead
+    # one binding per request: P unitaries, and P derivatives for the
+    # references alg2..alg6 only; main, the blocked route, alg7, alg8 and the
+    # Berry vector apply each gate's cached factor D instead
     builds = {"unitary": 0, "derivative": 0}
 
     def counting(cls, name):
@@ -241,7 +241,7 @@ def test_tensor_builds_each_gate_operator_once(stored_circuit_file, tmp_path, mo
     assert main(["tensor", "--circuit", str(stored_circuit_file), "--params", STORED_PARAMS,
                  "--algorithm", algorithm, "--out", str(tmp_path / "g.csv")]) == EXIT_OK
     assert builds == {"unitary": 5,
-                      "derivative": 0 if algorithm in ("auto", "alg7", "alg8") else 5}
+                      "derivative": 0 if algorithm in ("auto", "main", "alg7", "alg8") else 5}
 
 
 @pytest.mark.parametrize("algorithm",
@@ -502,6 +502,21 @@ def test_negative_memory_budget_is_usage_error(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--plist", "2,,3"), ("--plist", ""),
+                                         ("--plist", ","), ("--plist", "2.5"),
+                                         ("--plist", "3,x"), ("--algorithms", "main,,alg2"),
+                                         ("--algorithms", "main,"), ("--algorithms", "")])
+def test_bench_list_field_is_usage_error(tmp_path, capsys, flag, value):
+    # every comma-separated field must parse: none is skipped, and an empty
+    # --plist does not fall back to the --pmin..--pmax range
+    out = tmp_path / "bench.csv"
+    argv = {"--plist": ["bench", "--algorithms", "main"],
+            "--algorithms": ["bench", "--plist", "2"]}[flag]
+    assert main(argv + [flag, value, "--out", str(out)]) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_rejects_zero_qubits(tmp_path):
     out = tmp_path / "b.csv"
     assert main(["bench", "--qubits", "0", "--plist", "2", "--out", str(out)]) == EXIT_USAGE
@@ -578,6 +593,19 @@ def test_optimize_command_writes_trace(circuit_file, hamiltonian_file, tmp_path,
     assert lines[0] == "step,energy,grad_norm"
     assert len(lines) == 17  # header + initial evaluation + 15 steps
     assert "final energy" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["", "# comments only\n\n"])
+def test_optimize_hamiltonian_without_terms_is_usage_error(circuit_file, tmp_path, capsys,
+                                                          text):
+    hamiltonian = tmp_path / "h.txt"
+    hamiltonian.write_text(text)
+    out = tmp_path / "trace.csv"
+    code = main(["optimize", "--circuit", str(circuit_file), "--hamiltonian",
+                 str(hamiltonian), "--steps", "1", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "hamiltonian has no terms" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_optimize_command_with_explicit_params(circuit_file, hamiltonian_file,

@@ -216,52 +216,45 @@ def test_phased_rotation_product_rule():
 
 def test_rotation_diagonal_is_scale_squared():
     gate = PauliRotation(PauliString.single(0, "Z"))
-    for theta in (0.0, 1.1, -3.0):
-        assert gate.a_priori_diagonal(theta) == pytest.approx(0.25)
-    assert PauliRotation(PauliString.single(0, "X"), scale=0.3).a_priori_diagonal(1.0) \
-        == pytest.approx(0.09)
-
-
-def test_controlled_diagonal_needs_state():
-    gate = ControlledPauliRotation(0, PauliString.single(1, "Z"))
-    assert gate.a_priori_diagonal(0.5) is None
+    for seed in range(3):
+        assert gate.a_priori_diagonal(random_state(1, seed)) == pytest.approx(0.25)
+    assert PauliRotation(PauliString.single(0, "X"), scale=0.3).a_priori_diagonal(
+        make_basis_state(1, 0)) == pytest.approx(0.09)
 
 
 def test_controlled_diagonal_from_plus_state():
     # control in |+>: p1 = 1/2, so the value is (1/2)^2 * 1/2 = 0.125
     gate = ControlledPauliRotation(0, PauliString.single(1, "Z"))
-    pre = Statevector(2, np.array([1, 1, 0, 0], dtype=complex) / np.sqrt(2))
-    assert gate.a_priori_diagonal(0.7, pre) == pytest.approx(0.125)
+    state = Statevector(2, np.array([1, 1, 0, 0], dtype=complex) / np.sqrt(2))
+    assert gate.a_priori_diagonal(state) == pytest.approx(0.125)
 
 
 def test_controlled_diagonal_control_never_one():
     gate = ControlledPauliRotation(0, PauliString.single(1, "Z"))
-    pre = make_basis_state(2, 0)
-    assert gate.a_priori_diagonal(1.2, pre) == pytest.approx(0.0)
+    assert gate.a_priori_diagonal(make_basis_state(2, 0)) == pytest.approx(0.0)
 
 
 def test_phased_and_generated_gates_have_no_shortcut():
     phased = PauliRotation(PauliString.single(0, "X"), phase_rate=0.7)
     generated = GeneratedGate(PauliSum(((0.5, PauliString.single(0, "X")),)))
-    pre = make_basis_state(1, 0)
-    assert phased.a_priori_diagonal(0.3, pre) is None
-    assert generated.a_priori_diagonal(0.3, pre) is None
+    state = make_basis_state(1, 0)
+    assert phased.a_priori_diagonal(state) is None
+    assert generated.a_priori_diagonal(state) is None
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_diagonal_matches_explicit_derivative_norm(seed):
-    # <phi|phi> with |phi> = dU |psi> equals the a-priori value
+    # <phi|phi> with |phi> = dU |pre> equals the a-priori value read from
+    # the state after the gate, U|pre>
     rng = np.random.default_rng(seed)
     theta = float(rng.uniform(0, 2 * np.pi))
-    state = random_state(3, seed=200 + seed)
-    rotation = PauliRotation(PauliString.single(int(rng.integers(0, 3)), "Y"))
-    phi = acted(state, rotation.derivative(theta))
-    assert np.vdot(phi, phi).real == pytest.approx(
-        rotation.a_priori_diagonal(theta), abs=1e-12)
-    controlled = ControlledPauliRotation(0, PauliString.single(1, "X"))
-    phi = acted(state, controlled.derivative(theta))
-    assert np.vdot(phi, phi).real == pytest.approx(
-        controlled.a_priori_diagonal(theta, state), abs=1e-10)
+    pre = random_state(3, seed=200 + seed)
+    for gate in (PauliRotation(PauliString.single(int(rng.integers(0, 3)), "Y")),
+                 ControlledPauliRotation(0, PauliString.single(1, "X"))):
+        phi = acted(pre, gate.derivative(theta))
+        post = Statevector(3, acted(pre, gate.unitary(theta)))
+        assert np.vdot(phi, phi).real == pytest.approx(
+            gate.a_priori_diagonal(post), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

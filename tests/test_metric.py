@@ -283,11 +283,14 @@ def test_exactly_five_workspace_registers(num_parameters):
     rng = np.random.default_rng([47, num_parameters])
     circuit = random_circuit(3, num_parameters, rng)
     params = random_parameters(num_parameters, rng)
+    bound = circuit.bind(params)
     with track_allocations() as tally:
-        compute_geometric_tensor(circuit, params, OpCounter())
+        compute_geometric_tensor(circuit, bound, OpCounter())
     assert tally.peak_live("workspace") == 5
     assert tally.total_allocated("workspace") == 5
     assert tally.total_allocated() == 6  # the circuit input is the only extra
+    # main applies each gate's cached factor D, so it builds no per-theta dU
+    assert not {"derivatives", "derivative_adjoints"} & set(vars(bound))
 
 
 @pytest.mark.parametrize("num_parameters", [1, 2, 3, 8, 17])

@@ -81,6 +81,12 @@ def test_parse_hamiltonian_errors_carry_line_numbers():
             parse_hamiltonian_text(f"1.0 Z0\n{bad}\n")
 
 
+@pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n  # another\n"])
+def test_parse_hamiltonian_without_terms_is_error(text):
+    with pytest.raises(ParseError, match="h.txt: hamiltonian has no terms"):
+        parse_hamiltonian_text(text, source="h.txt")
+
+
 # ---------------------------------------------------------------------------
 # Energy expectation
 # ---------------------------------------------------------------------------

@@ -95,3 +95,22 @@ def test_traced_counts_agree_with_the_counter(monkeypatch):
     finally:
         tracer.uninstall()
     assert tracer.mismatches == []
+
+
+def test_optimizer_points_prepare_through_the_traced_name(monkeypatch):
+    # each point's energy and gradient pass prepares psi through the
+    # optimizer's module-level prepare_ansatz_state, which the tracer wraps
+    # as the ansatz.prepare span
+    prepared = []
+    original = qngsim.optimizer.prepare_ansatz_state
+
+    def counting(circuit, params, counter):
+        prepared.append(params)
+        return original(circuit, params, counter)
+
+    monkeypatch.setattr(qngsim.optimizer, "prepare_ansatz_state", counting)
+    hamiltonian = PauliSum(((-1.0, PauliString.parse("Z0 Z1")),))
+    config = OptimizerConfig(timestep=0.05, max_steps=3, energy_tolerance=1e-300)
+    trace = qngsim.optimizer.run_optimization(random_circuit(3, 9, 93),
+                                              random_parameters(9, 94), hamiltonian, config)
+    assert len(prepared) == len(trace.records) == 4
