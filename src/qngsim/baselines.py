@@ -21,8 +21,7 @@ metric module's blocked route with B = P
 
 Loop bounds, clone points and application order follow the reference control
 flow line by line, so instrumented counts are auditable against
-:func:`cost_model`; in particular the baselines never take the diagonal
-shortcut (that is a feature of the main algorithm only).
+:func:`cost_model`.
 """
 
 from __future__ import annotations

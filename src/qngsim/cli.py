@@ -10,10 +10,9 @@ Commands
               ``(P + 1) * 2^N <= P^2`` (its registers take no more memory
               than G), and otherwise B = 3, in main's five registers;
               ``main`` (the recurrence, (3P^2 + P)/2 gates) and
-              ``alg2``..``alg8`` force a route.  ``--no-diag-shortcut``
-              applies to main only.  Auto prints the blocked route's counts,
-              and its CSV differs from main's in the last bits (about
-              1e-16).
+              ``alg2``..``alg8`` force a route.  Auto prints the blocked
+              route's counts, and its CSV differs from main's in the last
+              bits (about 1e-16).
 ``bench``     sweep parameter counts for selected algorithms, recording
               measured against predicted primitive counts (plot-ready CSV).
 ``optimize``  natural-gradient (or plain-gradient) minimization of a
@@ -128,9 +127,7 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
         matrix = compute_geometric_tensor(circuit, params, counter,
                                           block=route_block(circuit)).matrix
     elif args.algorithm == "main":
-        matrix = compute_geometric_tensor(
-            circuit, params, counter, use_diagonal_shortcut=not args.no_diag_shortcut
-        ).matrix
+        matrix = compute_geometric_tensor(circuit, params, counter).matrix
     else:
         alg = BaselineId(args.algorithm)
         bound = circuit.bind(params)
@@ -375,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(P+1)*2^N <= P^2, else B = 3 (five registers); "
                              "main: the five-register recurrence, (3P^2+P)/2 gates; "
                              "or one of alg2..alg8 (any case)")
-    tensor.add_argument("--no-diag-shortcut", action="store_true",
-                        help="main only: always evaluate diagonal entries explicitly")
     tensor.add_argument("--format", choices=("csv", "bin"), default="csv")
     tensor.add_argument("--out", required=True, help="output path")
     tensor.add_argument("--allow-large", action="store_true",

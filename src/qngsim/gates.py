@@ -34,7 +34,6 @@ from .errors import UnsupportedGateError
 from .statevector import (
     MatrixGateOperator,
     PauliStringOperator,
-    Statevector,
     controlled_matrix_operator,
 )
 
@@ -210,15 +209,6 @@ class ParameterizedGate(ABC):
     def derivative_factor(self) -> MatrixGateOperator:
         """``D = i * A``, so dU/dtheta = D . U(theta); built once per gate."""
 
-    def a_priori_diagonal(self, state: Statevector) -> float | None:
-        """``<phi|phi> = <state|A^2|state>`` for ``|phi> = D|state>`` when it
-        is known without an inner product, else None.
-
-        ``state`` is the state just after this gate, ``U|pre>``, so
-        ``|phi> = dU/dtheta |pre>``; the value does not depend on theta.
-        """
-        return None
-
 
 @dataclass(frozen=True)
 class PauliRotation(ParameterizedGate):
@@ -227,8 +217,7 @@ class PauliRotation(ParameterizedGate):
 
     A non-zero ``phase_rate`` adds a parameter-dependent global phase, which
     shifts the Berry-connection and derivative-overlap terms individually while
-    leaving the geometric tensor unchanged; it exists to exercise exactly that,
-    and such a gate never takes the a-priori diagonal shortcut.
+    leaving the geometric tensor unchanged; it exists to exercise exactly that.
     """
 
     axis: PauliString
@@ -266,10 +255,6 @@ class PauliRotation(ParameterizedGate):
         if self.phase_rate:
             factor = 1j * self.phase_rate * np.eye(len(factor)) + factor
         return MatrixGateOperator(self.axis.qubits, factor)
-
-    def a_priori_diagonal(self, state: Statevector) -> float | None:
-        # A^2 = scale^2 for a self-inverse axis; state-independent.
-        return None if self.phase_rate else self.scale * self.scale
 
 
 @dataclass(frozen=True)
@@ -320,10 +305,6 @@ class ControlledPauliRotation(ParameterizedGate):
             self.axis.qubits, 1j * self.scale * self._sigma, (self.control,),
             zero_uncontrolled=True,
         )
-
-    def a_priori_diagonal(self, state: Statevector) -> float | None:
-        # A^2 = scale^2 |1><1|_control; the gate leaves P(control = 1) unchanged.
-        return self.scale * self.scale * state.probability_of_one(self.control)
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,15 +39,8 @@ upper one.
 
 Both routes take each derivative state from ``|psi_j> = U_j ... U_1 |in>``
 and the gate's cached theta-free factor ``D_j``, as
-``dU_j |psi_{j-1}> = D_j |psi_j>``, so neither builds a per-theta dU.
-
-Diagonal entries ``L_jj = <phi|phi>`` with ``|phi> = D_j |psi_j>`` admit an
-a-priori shortcut for rotation-like gates (scale^2 for a plain Pauli
-rotation, scale^2 times the control-1 probability of ``|psi_j>`` for a
-controlled one; see :meth:`~qngsim.gates.ParameterizedGate.a_priori_diagonal`).
-Main takes it by default; ``use_diagonal_shortcut=False`` (``tensor
---no-diag-shortcut``) evaluates every diagonal entry explicitly.  The blocked
-route has no shortcut.
+``dU_j |psi_{j-1}> = D_j |psi_j>``, so neither builds a per-theta dU, and
+both read every entry of L and T with one counted inner product.
 """
 
 from __future__ import annotations
@@ -124,12 +117,10 @@ class GeometricTensor:
 def main_algorithm_cost(num_parameters: int) -> tuple[int, int, int]:
     """Recorded primitive counts of :func:`compute_geometric_tensor`.
 
-    Returns (gate applications, clones, inner products) for a P-parameter
-    circuit with the diagonal shortcut off; with the shortcut on, the inner
-    product count drops by one per shortcut-eligible gate, the other counts
-    are unchanged.  These closed forms were read off instrumented runs once
-    and are asserted stable by the test suite; total gates + clones is
-    ``2P^2 + 2P + 1``.
+    Returns (gate applications, clones, inner products) for any P-parameter
+    circuit, whatever its gate kinds.  These closed forms were read off
+    instrumented runs once and are held exact by ``qngsim verify`` and the
+    test suite; total gates + clones is ``2P^2 + 2P + 1``.
     """
     p = num_parameters
     gates = (3 * p * p + p) // 2
@@ -139,7 +130,6 @@ def main_algorithm_cost(num_parameters: int) -> tuple[int, int, int]:
 
 
 def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
-                             use_diagonal_shortcut: bool = True,
                              block: int | None = None) -> GeometricTensor:
     """Evaluate G, L and T for ``circuit`` at ``params`` with 5 fixed registers,
     or by :func:`compute_geometric_tensor_blocked` when ``block`` is given.
@@ -148,10 +138,7 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
         circuit: the ansatz; gate k owns parameter k.
         params: length-P vector of finite reals, or a ``BoundCircuit`` of
             ``circuit`` whose operators are then reused.
-        counter: receives the exact primitive tally.
-        use_diagonal_shortcut: take a-priori values for eligible diagonal
-            entries instead of computing ``<phi|phi>``; does nothing when
-            ``block`` is given.
+        counter: receives the exact tally, :func:`main_algorithm_cost` for main.
         block: None for main; B >= 1 for the blocked route with B live
             derivative states, as :func:`route_block` picks it.  The CLI and
             the optimizer reach the blocked route through this function, so
@@ -169,9 +156,9 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
     if block is not None:
         return compute_geometric_tensor_blocked(circuit, params, counter, block)
     bound = circuit.bind(params)
-    gates, count = circuit.gates, circuit.num_parameters
+    count = circuit.num_parameters
     unitaries, adjoints = bound.unitaries, bound.adjoints
-    factors = tuple(gate.derivative_factor for gate in gates)
+    factors = tuple(gate.derivative_factor for gate in circuit.gates)
 
     start = input_state(circuit)
     chi = Statevector.zeros(circuit.num_qubits)   # U_1|in>, permanently
@@ -189,8 +176,7 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
         clone_into(psi, lam if j else chi, counter)         # chi keeps U_1|in>
         clone_into(psi, phi, counter)
         apply_operator(phi, factors[j], counter)            # dU_j|psi_{j-1}> = D_j|psi_j>
-        value = gates[j].a_priori_diagonal(psi) if use_diagonal_shortcut else None
-        li[j, j] = inner_product(phi, phi, counter) if value is None else value
+        li[j, j] = inner_product(phi, phi, counter)
         for i in range(j - 1, -1, -1):
             apply_operator(phi, adjoints[i + 1], counter)   # roll the infix back
             apply_operator(lam, adjoints[i + 1], counter)   # roll the prefix back to |psi_i>
@@ -381,7 +367,10 @@ def read_tensor_binary(path) -> np.ndarray:
         if len(header) != 8:
             raise ValueError(f"{path}: truncated header ({len(header)} of 8 size bytes)")
         (size,) = struct.unpack("<Q", header)
-        data = np.frombuffer(handle.read(), dtype="<c16")
+        body = handle.read()
+    if len(body) % 16:
+        raise ValueError(f"{path}: truncated body ({len(body)} bytes, not whole entries)")
+    data = np.frombuffer(body, dtype="<c16")
     if data.size != size * size:
         raise ValueError(f"{path}: expected {size * size} entries, found {data.size}")
     return data.reshape(size, size).astype(np.complex128)

@@ -200,13 +200,6 @@ class Statevector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def probability_of_one(self, qubit: int) -> float:
-        """Probability that ``qubit`` reads 1, from the current amplitudes."""
-        if not 0 <= qubit < self.num_qubits:
-            raise ValueError(f"qubit {qubit} out of range for {self.num_qubits} qubits")
-        view = self.amplitudes.reshape(-1, 2, 1 << qubit)
-        return float(np.sum(np.abs(view[:, 1, :]) ** 2))
-
     def copy(self, kind: str = "state") -> "Statevector":
         """An uncounted copy; library algorithms use :func:`clone_into` instead."""
         return Statevector(self.num_qubits, self.amplitudes.copy(), kind=kind)

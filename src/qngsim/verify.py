@@ -4,9 +4,10 @@ Each check pits independently computed quantities against each other on
 seeded inputs and reports the worst deviation: every baseline strategy
 against every other and against the main recurrent algorithm, the geometric
 tensor against a central-difference evaluation of its definition, gauge
-invariance under parameter-dependent global phases, the a-priori diagonal
-shortcut against explicit evaluation, and instrumented primitive counts
-against the closed-form cost model.  Two checks cover the energy gradient:
+invariance under parameter-dependent global phases, and instrumented
+primitive counts against the closed-form cost models (``count_exactness``
+holds main to ``main_algorithm_cost(P)`` in five workspace registers, and
+every baseline to ``cost_model``).  Two checks cover the energy gradient:
 ``gradient_count_exactness`` holds its four counts to ``gradient_cost(P, T)``
 for P = 1..10 (quick) or 1..40 and T = 0..4, and
 ``gradient_finite_difference`` holds ``energy_gradient`` to central
@@ -40,6 +41,7 @@ from .metric import (
     compute_berry_vector,
     compute_geometric_tensor,
     compute_geometric_tensor_blocked,
+    main_algorithm_cost,
 )
 from .optimizer import energy_expectation, energy_gradient, gradient_cost
 from .statevector import OpCounter, track_allocations
@@ -148,9 +150,7 @@ def check_baseline_equivalence(seed: int, quick: bool,
             compute_li_tensor(alg, circuit, params, OpCounter())
             for alg in BaselineId
         ]
-        main = compute_geometric_tensor(circuit, params, OpCounter(),
-                                        use_diagonal_shortcut=False)
-        tensors.append(main.li)
+        tensors.append(compute_geometric_tensor(circuit, params, OpCounter()).li)
         for i, left in enumerate(tensors):
             for right in tensors[i + 1:]:
                 worst = max(worst, float(np.max(np.abs(left - right))))
@@ -178,11 +178,9 @@ def check_gauge_invariance(seed: int, quick: bool, tolerance: float) -> CheckRes
     weakest_move = np.inf
     for circuit, params in _random_cases(seed + 2, num_cases, 3, 6,
                                          include_controlled=False):
-        plain = compute_geometric_tensor(circuit, params, OpCounter(),
-                                         use_diagonal_shortcut=False)
+        plain = compute_geometric_tensor(circuit, params, OpCounter())
         phased = compute_geometric_tensor(phased_variant(circuit, phase_rate),
-                                          params, OpCounter(),
-                                          use_diagonal_shortcut=False)
+                                          params, OpCounter())
         worst_g = max(worst_g, float(np.max(np.abs(plain.matrix - phased.matrix))))
         moved_l = float(np.max(np.abs(plain.li - phased.li)))
         moved_t = float(np.max(np.abs(plain.berry - phased.berry)))
@@ -193,23 +191,10 @@ def check_gauge_invariance(seed: int, quick: bool, tolerance: float) -> CheckRes
                        worst_g, tolerance, detail)
 
 
-def check_diagonal_shortcut(seed: int, quick: bool, tolerance: float) -> CheckResult:
-    """G with the a-priori diagonal shortcut equals G without it."""
-    num_cases = 2 if quick else 6
-    worst = 0.0
-    for circuit, params in _random_cases(seed + 3, num_cases, 3, 8):
-        fast = compute_geometric_tensor(circuit, params, OpCounter(),
-                                        use_diagonal_shortcut=True)
-        slow = compute_geometric_tensor(circuit, params, OpCounter(),
-                                        use_diagonal_shortcut=False)
-        worst = max(worst, float(np.max(np.abs(fast.matrix - slow.matrix))))
-        worst = max(worst, float(np.max(np.abs(fast.berry - slow.berry))))
-    return CheckResult("diagonal_shortcut", worst <= tolerance, worst, tolerance,
-                       f"{num_cases} circuits with rotation and controlled gates")
-
-
 def check_count_exactness(seed: int, quick: bool) -> CheckResult:
-    """Instrumented gate/clone counts equal the cost model, integer for integer."""
+    """Instrumented counts equal the cost models, integer for integer: every
+    baseline's gates and clones, and main's gates, clones and inner products
+    in five workspace registers."""
     max_parameters = 10 if quick else 50
     rng = np.random.default_rng([seed, 99])
     worst = 0
@@ -222,8 +207,14 @@ def check_count_exactness(seed: int, quick: bool) -> CheckResult:
             predicted = cost_model(alg, num_parameters)
             worst = max(worst, abs(counter.gate_applications - predicted.gates),
                         abs(counter.clones - predicted.clones))
+        counter = OpCounter()
+        with track_allocations() as tally:
+            compute_geometric_tensor(circuit, params, counter)
+        measured = counter.as_tuple() + (tally.peak_live("workspace"),)
+        predicted = main_algorithm_cost(num_parameters) + (5,)
+        worst = max(worst, *(abs(m - p) for m, p in zip(measured, predicted)))
     return CheckResult("count_exactness", worst == 0, float(worst), 0.0,
-                       f"all baselines, P = 1..{max_parameters}")
+                       f"all baselines and main, P = 1..{max_parameters}")
 
 
 def check_reference_totals(quick: bool) -> CheckResult:
@@ -357,7 +348,6 @@ def run_checks(seed: int = DEFAULT_SEED, quick: bool = False,
         check_baseline_equivalence(seed, quick, tol(1e-10)),
         check_finite_difference(seed, quick, tol(1e-6)),
         check_gauge_invariance(seed, quick, tol(1e-9)),
-        check_diagonal_shortcut(seed, quick, tol(1e-10)),
         check_berry_consistency(seed, quick, tol(1e-12)),
         check_blocked_count_exactness(seed, quick),
         check_blocked_agreement(seed, quick, tol(1e-10)),

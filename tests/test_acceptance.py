@@ -14,7 +14,7 @@ from qngsim.ansatz import (
 )
 from qngsim.baselines import BaselineId, compute_li_tensor, cost_model
 from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString, PauliSum
-from qngsim.metric import compute_berry_vector, compute_geometric_tensor
+from qngsim.metric import compute_berry_vector, compute_geometric_tensor, route_block
 from qngsim.optimizer import OptimizerConfig, run_optimization
 from qngsim.statevector import OpCounter, track_allocations
 from qngsim.verify import finite_difference_tensor
@@ -75,8 +75,7 @@ def test_c3_oracle_equivalence():
     for circuit, params in random_suite():
         tensors = [compute_li_tensor(alg, circuit, params, OpCounter())
                    for alg in BaselineId]
-        main = compute_geometric_tensor(circuit, params, OpCounter(),
-                                        use_diagonal_shortcut=False)
+        main = compute_geometric_tensor(circuit, params, OpCounter())
         tensors.append(main.li)
         for i in range(len(tensors)):
             for j in range(i + 1, len(tensors)):
@@ -102,29 +101,31 @@ def test_c4_finite_difference_ground_truth():
 
 
 def test_c5_diagonal_shortcuts():
-    """Rotation diagonals are exactly 1/4; controlled ones are 1/4 * p1."""
+    """Rotation diagonals are 1/4; controlled ones are 1/4 * p1, with p1 the
+    probability that the control of the state before the gate reads 1."""
+    controls = {1: 0, 3: 1}
     circuit = AnsatzCircuit(2, (
         PauliRotation(PauliString.single(0, "X")),
-        ControlledPauliRotation(0, PauliString.single(1, "Y")),
+        ControlledPauliRotation(controls[1], PauliString.single(1, "Y")),
         PauliRotation(PauliString.single(1, "Z")),
-        ControlledPauliRotation(1, PauliString.single(0, "Z")),
+        ControlledPauliRotation(controls[3], PauliString.single(0, "Z")),
     ))
     params = random_parameters(4, 5)
-    fast = compute_geometric_tensor(circuit, params, OpCounter(),
-                                    use_diagonal_shortcut=True)
-    slow = compute_geometric_tensor(circuit, params, OpCounter(),
-                                    use_diagonal_shortcut=False)
-    rotation_dev = max(abs(fast.li[i, i] - 0.25) for i in (0, 2))
-    rotation_dev = max(rotation_dev,
-                       max(abs(slow.li[i, i] - 0.25) for i in (0, 2)))
-    controlled_dev = max(abs(fast.li[i, i] - slow.li[i, i]) for i in (1, 3))
-    # cross-check the 1/4 * p1 value against the pre-gate state
-    pre = circuit.bind(params).prepare(OpCounter(), upto=1)
-    formula = 0.25 * pre.probability_of_one(0)
-    formula_dev = abs(fast.li[1, 1] - formula)
-    passed = rotation_dev <= 1e-12 and controlled_dev <= 1e-10 and formula_dev <= 1e-12
+    bound = circuit.bind(params)
+    expected = {0: 0.25, 2: 0.25}
+    for gate, control in controls.items():
+        amplitudes = bound.prepare(OpCounter(), upto=gate).amplitudes
+        ones = amplitudes.reshape(-1, 2, 1 << control)[:, 1]  # the control reads 1
+        expected[gate] = 0.25 * np.sum(np.abs(ones) ** 2)
+    rotation_dev = controlled_dev = 0.0
+    for block in (None, route_block(circuit)):
+        li = compute_geometric_tensor(circuit, bound, OpCounter(), block=block).li
+        rotation_dev = max(rotation_dev, *(abs(li[i, i] - expected[i]) for i in (0, 2)))
+        controlled_dev = max(controlled_dev, *(abs(li[i, i] - expected[i]) for i in (1, 3)))
+    passed = rotation_dev <= 1e-12 and controlled_dev <= 1e-12
     report(5, "diagonal shortcuts", passed,
-           f"rotation dev {rotation_dev:.2e}, controlled dev {controlled_dev:.2e}")
+           f"main and blocked L, rotation dev {rotation_dev:.2e}, "
+           f"controlled dev {controlled_dev:.2e}")
 
 
 def test_c6_gauge_invariance():
@@ -132,10 +133,8 @@ def test_c6_gauge_invariance():
     rng = np.random.default_rng(6)
     circuit = random_circuit(3, 9, rng, include_controlled=False)
     params = random_parameters(9, rng)
-    plain = compute_geometric_tensor(circuit, params, OpCounter(),
-                                     use_diagonal_shortcut=False)
-    phased = compute_geometric_tensor(phased_variant(circuit, 0.7), params,
-                                      OpCounter(), use_diagonal_shortcut=False)
+    plain = compute_geometric_tensor(circuit, params, OpCounter())
+    phased = compute_geometric_tensor(phased_variant(circuit, 0.7), params, OpCounter())
     delta_l = float(np.max(np.abs(plain.li - phased.li)))
     delta_t = float(np.max(np.abs(plain.berry - phased.berry)))
     delta_g = float(np.max(np.abs(plain.matrix - phased.matrix)))
@@ -152,8 +151,7 @@ def _fit_exponent(alg, p_values):
         params = random_parameters(num_parameters, rng)
         counter = OpCounter()
         if alg is None:
-            compute_geometric_tensor(circuit, params, counter,
-                                     use_diagonal_shortcut=False)
+            compute_geometric_tensor(circuit, params, counter)
         else:
             compute_li_tensor(alg, circuit, params, counter)
         totals.append(counter.gates_plus_clones)

@@ -147,10 +147,7 @@ def test_all_strategies_agree_on_seeded_circuit():
     circuit = random_circuit(3, 6, rng)
     params = random_parameters(6, rng)
     tensors = [compute_li_tensor(alg, circuit, params, OpCounter()) for alg in ALL]
-    tensors.append(
-        compute_geometric_tensor(circuit, params, OpCounter(),
-                                 use_diagonal_shortcut=False).li
-    )
+    tensors.append(compute_geometric_tensor(circuit, params, OpCounter()).li)
     for i in range(len(tensors)):
         for j in range(i + 1, len(tensors)):
             assert np.max(np.abs(tensors[i] - tensors[j])) <= 1e-10

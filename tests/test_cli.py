@@ -138,8 +138,7 @@ def test_tensor_command_writes_csv(circuit_file, tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "i,j,re,im"
     # auto takes the blocked route with B = P = 3 here, whose G_00 rounds to
-    # 0.25 - 2.8e-17 (main's diagonal shortcut gives 0.25 exactly); the CSV
-    # holds its bits exactly
+    # 0.25 - 2.8e-17; the CSV holds its bits exactly
     circuit = parse_circuit_text(circuit_file.read_text())
     g00 = compute_geometric_tensor_blocked(circuit, [0.3, 0.7, 1.1], OpCounter(), 3).matrix[0, 0]
     assert lines[1] == "0,0,%.17g,%.17g" % (g00.real, g00.imag)
@@ -171,17 +170,6 @@ def test_tensor_command_baseline_algorithm_agrees(circuit_file, tmp_path):
                                read_tensor_binary(main_out), atol=1e-10)
 
 
-def test_tensor_command_no_diag_shortcut(circuit_file, tmp_path):
-    fast = tmp_path / "fast.bin"
-    slow = tmp_path / "slow.bin"
-    args = ["tensor", "--circuit", str(circuit_file), "--params", "0.3,0.7,1.1",
-            "--format", "bin"]
-    assert main(args + ["--out", str(fast)]) == EXIT_OK
-    assert main(args + ["--no-diag-shortcut", "--out", str(slow)]) == EXIT_OK
-    np.testing.assert_allclose(read_tensor_binary(slow), read_tensor_binary(fast),
-                               atol=1e-10)
-
-
 def _printed_counts(out: str) -> tuple[int, ...]:
     # the last parenthesised group: "(gates=G, clones=C, inner_products=I)"
     return tuple(int(part.split("=")[1])
@@ -193,21 +181,18 @@ def test_tensor_default_route_follows_the_rule(circuit_file, stored_circuit_file
     # auto (the default) takes B = P on the 5-gate circuit; where its P + 1
     # registers do not fit it takes B = 3, all of the 3-gate circuit (16 > 9)
     # and blocks of 3 and 2 on a 3-qubit 5-gate one (48 > 25); main is forced
-    # with --algorithm main, and --no-diag-shortcut does not touch auto
+    # with --algorithm main
     wide_circuit_file = tmp_path / "wide.txt"
     wide_circuit_file.write_text("qubits 3\nrx 0\nry 1\ncrz 0 1\nrx 2\ncry 2 0\n")
     out = tmp_path / "g.bin"
     common = ["--format", "bin", "--out", str(out)]
     cases = [
         (stored_circuit_file, STORED_PARAMS, [], blocked_tensor_cost(5, 5)),
-        (stored_circuit_file, STORED_PARAMS, ["--algorithm", "auto", "--no-diag-shortcut"],
-         blocked_tensor_cost(5, 5)),
-        (stored_circuit_file, STORED_PARAMS, ["--algorithm", "main", "--no-diag-shortcut"],
-         main_algorithm_cost(5)),
-        (circuit_file, "0.3,0.7,1.1", ["--no-diag-shortcut"], blocked_tensor_cost(3, 3)),
+        (stored_circuit_file, STORED_PARAMS, ["--algorithm", "auto"], blocked_tensor_cost(5, 5)),
+        (stored_circuit_file, STORED_PARAMS, ["--algorithm", "main"], main_algorithm_cost(5)),
+        (circuit_file, "0.3,0.7,1.1", [], blocked_tensor_cost(3, 3)),
         (wide_circuit_file, STORED_PARAMS, [], blocked_tensor_cost(5, 3)),
-        (wide_circuit_file, STORED_PARAMS, ["--algorithm", "main", "--no-diag-shortcut"],
-         main_algorithm_cost(5)),
+        (wide_circuit_file, STORED_PARAMS, ["--algorithm", "main"], main_algorithm_cost(5)),
     ]
     for path, params, extra, expected in cases:
         argv = ["tensor", "--circuit", str(path), "--params", params] + extra + common
@@ -244,8 +229,7 @@ def test_tensor_builds_each_gate_operator_once(stored_circuit_file, tmp_path, mo
                       "derivative": 0 if algorithm in ("auto", "main", "alg7", "alg8") else 5}
 
 
-@pytest.mark.parametrize("algorithm",
-                         ["auto", "main", "main-slow"] + [f"alg{k}" for k in range(2, 9)])
+@pytest.mark.parametrize("algorithm", ["auto", "main"] + [f"alg{k}" for k in range(2, 9)])
 def test_tensor_diagonal_is_real_for_every_algorithm(tmp_path, algorithm):
     # every gate word, crx/cry on the wrap-around pair and non-zero phase rates
     circuit = tmp_path / "all.txt"
@@ -253,12 +237,9 @@ def test_tensor_diagonal_is_real_for_every_algorithm(tmp_path, algorithm):
                        "prx 0 0.7\npry 1 -0.4\nprz 2 0.25\ngen 0.5 X0 ; 0.25 Z0 Z1\n")
     params = ",".join(str(0.3 + 0.4 * k) for k in range(10))
     out = tmp_path / "g.bin"
+    # auto takes B = P here: 11 * 2^3 <= 10^2
     args = ["tensor", "--circuit", str(circuit), "--params", params, "--format", "bin",
-            "--out", str(out)]
-    if algorithm == "main-slow":
-        args += ["--algorithm", "main", "--no-diag-shortcut"]
-    else:  # auto takes B = P here: 11 * 2^3 <= 10^2
-        args += ["--algorithm", algorithm]
+            "--algorithm", algorithm, "--out", str(out)]
     assert main(args) == EXIT_OK
     assert np.all(read_tensor_binary(out).diagonal().imag == 0)
 
@@ -695,8 +676,13 @@ def test_verify_quick_passes(capsys):
     elapsed = time.perf_counter() - started
     assert code == EXIT_OK
     out = capsys.readouterr().out
-    assert "all" in out and "passed" in out
-    assert out.count("PASS") >= 6
+    assert "all 10 checks passed" in out
+    passed = [line.split()[1].rstrip(":") for line in out.splitlines()
+              if line.startswith("PASS")]
+    assert passed == ["count_exactness", "reference_totals", "baseline_equivalence",
+                      "finite_difference", "gauge_invariance", "berry_consistency",
+                      "blocked_count_exactness", "blocked_agreement",
+                      "gradient_count_exactness", "gradient_finite_difference"]
     assert elapsed < 10.0
 
 

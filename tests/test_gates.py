@@ -214,38 +214,37 @@ def test_phased_rotation_product_rule():
 # ---------------------------------------------------------------------------
 
 
+def diagonal(gate, state):
+    # <phi|phi> for |phi> = D|state>: the L_jj every tensor route reads, with
+    # ``state`` the state just after the gate
+    phi = acted(state, gate.derivative_factor)
+    return np.vdot(phi, phi).real
+
+
 def test_rotation_diagonal_is_scale_squared():
     gate = PauliRotation(PauliString.single(0, "Z"))
     for seed in range(3):
-        assert gate.a_priori_diagonal(random_state(1, seed)) == pytest.approx(0.25)
-    assert PauliRotation(PauliString.single(0, "X"), scale=0.3).a_priori_diagonal(
-        make_basis_state(1, 0)) == pytest.approx(0.09)
+        assert diagonal(gate, random_state(1, seed)) == pytest.approx(0.25)
+    assert diagonal(PauliRotation(PauliString.single(0, "X"), scale=0.3),
+                    make_basis_state(1, 0)) == pytest.approx(0.09)
 
 
 def test_controlled_diagonal_from_plus_state():
     # control in |+>: p1 = 1/2, so the value is (1/2)^2 * 1/2 = 0.125
     gate = ControlledPauliRotation(0, PauliString.single(1, "Z"))
     state = Statevector(2, np.array([1, 1, 0, 0], dtype=complex) / np.sqrt(2))
-    assert gate.a_priori_diagonal(state) == pytest.approx(0.125)
+    assert diagonal(gate, state) == pytest.approx(0.125)
 
 
 def test_controlled_diagonal_control_never_one():
     gate = ControlledPauliRotation(0, PauliString.single(1, "Z"))
-    assert gate.a_priori_diagonal(make_basis_state(2, 0)) == pytest.approx(0.0)
-
-
-def test_phased_and_generated_gates_have_no_shortcut():
-    phased = PauliRotation(PauliString.single(0, "X"), phase_rate=0.7)
-    generated = GeneratedGate(PauliSum(((0.5, PauliString.single(0, "X")),)))
-    state = make_basis_state(1, 0)
-    assert phased.a_priori_diagonal(state) is None
-    assert generated.a_priori_diagonal(state) is None
+    assert diagonal(gate, make_basis_state(2, 0)) == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_diagonal_matches_explicit_derivative_norm(seed):
-    # <phi|phi> with |phi> = dU |pre> equals the a-priori value read from
-    # the state after the gate, U|pre>
+    # <phi|phi> with |phi> = dU |pre> equals ||D U|pre>||^2, and scale^2 for a
+    # rotation or scale^2 * p1 for a controlled one, p1 read from U|pre>
     rng = np.random.default_rng(seed)
     theta = float(rng.uniform(0, 2 * np.pi))
     pre = random_state(3, seed=200 + seed)
@@ -253,8 +252,10 @@ def test_diagonal_matches_explicit_derivative_norm(seed):
                  ControlledPauliRotation(0, PauliString.single(1, "X"))):
         phi = acted(pre, gate.derivative(theta))
         post = Statevector(3, acted(pre, gate.unitary(theta)))
-        assert np.vdot(phi, phi).real == pytest.approx(
-            gate.a_priori_diagonal(post), abs=1e-12)
+        p1 = np.sum(np.abs(post.amplitudes[1::2]) ** 2)  # qubit 0 reads 1
+        analytic = 0.25 * (p1 if isinstance(gate, ControlledPauliRotation) else 1.0)
+        assert np.vdot(phi, phi).real == pytest.approx(diagonal(gate, post), abs=1e-12)
+        assert np.vdot(phi, phi).real == pytest.approx(analytic, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

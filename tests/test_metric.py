@@ -101,16 +101,13 @@ def test_gauge_invariance_under_parameter_dependent_phase():
     rng = np.random.default_rng(33)
     circuit = random_circuit(3, 6, rng, include_controlled=False)
     params = random_parameters(6, rng)
-    plain = compute_geometric_tensor(circuit, params, OpCounter(),
-                                     use_diagonal_shortcut=False)
-    phased = compute_geometric_tensor(phased_variant(circuit, 0.7), params,
-                                      OpCounter(), use_diagonal_shortcut=False)
+    plain = compute_geometric_tensor(circuit, params, OpCounter())
+    phased = compute_geometric_tensor(phased_variant(circuit, 0.7), params, OpCounter())
     assert np.max(np.abs(plain.matrix - phased.matrix)) <= 1e-9
     assert np.max(np.abs(plain.li - phased.li)) >= 1e-3
     assert np.max(np.abs(plain.berry - phased.berry)) >= 1e-3
     # rate 0 is the plain gate family in phased clothing
-    zero = compute_geometric_tensor(phased_variant(circuit, 0.0), params,
-                                    OpCounter(), use_diagonal_shortcut=False)
+    zero = compute_geometric_tensor(phased_variant(circuit, 0.0), params, OpCounter())
     np.testing.assert_allclose(zero.matrix, plain.matrix, atol=1e-12)
 
 
@@ -178,7 +175,7 @@ def test_tensor_properties_on_random_circuits(case):
     circuit, params, block = case
     count = circuit.num_parameters
     counter = OpCounter()
-    main = compute_geometric_tensor(circuit, params, counter, use_diagonal_shortcut=False)
+    main = compute_geometric_tensor(circuit, params, counter)
     assert counter.as_tuple() == main_algorithm_cost(count)
     berry = compute_berry_vector(circuit, params, OpCounter())
     counter = OpCounter()
@@ -221,46 +218,28 @@ def test_tensor_gauge_invariant_under_phased_variant(case, phase_rate):
 
 
 # ---------------------------------------------------------------------------
-# Diagonal shortcut
+# Diagonal values
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_diagonal_shortcut_equivalence(seed):
+    # the a-priori diagonal, scale^2 for a rotation and scale^2 * p1 for a
+    # controlled one (p1 read from the state before the gate), equals the
+    # L_jj that main and the blocked route read with an inner product
     rng = np.random.default_rng([41, seed])
     circuit = random_circuit(3, 8, rng)  # mixes plain and controlled rotations
-    params = random_parameters(8, rng)
-    fast = compute_geometric_tensor(circuit, params, OpCounter(),
-                                    use_diagonal_shortcut=True)
-    slow = compute_geometric_tensor(circuit, params, OpCounter(),
-                                    use_diagonal_shortcut=False)
-    assert np.max(np.abs(fast.matrix - slow.matrix)) <= 1e-10
-
-
-def test_shortcut_skips_one_inner_product_per_eligible_gate():
-    circuit = random_circuit(3, 9, seed_or_rng=42)
-    params = random_parameters(9, 43)
-    eligible = sum(
-        isinstance(g, (PauliRotation, ControlledPauliRotation)) for g in circuit.gates
-    )
-    assert eligible == 9
-    with_shortcut = OpCounter()
-    compute_geometric_tensor(circuit, params, with_shortcut)
-    without = OpCounter()
-    compute_geometric_tensor(circuit, params, without, use_diagonal_shortcut=False)
-    assert without.inner_products - with_shortcut.inner_products == eligible
-    assert with_shortcut.gate_applications == without.gate_applications
-    assert with_shortcut.clones == without.clones
-
-
-def test_shortcut_not_taken_for_phased_gates():
-    circuit = phased_variant(random_circuit(2, 4, 44, include_controlled=False), 0.3)
-    with_flag = OpCounter()
-    compute_geometric_tensor(circuit, random_parameters(4, 45), with_flag)
-    without = OpCounter()
-    compute_geometric_tensor(circuit, random_parameters(4, 45), without,
-                             use_diagonal_shortcut=False)
-    assert with_flag.inner_products == without.inner_products
+    bound = circuit.bind(random_parameters(8, rng))
+    expected = []
+    for j, gate in enumerate(circuit.gates):
+        p1 = 1.0
+        if isinstance(gate, ControlledPauliRotation):
+            amplitudes = bound.prepare(OpCounter(), upto=j).amplitudes
+            p1 = np.sum(np.abs(amplitudes.reshape(-1, 2, 1 << gate.control)[:, 1]) ** 2)
+        expected.append(gate.scale**2 * p1)
+    for block in (None, 3):
+        li = compute_geometric_tensor(circuit, bound, OpCounter(), block=block).li
+        np.testing.assert_allclose(li.diagonal(), expected, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +249,15 @@ def test_shortcut_not_taken_for_phased_gates():
 
 @pytest.mark.parametrize("num_parameters", [1, 2, 3, 8, 17])
 def test_primitive_counts_match_recorded_formulas(num_parameters):
+    # main's counts depend on P alone, whatever the gate kinds
     rng = np.random.default_rng([46, num_parameters])
-    circuit = random_circuit(3, num_parameters, rng)
+    mixed = random_circuit(3, num_parameters, rng)
     params = random_parameters(num_parameters, rng)
-    counter = OpCounter()
-    compute_geometric_tensor(circuit, params, counter, use_diagonal_shortcut=False)
-    assert counter.as_tuple() == main_algorithm_cost(num_parameters)
+    rotations = random_circuit(3, num_parameters, rng, include_controlled=False)
+    for circuit in (mixed, rotations, phased_variant(rotations, 0.3)):
+        counter = OpCounter()
+        compute_geometric_tensor(circuit, params, counter)
+        assert counter.as_tuple() == main_algorithm_cost(num_parameters)
 
 
 @pytest.mark.parametrize("num_parameters", [3, 17])
@@ -392,8 +374,7 @@ def test_li_tensor_diagonal_real_nonnegative():
     rng = np.random.default_rng(49)
     circuit = random_circuit(3, 8, rng)
     params = random_parameters(8, rng)
-    li = compute_geometric_tensor(circuit, params, OpCounter(),
-                                  use_diagonal_shortcut=False).li
+    li = compute_geometric_tensor(circuit, params, OpCounter()).li
     diag = np.diag(li)
     assert np.max(np.abs(diag.imag)) <= 1e-10
     assert np.min(diag.real) >= -1e-10
@@ -441,7 +422,10 @@ def test_tensor_binary_round_trip(tmp_path):
 
 
 def test_tensor_binary_truncated_header_is_value_error(tmp_path):
+    # a short size field, and a body that ends inside its one 16-byte entry
     path = tmp_path / "short.bin"
-    path.write_bytes(b"QGTDUMP1" + b"\x03\x00")
-    with pytest.raises(ValueError, match="truncated"):
-        read_tensor_binary(path)
+    for tail in (b"\x03\x00", (1).to_bytes(8, "little") + bytes(15)):
+        path.write_bytes(b"QGTDUMP1" + tail)
+        with pytest.raises(ValueError) as error:
+            read_tensor_binary(path)
+        assert str(error.value).startswith(f"{path}: truncated")

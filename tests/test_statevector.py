@@ -185,8 +185,9 @@ def test_little_endian_qubit_order():
     state = make_basis_state(2, 0)
     apply_operator(state, MatrixGateOperator((1,), X), counter)
     np.testing.assert_allclose(state.amplitudes, [0, 0, 1, 0])
-    assert state.probability_of_one(1) == pytest.approx(1.0)
-    assert state.probability_of_one(0) == pytest.approx(0.0)
+    probabilities = np.abs(state.amplitudes.reshape(2, 2)) ** 2  # [bit 1, bit 0]
+    assert probabilities[1, :].sum() == pytest.approx(1.0)  # qubit 1 reads 1
+    assert probabilities[:, 1].sum() == pytest.approx(0.0)  # qubit 0 reads 0
 
 
 def test_apply_rotation_at_zero_angle_is_identity():
