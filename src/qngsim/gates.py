@@ -227,6 +227,8 @@ class PauliRotation(ParameterizedGate):
     def __post_init__(self) -> None:
         if self.axis.is_identity:
             raise ValueError("rotation axis must act on at least one qubit")
+        if not np.isfinite(self.scale):
+            raise ValueError(f"scale must be finite, got {self.scale}")
         if not np.isfinite(self.phase_rate):
             raise ValueError(f"phase rate must be finite, got {self.phase_rate}")
 
@@ -273,6 +275,8 @@ class ControlledPauliRotation(ParameterizedGate):
     def __post_init__(self) -> None:
         if self.axis.is_identity:
             raise ValueError("rotation axis must act on at least one qubit")
+        if not np.isfinite(self.scale):
+            raise ValueError(f"scale must be finite, got {self.scale}")
         if self.control < 0:
             raise ValueError(f"control qubit must be non-negative, got {self.control}")
         if self.control in self.axis.qubits:

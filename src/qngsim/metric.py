@@ -35,7 +35,8 @@ blocked route's counts and its CSV differs from main's in those bits.  Both
 routes are O(P^2), against O(P^3) for evaluating each matrix element from
 scratch (see the baselines module).  Every route returns L as a P x P array
 whose lower triangle :func:`mirror_upper` fills with the conjugate of the
-upper one.
+upper one, and :func:`tensor_matrix` completes G the same way, so L and G
+are exactly Hermitian.
 
 Both routes take each derivative state from ``|psi_j> = U_j ... U_1 |in>``
 and the gate's cached theta-free factor ``D_j``, as
@@ -92,11 +93,9 @@ def mirror_upper(li: np.ndarray) -> np.ndarray:
 
 
 def tensor_matrix(li: np.ndarray, berry: np.ndarray) -> np.ndarray:
-    """``G = L - conj(T) T^T`` with the rounding in the imaginary part of its
-    real diagonal ``G_ii = L_ii - |T_i|^2`` dropped."""
-    matrix = li - np.outer(np.conj(berry), berry)
-    np.fill_diagonal(matrix, matrix.diagonal().real)
-    return matrix
+    """``G = L - conj(T) T^T``, completed from its upper triangle by
+    :func:`mirror_upper`, so it is exactly Hermitian with a real diagonal."""
+    return mirror_upper(li - np.outer(np.conj(berry), berry))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from functools import cache
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg.blas import zaxpy
+from scipy.linalg.blas import drot, zaxpy, zdrot
 
 __all__ = [
     "AllocationTally",
@@ -176,13 +176,14 @@ class Statevector:
         if amplitudes is None:
             amplitudes = np.zeros(dim, dtype=np.complex128)
         else:
-            amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+            # BLAS kernels rotate a misaligned or read-only buffer's copy, not
+            # the buffer: hold an aligned, writeable, C-contiguous one
+            amplitudes = np.require(amplitudes, np.complex128, "CAW")
             if amplitudes.shape != (dim,):
                 raise ValueError(
                     f"expected {dim} amplitudes for {num_qubits} qubits, "
                     f"got shape {amplitudes.shape}"
                 )
-            amplitudes = np.ascontiguousarray(amplitudes)
         self.num_qubits = num_qubits
         self.amplitudes = amplitudes
         self.kind = kind
@@ -292,6 +293,12 @@ def apply_operator(state: Statevector, op: MatrixGateOperator | PauliStringOpera
 
 _BLOCK_BITS = 6  # blocks of >= 64 amplitudes keep numpy's inner loop long
 _GEMM_BITS = 5  # widest kron-expanded window: a 32x32 block, whatever N
+# BLAS plane rotations beat the window GEMM with >= 2**8 pairs per unit-stride
+# call, or >= 2**10 per strided call (or at bits 0 and 1, where the stride is at
+# most one 64-byte line); strided calls sweep 512 KiB chunks of the register
+_BLOCK_PAIRS = 1 << 8
+_STRIDED_PAIRS = 1 << 10
+_CHUNK_BITS = 15
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -390,6 +397,60 @@ def _dense_kernel(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int)
     return apply
 
 
+@cache
+def _rotation_layout(qubit: int, num_qubits: int):
+    """The BLAS calls ``(n, offx, incx, offy, incy)`` pairing each amplitude
+    with bit ``qubit`` clear (x) with its partner (y), in complex units and in
+    units of the float64 view; None up to N = 5 (the one-row GEMV) and where
+    each call would pair too few amplitudes to beat the window GEMM.  See
+    :func:`_rotation_kernel`."""
+    if num_qubits <= _GEMM_BITS:
+        return None
+    half = 1 << qubit
+    if half >= _BLOCK_PAIRS:  # one unit-stride call per block of 2**(q+1) amplitudes
+        calls = [(half, start, 1, start + half, 1)
+                 for start in range(0, 1 << num_qubits, 2 * half)]
+    else:  # 2**q strided calls per chunk, which stays in cache between them
+        chunk = 1 << min(num_qubits, _CHUNK_BITS)
+        pairs = chunk // (2 * half)
+        if qubit > 1 and pairs < _STRIDED_PAIRS:
+            return None
+        calls = [(pairs, start + j, 2 * half, start + j + half, 2 * half)
+                 for start in range(0, 1 << num_qubits, chunk) for j in range(half)]
+    floats = [(n, 2 * offx, 2 * incx, 2 * offy, 2 * incy) for n, offx, incx, offy, incy in calls]
+    return tuple(calls), tuple(floats)
+
+
+def _rotation_kernel(matrix: np.ndarray, qubit: int, num_qubits: int):
+    """In-place plane rotation by ``[[c, m01], [-conj(m01), c]]`` with real
+    ``c`` and real or imaginary ``m01``; see :class:`MatrixGateOperator`."""
+    calls, floats = _rotation_layout(qubit, num_qubits)
+    c, m01 = matrix[0, 0].real, matrix[0, 1]
+    if not m01.imag:  # ry form, drot's own: x' = c x + s y, y' = c y - s x
+        s = m01.real
+
+        def apply(amplitudes: np.ndarray) -> None:
+            for n, offx, incx, offy, incy in calls:
+                zdrot(amplitudes, amplitudes, c, s, n, offx, incx, offy, incy, 1, 1)
+        return apply
+    s = m01.imag  # rx form: Re x with Im y at (c, -s), Im x with Re y at (c, s)
+
+    def apply(amplitudes: np.ndarray) -> None:
+        parts = amplitudes.view(np.float64)
+        for n, offx, incx, offy, incy in floats:
+            drot(parts, parts, c, -s, n, offx, incx, offy + 1, incy, 1, 1)
+            drot(parts, parts, c, s, n, offx + 1, incx, offy, incy, 1, 1)
+    return apply
+
+
+def _rotation_form(matrix: np.ndarray) -> bool:
+    """Whether a 2x2 matrix is ``[[c, m01], [-conj(m01), c]]`` with real ``c``
+    and ``m01`` real or imaginary: rx, ry, their adjoints and factors D."""
+    (m00, m01), (m10, m11) = matrix
+    return (m00 == m11 and not m00.imag and m10 == -m01.conjugate()
+            and not (m01.real and m01.imag))
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixGateOperator:
     """A dense matrix on a few target qubits, controls already folded in.
@@ -420,6 +481,17 @@ class MatrixGateOperator:
       written into its own operand would copy that operand first, and a
       scratch buffer on the operator would be shared by every binding and
       thread).
+    * rotation form, from N = 6 (rx, ry, their adjoints and factors D, which
+      are ``[[c, m01], [-conj(m01), c]]`` on one target with real ``c`` and
+      ``m01`` real or imaginary): BLAS plane rotations on the register, one
+      ``zdrot`` for real ``m01`` (ry), two ``drot`` on the float64 view for
+      imaginary ``m01`` (rx), pairing Re x0 with Im x1 and Im x0 with Re x1.
+      From bit 8 up that is one unit-stride call per block of 2**(q+1)
+      amplitudes; below, 2**q strided calls per chunk of 2**15 amplitudes,
+      taken at bits 0 and 1 and wherever each call makes at least 2**10
+      pairs (bits 0-4 from N = 15).  The other bits keep the window
+      GEMM above, where fewer pairs per call measured slower.  Offsets are
+      cached per (bit, N); the kernel holds only ``c`` and ``s``.
     * dense, targets further apart: target axes moved to the front, one GEMM.
     """
 
@@ -450,9 +522,13 @@ class MatrixGateOperator:
         return MatrixGateOperator(self.targets, self.matrix.conj().T)
 
     def _kernel(self, num_qubits: int):
-        dense = np.count_nonzero(self.matrix) > np.count_nonzero(self.matrix.diagonal())
-        return (_dense_kernel if dense else _diagonal_kernel)(self.matrix, self.targets,
-                                                              num_qubits)
+        matrix, targets = self.matrix, self.targets
+        if np.count_nonzero(matrix) == np.count_nonzero(matrix.diagonal()):
+            return _diagonal_kernel(matrix, targets, num_qubits)
+        if (len(targets) == 1 and _rotation_layout(targets[0], num_qubits)
+                and _rotation_form(matrix)):
+            return _rotation_kernel(matrix, targets[0], num_qubits)
+        return _dense_kernel(matrix, targets, num_qubits)
 
 
 def controlled_matrix_operator(targets: tuple[int, ...], matrix: np.ndarray,

@@ -292,3 +292,11 @@ def test_generator_requires_terms():
 def test_pauli_sum_rejects_non_finite_weights(weight):
     with pytest.raises(ValueError, match="finite"):
         PauliSum(((weight, PauliString.single(0, "Z")),))
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+def test_rotations_reject_non_finite_scale(scale):
+    with pytest.raises(ValueError, match="scale must be finite"):
+        PauliRotation(PauliString.single(0, "X"), scale=scale)
+    with pytest.raises(ValueError, match="scale must be finite"):
+        ControlledPauliRotation(1, PauliString.single(0, "Y"), scale=scale)

@@ -191,12 +191,10 @@ def test_tensor_properties_on_random_circuits(case):
         assert (counter.gate_applications, counter.clones) == cost_model(alg, count)[:2]
         overlaps[alg] = li
         tensors[alg] = tensor_matrix(li, berry)
-    # every route mirrors its upper triangle and keeps only the real part of
-    # its diagonal, so L is Hermitian bit for bit, and G's diagonal is real
-    for li in overlaps.values():
-        assert np.array_equal(li, li.conj().T)
-    for matrix in tensors.values():
-        assert np.all(matrix.diagonal().imag == 0)
+    # every route mirrors the upper triangles of L and G and keeps only the
+    # real part of their diagonals, so both are Hermitian bit for bit
+    for matrix in (*overlaps.values(), *tensors.values()):
+        assert np.array_equal(matrix, matrix.conj().T)
     for tensor in (main, blocked):
         assert np.min(np.linalg.eigvalsh(tensor.fubini_study_metric)) >= -1e-10
     np.testing.assert_allclose(blocked.berry, main.berry, rtol=0, atol=1e-10)
@@ -204,6 +202,17 @@ def test_tensor_properties_on_random_circuits(case):
     for route in ("main", "blocked", BaselineId.ALG6, BaselineId.ALG8):
         np.testing.assert_allclose(tensors[route], main.matrix, rtol=0, atol=1e-10)
         np.testing.assert_allclose(tensors[route], oracle, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("block", [3, 128])
+def test_deep_tensor_is_hermitian_bit_for_bit(block):
+    # 128 gates on 4 qubits, the shape of the narrow benchmark workload; the
+    # two triangles of conj(T) T^T, formed separately, differ in the last bit
+    circuit = random_circuit(4, 128, seed_or_rng=np.random.default_rng([1, 0]))
+    params = random_parameters(128, np.random.default_rng([1, 2]))
+    for tensor in (compute_geometric_tensor(circuit, params, OpCounter()),
+                   compute_geometric_tensor_blocked(circuit, params, OpCounter(), block)):
+        assert np.array_equal(tensor.matrix, tensor.matrix.conj().T)
 
 
 @settings(max_examples=40, deadline=None)

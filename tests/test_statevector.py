@@ -9,12 +9,19 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qngsim.gates import ControlledPauliRotation, PauliString
+from qngsim.gates import (
+    ControlledPauliRotation,
+    GeneratedGate,
+    PauliRotation,
+    PauliString,
+    PauliSum,
+)
 from qngsim.statevector import (
     MatrixGateOperator,
     OpCounter,
     PauliStringOperator,
     Statevector,
+    _rotation_layout,
     apply_operator,
     clone_into,
     controlled_matrix_operator,
@@ -241,7 +248,8 @@ def test_apply_accepts_non_unitary_operators():
 @pytest.mark.parametrize("num_qubits", [2, 3, 5, 7, 8])
 @pytest.mark.parametrize("targets", [(0,), (1,), "top", (0, 1), (1, 0), "pair", "triple"])
 def test_apply_matches_reference_action(num_qubits, targets):
-    # covers both the small-register python path and the vectorized path
+    # random matrices take the one-row GEMV up to N = 5, the window and the
+    # moveaxis kernels; the rotation kernel is checked on rotations below
     if targets == "top":
         targets = (num_qubits - 1,)
     elif targets == "pair":
@@ -427,6 +435,113 @@ def test_controlled_fold_matches_kron_oracle():
     op = controlled_matrix_operator((0,), gate, (1,), zero_uncontrolled=True)
     apply_operator(state, op, OpCounter())
     np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Rotation kernel: rx, ry, their adjoints and factors D as BLAS plane rotations
+# ---------------------------------------------------------------------------
+
+
+def one_target_oracle(amplitudes, qubit, matrix):
+    """``matrix`` on ``qubit``: every pair of amplitudes that differ only in
+    that bit, taken as a 2-vector, times ``matrix``."""
+    view = amplitudes.reshape(-1, 2, 1 << qubit)
+    return np.einsum("ij,ajb->aib", matrix, view).reshape(-1)
+
+
+def kernel_name(op, num_qubits):
+    return op._kernel(num_qubits).__qualname__.split(".")[0]
+
+
+def on_rotation_path(qubit, num_qubits):
+    # above the one-row GEMV (N <= 5): at bits 0 and 1, from bit 8 up, and
+    # where a chunk of 2**15 amplitudes gives strided calls of >= 2**10 pairs
+    pairs = 1 << (min(num_qubits, 15) - 1 - qubit) if qubit < 8 else 0
+    return num_qubits > 5 and (qubit <= 1 or qubit >= 8 or pairs >= 1 << 10)
+
+
+@pytest.mark.parametrize("num_qubits", [6, 9, 12, 13, 16])
+@pytest.mark.parametrize("axis", ["X", "Y"])
+def test_rotation_kernel_matches_oracle_on_every_bit(num_qubits, axis):
+    for qubit in range(num_qubits):
+        gate = PauliRotation(PauliString.single(qubit, axis))
+        unitary = gate.unitary(17.3)
+        for op in (unitary, unitary.adjoint(), gate.derivative_factor):
+            name = kernel_name(op, num_qubits)
+            assert (name == "_rotation_kernel") == on_rotation_path(qubit, num_qubits)
+        for op in (unitary, unitary.adjoint(), gate.derivative_factor, gate.derivative(17.3)):
+            state = random_state(num_qubits, seed=qubit)
+            expected = one_target_oracle(state.amplitudes, qubit, op.matrix)
+            counter = OpCounter()
+            apply_operator(state, op, counter)
+            np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-15)
+            assert counter.gate_applications == 1
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 19))
+def test_rotation_layout_by_bit_and_register_size(num_qubits):
+    for qubit in range(num_qubits):
+        layout = _rotation_layout(qubit, num_qubits)
+        assert (layout is not None) == on_rotation_path(qubit, num_qubits)
+        if layout is None:
+            continue
+        calls, floats = layout
+        half = 1 << qubit
+        if qubit < 8:  # 2**q strided calls per chunk of at most 2**15 amplitudes
+            chunks = 1 << max(0, num_qubits - 15)
+            assert len(calls) == half * chunks
+            assert all(incx == incy == 2 * half for _, _, incx, _, incy in calls)
+        else:  # one unit-stride call per block of 2**(q+1) amplitudes
+            assert len(calls) == 1 << (num_qubits - 1 - qubit)
+            assert all(incx == incy == 1 for _, _, incx, _, incy in calls)
+        # every amplitude appears once, as x with the bit clear or as its partner y
+        xs = np.concatenate([offx + incx * np.arange(n) for n, offx, incx, _, _ in calls])
+        ys = np.concatenate([offy + incy * np.arange(n) for n, _, _, offy, incy in calls])
+        assert np.all(xs & half == 0) and np.array_equal(ys, xs + half)
+        assert np.array_equal(np.sort(np.concatenate([xs, ys])), np.arange(1 << num_qubits))
+        assert floats == tuple((n, 2 * offx, 2 * incx, 2 * offy, 2 * incy)
+                               for n, offx, incx, offy, incy in calls)
+
+
+@pytest.mark.parametrize("num_qubits, qubit", [(4, 0), (5, 1), (5, 4), (6, 0), (9, 8), (12, 1),
+                                                (16, 3)])
+def test_rotation_kernel_fallbacks(num_qubits, qubit):
+    # phased rotations (prx, pry), a one-qubit gen whose m01 is neither real
+    # nor imaginary, and every gate up to N = 5 keep the dense kernel
+    phased = [PauliRotation(PauliString.single(qubit, axis), phase_rate=rate)
+              for axis, rate in (("X", 0.7), ("Y", -0.4))]
+    generated = GeneratedGate(PauliSum(((0.3, PauliString.single(qubit, "X")),
+                                        (0.4, PauliString.single(qubit, "Y")))))
+    ops = [op for gate in phased for op in (gate.unitary(17.3), gate.derivative_factor)]
+    ops += [generated.unitary(17.3), generated.derivative_factor]
+    if num_qubits <= 5:
+        for axis in ("X", "Y"):
+            gate = PauliRotation(PauliString.single(qubit, axis))
+            ops += [gate.unitary(17.3), gate.unitary(17.3).adjoint(), gate.derivative_factor]
+    for op in ops:
+        assert kernel_name(op, num_qubits) == "_dense_kernel"
+        state = random_state(num_qubits, seed=qubit)
+        expected = one_target_oracle(state.amplitudes, qubit, op.matrix)
+        apply_operator(state, op, OpCounter())
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("axis", ["X", "Y"])
+@pytest.mark.parametrize("writeable", [True, False])
+def test_rotation_acts_on_a_state_built_from_an_offset_buffer(axis, writeable):
+    # BLAS wrappers rotate a copy of a misaligned or read-only array, so the
+    # register must hold an aligned, writeable buffer of its own
+    num_qubits = 12
+    raw = np.zeros(16 * (1 << num_qubits) + 4, dtype=np.uint8)[4:].view(np.complex128)
+    raw[:] = random_state(num_qubits, seed=3).amplitudes
+    raw.flags.writeable = writeable
+    assert not raw.flags.aligned
+    state = Statevector(num_qubits, raw)
+    assert state.amplitudes.flags.aligned and state.amplitudes.flags.writeable
+    op = PauliRotation(PauliString.single(0, axis)).unitary(0.9)
+    expected = one_target_oracle(raw, 0, op.matrix)
+    apply_operator(state, op, OpCounter())
+    np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("num_qubits", [2, 4, 8])
