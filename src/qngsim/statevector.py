@@ -166,32 +166,40 @@ class OpCounter:
 class Statevector:
     """A dense register of ``2**num_qubits`` complex128 amplitudes."""
 
-    __slots__ = ("num_qubits", "amplitudes", "kind", "__weakref__")
+    __slots__ = ("num_qubits", "_amplitudes", "kind", "__weakref__")
 
     def __init__(self, num_qubits: int, amplitudes: np.ndarray | None = None,
                  kind: str = "state") -> None:
         if num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
-        dim = 1 << num_qubits
-        if amplitudes is None:
-            amplitudes = np.zeros(dim, dtype=np.complex128)
-        else:
-            # BLAS kernels rotate a misaligned or read-only buffer's copy, not
-            # the buffer: hold an aligned, writeable, C-contiguous one
-            amplitudes = np.require(amplitudes, np.complex128, "CAW")
-            if amplitudes.shape != (dim,):
-                raise ValueError(
-                    f"expected {dim} amplitudes for {num_qubits} qubits, "
-                    f"got shape {amplitudes.shape}"
-                )
         self.num_qubits = num_qubits
-        self.amplitudes = amplitudes
+        if amplitudes is None:
+            self._amplitudes = np.zeros(1 << num_qubits, dtype=np.complex128)
+        else:
+            self.amplitudes = amplitudes
         self.kind = kind
         tallies = _TALLIES.get()
         if tallies:
             for tally in tallies:
                 tally._on_alloc(kind)
             weakref.finalize(self, _notify_free, tallies, kind)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        return self._amplitudes
+
+    @amplitudes.setter
+    def amplitudes(self, amplitudes: np.ndarray) -> None:
+        # BLAS kernels rotate a misaligned or read-only buffer's copy, not the
+        # buffer: hold an aligned, writeable, C-contiguous one
+        amplitudes = np.require(amplitudes, np.complex128, "CAW")
+        dim = 1 << self.num_qubits
+        if amplitudes.shape != (dim,):
+            raise ValueError(
+                f"expected {dim} amplitudes for {self.num_qubits} qubits, "
+                f"got shape {amplitudes.shape}"
+            )
+        self._amplitudes = amplitudes
 
     @classmethod
     def zeros(cls, num_qubits: int, kind: str = "workspace") -> "Statevector":
@@ -293,12 +301,7 @@ def apply_operator(state: Statevector, op: MatrixGateOperator | PauliStringOpera
 
 _BLOCK_BITS = 6  # blocks of >= 64 amplitudes keep numpy's inner loop long
 _GEMM_BITS = 5  # widest kron-expanded window: a 32x32 block, whatever N
-# BLAS plane rotations beat the window GEMM with >= 2**8 pairs per unit-stride
-# call, or >= 2**10 per strided call (or at bits 0 and 1, where the stride is at
-# most one 64-byte line); strided calls sweep 512 KiB chunks of the register
-_BLOCK_PAIRS = 1 << 8
-_STRIDED_PAIRS = 1 << 10
-_CHUNK_BITS = 15
+_BLOCK_PAIRS = 1 << 8  # BLAS plane rotations need >= 2**8 pairs per block call
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -399,32 +402,27 @@ def _dense_kernel(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int)
 
 @cache
 def _rotation_layout(qubit: int, num_qubits: int):
-    """The BLAS calls ``(n, offx, incx, offy, incy)`` pairing each amplitude
-    with bit ``qubit`` clear (x) with its partner (y), in complex units and in
-    units of the float64 view; None up to N = 5 (the one-row GEMV) and where
-    each call would pair too few amplitudes to beat the window GEMM.  See
-    :func:`_rotation_kernel`."""
+    """The BLAS calls ``(n, offx, incx, offy, incy)``, in complex units, pairing
+    each amplitude with bit ``qubit`` clear (x) with its partner (y); None up
+    to N = 5 (the one-row GEMV) and at bits 2-7, which keep the window GEMM.
+    Timed from N = 6 to 18, these calls beat the window GEMM at bits 0-1 and
+    from bit 8 up (ry by 2-7x; rx by up to 2x, or level); at bits 2-7 rx lost
+    as strided and as per-block calls, so both forms keep the GEMM there.
+    See :func:`_rotation_kernel`."""
     if num_qubits <= _GEMM_BITS:
         return None
-    half = 1 << qubit
+    half, dim = 1 << qubit, 1 << num_qubits
+    if qubit <= 1:  # 2**q strided calls over the register
+        return tuple((dim // (2 * half), j, 2 * half, j + half, 2 * half) for j in range(half))
     if half >= _BLOCK_PAIRS:  # one unit-stride call per block of 2**(q+1) amplitudes
-        calls = [(half, start, 1, start + half, 1)
-                 for start in range(0, 1 << num_qubits, 2 * half)]
-    else:  # 2**q strided calls per chunk, which stays in cache between them
-        chunk = 1 << min(num_qubits, _CHUNK_BITS)
-        pairs = chunk // (2 * half)
-        if qubit > 1 and pairs < _STRIDED_PAIRS:
-            return None
-        calls = [(pairs, start + j, 2 * half, start + j + half, 2 * half)
-                 for start in range(0, 1 << num_qubits, chunk) for j in range(half)]
-    floats = [(n, 2 * offx, 2 * incx, 2 * offy, 2 * incy) for n, offx, incx, offy, incy in calls]
-    return tuple(calls), tuple(floats)
+        return tuple((half, start, 1, start + half, 1) for start in range(0, dim, 2 * half))
+    return None
 
 
 def _rotation_kernel(matrix: np.ndarray, qubit: int, num_qubits: int):
     """In-place plane rotation by ``[[c, m01], [-conj(m01), c]]`` with real
     ``c`` and real or imaginary ``m01``; see :class:`MatrixGateOperator`."""
-    calls, floats = _rotation_layout(qubit, num_qubits)
+    calls = _rotation_layout(qubit, num_qubits)
     c, m01 = matrix[0, 0].real, matrix[0, 1]
     if not m01.imag:  # ry form, drot's own: x' = c x + s y, y' = c y - s x
         s = m01.real
@@ -434,6 +432,7 @@ def _rotation_kernel(matrix: np.ndarray, qubit: int, num_qubits: int):
                 zdrot(amplitudes, amplitudes, c, s, n, offx, incx, offy, incy, 1, 1)
         return apply
     s = m01.imag  # rx form: Re x with Im y at (c, -s), Im x with Re y at (c, s)
+    floats = [(n, 2 * offx, 2 * incx, 2 * offy, 2 * incy) for n, offx, incx, offy, incy in calls]
 
     def apply(amplitudes: np.ndarray) -> None:
         parts = amplitudes.view(np.float64)
@@ -486,12 +485,12 @@ class MatrixGateOperator:
       ``m01`` real or imaginary): BLAS plane rotations on the register, one
       ``zdrot`` for real ``m01`` (ry), two ``drot`` on the float64 view for
       imaginary ``m01`` (rx), pairing Re x0 with Im x1 and Im x0 with Re x1.
-      From bit 8 up that is one unit-stride call per block of 2**(q+1)
-      amplitudes; below, 2**q strided calls per chunk of 2**15 amplitudes,
-      taken at bits 0 and 1 and wherever each call makes at least 2**10
-      pairs (bits 0-4 from N = 15).  The other bits keep the window
-      GEMM above, where fewer pairs per call measured slower.  Offsets are
-      cached per (bit, N); the kernel holds only ``c`` and ``s``.
+      At bits 0 and 1 that is 2**q strided calls over the register (a
+      stride of at most 4 amplitudes, one 64-byte line); from bit 8 up, one
+      unit-stride call per block of 2**(q+1) amplitudes.  Bits 2-7 keep the
+      window GEMM above, where rx measured slower as strided or per-block
+      calls.  Offsets are cached per (bit, N), and an rx kernel doubles them
+      into float64 units when it is built; each kernel holds ``c`` and ``s``.
     * dense, targets further apart: target axes moved to the front, one GEMM.
     """
 
