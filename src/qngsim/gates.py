@@ -16,6 +16,21 @@ kinds:
 ``D`` is built once per gate (:attr:`ParameterizedGate.derivative_factor`),
 so its kernel is cached with it for every later binding.
 
+A rotation is affine in theta-free matrices, ``U(theta) = M0 + a Mc + b Ms``
+with ``Mc = I`` and ``Ms = i sigma`` on its block and ``M0`` the control-0
+identity of a controlled rotation (absent otherwise): ``a = cos(s theta)``
+and ``b = sin(s theta)``, both times ``exp(i phase_rate theta)`` for a
+phased rotation.  ``D`` is the same sum with ``M0`` and ``Mc`` at 0 and
+``Ms`` at ``s`` (``Mc`` at ``i phase_rate`` when phased), and ``U^dagger``
+the sum at ``conj(a)`` and ``-conj(b)``.  These matrices form the gate's
+:class:`~qngsim.statevector.OperatorBasis`, shared by every gate of the
+same axis, control and phase kind.  Per register size the basis caches a
+kernel *plan*: the kernel family, its layout and each matrix expanded
+through it.  So ``unitary(theta)`` costs a cosine and a sine, and its
+kernel one product of the cached expansions with the coefficients.
+``derivative(theta)`` and :class:`GeneratedGate` (an ``expm``) build a
+matrix, which is a one-term basis of its own.
+
 Derivative operators are represented structurally (small matrix on the
 support, optionally behind a control projector), never as full-register
 matrices, so applying one costs the same O(2^N) as a unitary gate.
@@ -23,9 +38,11 @@ matrices, so applying one costs the same O(2^N) as a unitary gate.
 
 from __future__ import annotations
 
+import cmath
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 from scipy.linalg import expm
@@ -33,6 +50,7 @@ from scipy.linalg import expm
 from .errors import UnsupportedGateError
 from .statevector import (
     MatrixGateOperator,
+    OperatorBasis,
     PauliStringOperator,
     controlled_matrix_operator,
 )
@@ -94,7 +112,7 @@ class PauliString:
         factors = []
         for token in text.split():
             label, digits = token[:1].upper(), token[1:]
-            if label not in PAULI_LABELS or not digits.isdigit():
+            if label not in PAULI_LABELS or not (digits.isascii() and digits.isdigit()):
                 raise ValueError(f"cannot parse Pauli factor {token!r}")
             factors.append((int(digits), label))
         return cls(tuple(factors))
@@ -182,6 +200,34 @@ def _rotation_matrix(sigma: np.ndarray, angle: float) -> np.ndarray:
     return np.cos(angle) * np.eye(dim, dtype=np.complex128) + 1j * np.sin(angle) * sigma
 
 
+@lru_cache(maxsize=64)
+def _rotation_terms(labels: tuple[str, ...], controlled: bool) -> np.ndarray:
+    """``(I, i*sigma)`` for the Pauli word ``labels`` on its own support, or
+    with a control (the top matrix bit) ``(M0, I, i*sigma)``: ``M0`` the
+    control-0 identity, the other two on the control-1 block."""
+    sigma = PauliString(tuple(enumerate(labels))).dense_matrix()
+    dim = len(sigma)
+    if not controlled:
+        return np.stack((np.eye(dim), 1j * sigma))
+    terms = np.zeros((3, 2 * dim, 2 * dim), dtype=np.complex128)
+    terms[0, :dim, :dim] = terms[1, dim:, dim:] = np.eye(dim)
+    terms[2, dim:, dim:] = 1j * sigma
+    return terms
+
+
+@lru_cache(maxsize=4096)
+def _rotation_basis(axis: PauliString, control: int | None, real: bool) -> OperatorBasis:
+    """The theta-free basis of a rotation about ``axis``, with an optional
+    control; gates of the same axis, control and phase kind share it, and
+    so its kernel plans."""
+    labels = tuple(label for _, label in axis.factors)
+    if control is None:
+        return OperatorBasis(axis.qubits, _rotation_terms(labels, False), real=real,
+                             adjoint_signs=(1, -1))
+    return OperatorBasis(axis.qubits + (control,), _rotation_terms(labels, True),
+                         adjoint_signs=(1, 1, -1))
+
+
 # ---------------------------------------------------------------------------
 # Gate kinds
 # ---------------------------------------------------------------------------
@@ -236,6 +282,10 @@ class PauliRotation(ParameterizedGate):
     def _sigma(self) -> np.ndarray:
         return self.axis.dense_matrix()
 
+    @cached_property
+    def _basis(self) -> OperatorBasis:
+        return _rotation_basis(self.axis, None, not self.phase_rate)
+
     @property
     def qubit_indices(self) -> tuple[int, ...]:
         return self.axis.qubits
@@ -245,7 +295,12 @@ class PauliRotation(ParameterizedGate):
         return np.exp(1j * self.phase_rate * theta) * rot if self.phase_rate else rot
 
     def unitary(self, theta: float) -> MatrixGateOperator:
-        return MatrixGateOperator(self.axis.qubits, self._matrix(theta))
+        angle = self.scale * theta
+        weights = (math.cos(angle), math.sin(angle))
+        if self.phase_rate:
+            phase = cmath.exp(1j * self.phase_rate * theta)
+            weights = (phase * weights[0], phase * weights[1])
+        return self._basis.bind(weights)
 
     def derivative(self, theta: float) -> MatrixGateOperator:
         return MatrixGateOperator(self.axis.qubits,
@@ -253,10 +308,7 @@ class PauliRotation(ParameterizedGate):
 
     @cached_property
     def derivative_factor(self) -> MatrixGateOperator:
-        factor = 1j * self.scale * self._sigma
-        if self.phase_rate:
-            factor = 1j * self.phase_rate * np.eye(len(factor)) + factor
-        return MatrixGateOperator(self.axis.qubits, factor)
+        return self._basis.bind((1j * self.phase_rate if self.phase_rate else 0.0, self.scale))
 
 
 @dataclass(frozen=True)
@@ -288,13 +340,17 @@ class ControlledPauliRotation(ParameterizedGate):
     def _sigma(self) -> np.ndarray:
         return self.axis.dense_matrix()
 
+    @cached_property
+    def _basis(self) -> OperatorBasis:
+        return _rotation_basis(self.axis, self.control, True)
+
     @property
     def qubit_indices(self) -> tuple[int, ...]:
         return self.axis.qubits + (self.control,)
 
     def unitary(self, theta: float) -> MatrixGateOperator:
-        rot = _rotation_matrix(self._sigma, self.scale * theta)
-        return controlled_matrix_operator(self.axis.qubits, rot, (self.control,))
+        angle = self.scale * theta
+        return self._basis.bind((1.0, math.cos(angle), math.sin(angle)))
 
     def derivative(self, theta: float) -> MatrixGateOperator:
         rot = _rotation_matrix(self._sigma, self.scale * theta)
@@ -305,10 +361,7 @@ class ControlledPauliRotation(ParameterizedGate):
 
     @cached_property
     def derivative_factor(self) -> MatrixGateOperator:
-        return controlled_matrix_operator(
-            self.axis.qubits, 1j * self.scale * self._sigma, (self.control,),
-            zero_uncontrolled=True,
-        )
+        return self._basis.bind((0.0, 0.0, self.scale))
 
 
 @dataclass(frozen=True, eq=False)

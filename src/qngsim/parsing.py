@@ -47,8 +47,14 @@ _CONTROLLED = {"crx": "X", "cry": "Y", "crz": "Z"}
 _PHASED = {"prx": "X", "pry": "Y", "prz": "Z"}
 
 
+def _is_index(token: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` also accepts e.g. ``'²'``, which
+    ``int`` rejects."""
+    return token.isascii() and token.isdigit()
+
+
 def _parse_qubit(token: str, num_qubits: int, role: str) -> int:
-    if not token.isdigit():
+    if not _is_index(token):
         raise ValueError(f"{role} must be a qubit index, got {token!r}")
     qubit = int(token)
     if qubit >= num_qubits:
@@ -99,7 +105,7 @@ def parse_circuit_text(text: str, source: str = "<string>") -> AnsatzCircuit:
             continue
         tokens = line.split()
         if num_qubits is None:
-            if tokens[0].lower() != "qubits" or len(tokens) != 2 or not tokens[1].isdigit():
+            if tokens[0].lower() != "qubits" or len(tokens) != 2 or not _is_index(tokens[1]):
                 raise ParseError(f"{source}:{lineno}: expected header 'qubits N'")
             num_qubits = int(tokens[1])
             if num_qubits < 1:

@@ -16,7 +16,10 @@ Conventions fixed here and used everywhere:
 * operators carry small matrices on a few target qubits (or bit masks for
   Pauli strings) and act in place with a kernel picked from their structure
   (see :class:`MatrixGateOperator`), built per N by ``_kernel(N)`` and cached
-  by :func:`apply_operator`; nothing forms a ``2^N x 2^N`` matrix.
+  by :func:`apply_operator`; nothing forms a ``2^N x 2^N`` matrix.  A
+  matrix operator is a combination of the theta-free matrices of an
+  :class:`OperatorBasis`, which caches one kernel plan per N, so binding a
+  gate at a new theta builds no layout.
 
 Inner products reduce with a single fixed BLAS call, so repeated runs on the
 same machine are bit-identical.  A Statevector must not be mutated from two
@@ -29,7 +32,6 @@ from __future__ import annotations
 import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
@@ -40,6 +42,7 @@ __all__ = [
     "AllocationTally",
     "MatrixGateOperator",
     "OpCounter",
+    "OperatorBasis",
     "PauliStringOperator",
     "Statevector",
     "apply_operator",
@@ -246,7 +249,7 @@ def clone_into(src: Statevector, dst: Statevector, counter: OpCounter) -> None:
             f"cannot clone a {src.num_qubits}-qubit state into a "
             f"{dst.num_qubits}-qubit register"
         )
-    np.copyto(dst.amplitudes, src.amplitudes)
+    np.copyto(dst._amplitudes, src._amplitudes)
     counter.clones += 1
 
 
@@ -261,7 +264,7 @@ def inner_product(bra: Statevector, ket: Statevector, counter: OpCounter) -> com
             f"inner product between {bra.num_qubits}- and {ket.num_qubits}-qubit states"
         )
     counter.inner_products += 1
-    return complex(np.vdot(bra.amplitudes, ket.amplitudes))
+    return complex(np.vdot(bra._amplitudes, ket._amplitudes))
 
 
 def axpy(alpha: complex, x: Statevector, y: Statevector, counter: OpCounter) -> None:
@@ -270,7 +273,7 @@ def axpy(alpha: complex, x: Statevector, y: Statevector, counter: OpCounter) -> 
         raise ValueError(
             f"cannot add a {x.num_qubits}-qubit state to a {y.num_qubits}-qubit register"
         )
-    zaxpy(x.amplitudes, y.amplitudes, a=alpha)
+    zaxpy(x._amplitudes, y._amplitudes, a=alpha)
     counter.axpys += 1
 
 
@@ -291,7 +294,7 @@ def apply_operator(state: Statevector, op: MatrixGateOperator | PauliStringOpera
                 f"{state.num_qubits} qubits"
             )
         kernel = op._kernels[state.num_qubits] = op._kernel(state.num_qubits)
-    kernel(state.amplitudes)
+    kernel(state._amplitudes)
     counter.gate_applications += 1
 
 
@@ -312,7 +315,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 @cache
 def _diagonal_layout(targets: tuple[int, ...], num_qubits: int):
     """The register shape, the diagonal index of every phase-pattern entry and
-    the slices of the axes above the block; see :func:`_diagonal_kernel`."""
+    the slices of the axes above the block, each with the diagonal indices
+    its pattern holds; see :func:`_diagonal_kernel`."""
     low = min(num_qubits, max(_BLOCK_BITS, min(targets)))
     high = sorted((q for q in targets if q >= low), reverse=True)
     shape, top = [], num_qubits
@@ -323,28 +327,55 @@ def _diagonal_layout(targets: tuple[int, ...], num_qubits: int):
     grid = np.indices((2,) * len(high) + ((1 << low) if min(targets) < low else 1,))
     bits = [grid[high.index(q)] if q >= low else (grid[-1] >> q) & 1 for q in targets]
     pattern = _frozen(sum(bit << j for j, bit in enumerate(bits)))
-    slices = tuple((sum(((slice(None), bit) for bit in index), ()), index)
+    slices = tuple((sum(((slice(None), bit) for bit in index), ()), index,
+                    tuple(np.unique(pattern[index]).tolist()))
                    for index in np.ndindex(pattern.shape[:-1]))
     return tuple(shape), pattern, slices, (1, 2) * len(high) + (1, -1)
 
 
-def _diagonal_kernel(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int):
-    """In-place multiply by a diagonal matrix; see :class:`MatrixGateOperator`."""
+def _diagonal_plan(terms: np.ndarray, targets: tuple[int, ...], num_qubits: int):
+    """Each term's phase pattern, and per slice of the axes above the block
+    the term whose coefficient decides a skip (1) or a fill (0): the one
+    term that is nonzero there if it is all ones there, None if no term is
+    nonzero there.  See :func:`_diagonal_kernel`."""
     shape, pattern, slices, broadcast = _diagonal_layout(targets, num_qubits)
-    factors = matrix.diagonal()[pattern]
-    ones = (factors == 1).all(axis=-1)
-    zeros = ~factors.any(axis=-1)
-    if shape[-1] == 1 << num_qubits:  # one block spans the register: one call
-        if ones:
+    diagonals = terms.diagonal(axis1=1, axis2=2)
+    values = diagonals.tolist()
+    deciding = {}
+    for _, at, entries in slices:
+        live = [k for k, row in enumerate(values) if any(row[e] for e in entries)]
+        if not live or (len(live) == 1 and all(values[live[0]][e] == 1 for e in entries)):
+            deciding[at] = live[0] if live else None
+    flat = _frozen(diagonals.take(pattern.ravel(), axis=1))
+    layout = (shape[-1] == 1 << num_qubits, shape, slices, broadcast)
+
+    def bind(coefficients):
+        skip, zero = set(), set()
+        for at, term in deciding.items():
+            weight = 0 if term is None else coefficients[term]
+            if weight == 1:
+                skip.add(at)
+            elif weight == 0:
+                zero.add(at)
+        factors = np.dot(coefficients, flat).reshape(pattern.shape)
+        return _diagonal_kernel(factors, layout, skip, zero)
+    return bind
+
+
+def _diagonal_kernel(factors: np.ndarray, layout, skip: set, zero: set):
+    """In-place multiply by a phase pattern; see :class:`MatrixGateOperator`."""
+    whole, shape, slices, broadcast = layout
+    if whole:  # one block spans the register: one call
+        if () in skip:
             return lambda amplitudes: None
-        if zeros:
+        if () in zero:
             return lambda amplitudes: amplitudes.fill(0)
         return lambda amplitudes: np.multiply(amplitudes, factors, out=amplitudes)
-    if not (ones.any() or zeros.any()):
+    if not (skip or zero):
         parts = [((), factors.reshape(broadcast))]
     else:
-        parts = [(index, None if zeros[at] else factors[at])
-                 for index, at in slices if not ones[at]]
+        parts = [(index, None if at in zero else factors[at])
+                 for index, at, _ in slices if at not in skip]
 
     def apply(amplitudes: np.ndarray) -> None:
         view = amplitudes.reshape(shape)
@@ -359,10 +390,13 @@ def _diagonal_kernel(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: i
 
 @cache
 def _dense_layout(targets: tuple[int, ...], num_qubits: int):
-    """The window ``(low, bits)`` of targets within 5 consecutive bits, and the
-    matrix indices and nonzero mask of its kron-expanded block, transposed
-    when the window starts at bit 0; see :func:`_dense_kernel`."""
+    """The window ``(low, bits)`` of targets within 5 consecutive bits, and for
+    each entry of its kron-expanded block, transposed when the window starts
+    at bit 0, the flat index of the matrix entry it holds, or ``4**k`` where
+    it is zero; None for targets further apart.  See :func:`_dense_kernel`."""
     lo, hi = min(targets), max(targets)
+    if hi - lo >= _GEMM_BITS:
+        return None
     if hi < _GEMM_BITS:  # one row (a GEMV) up to N = 5, else the narrowest rows
         low, bits = 0, num_qubits if num_qubits <= _GEMM_BITS else max(2, hi + 1)
     else:  # a window from the lowest target, >= 2**8 amplitudes per product
@@ -371,21 +405,40 @@ def _dense_layout(targets: tuple[int, ...], num_qubits: int):
     rows = sum(((index >> (q - low)) & 1) << j for j, q in enumerate(targets))
     rest = index & ~sum(1 << (q - low) for q in targets)
     rows, cols = (rows[:, None], rows) if low else (rows, rows[:, None])
-    return low, bits, _frozen(rows), _frozen(cols), _frozen(rest[:, None] == rest)
+    size = 1 << 2 * len(targets)
+    return low, bits, _frozen(np.where(rest[:, None] == rest, rows << len(targets) | cols, size))
 
 
-def _dense_kernel(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int):
-    """In-place GEMM by a dense matrix; see :class:`MatrixGateOperator`."""
-    if max(targets) - min(targets) >= _GEMM_BITS:
+def _dense_plan(terms: np.ndarray, targets: tuple[int, ...], num_qubits: int):
+    """Each term kron-expanded to the window block, or as it is for targets
+    too far apart for a window; see :func:`_dense_kernel`."""
+    layout = _dense_layout(targets, num_qubits)
+    count, dim = len(terms), terms.shape[1]
+    if layout is None:
+        flat, shape = terms.reshape(count, -1), (dim, dim)
+    else:  # gather from the flat terms, a zero appended to each
+        padded = np.zeros((count, dim * dim + 1), dtype=np.complex128)
+        padded[:, :-1] = terms.reshape(count, -1)
+        flat, shape = padded.take(layout[2].ravel(), axis=1), layout[2].shape
+    flat = _frozen(flat)
+
+    def bind(coefficients):
+        block = np.dot(coefficients, flat).reshape(shape)
+        return _dense_kernel(block, targets, layout, num_qubits)
+    return bind
+
+
+def _dense_kernel(block: np.ndarray, targets: tuple[int, ...], layout, num_qubits: int):
+    """In-place GEMM by a dense block; see :class:`MatrixGateOperator`."""
+    if layout is None:
         front = tuple(num_qubits - 1 - q for q in reversed(targets))  # tensor axes
 
         def apply(amplitudes: np.ndarray) -> None:
             moved = np.moveaxis(amplitudes.reshape((2,) * num_qubits), front, range(len(front)))
-            work = np.ascontiguousarray(moved).reshape(len(matrix), -1)
-            np.copyto(moved, (matrix @ work).reshape(moved.shape))
+            work = np.ascontiguousarray(moved).reshape(len(block), -1)
+            np.copyto(moved, (block @ work).reshape(moved.shape))
         return apply
-    low, bits, rows, cols, mask = _dense_layout(targets, num_qubits)
-    block = np.where(mask, matrix[rows, cols], 0)  # K, or K.T from bit 0
+    low, bits = layout[:2]
     if low:
         def apply(amplitudes: np.ndarray) -> None:
             view = amplitudes.reshape(-1, 1 << bits, 1 << low)
@@ -419,38 +472,104 @@ def _rotation_layout(qubit: int, num_qubits: int):
     return None
 
 
-def _rotation_kernel(matrix: np.ndarray, qubit: int, num_qubits: int):
-    """In-place plane rotation by ``[[c, m01], [-conj(m01), c]]`` with real
-    ``c`` and real or imaginary ``m01``; see :class:`MatrixGateOperator`."""
-    calls = _rotation_layout(qubit, num_qubits)
-    c, m01 = matrix[0, 0].real, matrix[0, 1]
-    if not m01.imag:  # ry form, drot's own: x' = c x + s y, y' = c y - s x
-        s = m01.real
+def _rotation_form(terms: np.ndarray) -> bool:
+    """Whether every 2x2 term is ``[[c, m01], [-conj(m01), c]]`` with real
+    ``c``, and the terms' ``m01`` all real or all imaginary: rx, ry, their
+    adjoints and factors D."""
+    m00, m01, m10, m11 = terms[:, 0, 0], terms[:, 0, 1], terms[:, 1, 0], terms[:, 1, 1]
+    return bool((m00 == m11).all() and not m00.imag.any() and (m10 == -m01.conj()).all()
+                and not (m01.real.any() and m01.imag.any()))
 
+
+def _rotation_plan(terms: np.ndarray, qubit: int, num_qubits: int):
+    """Each term's ``(c, s)``, ``m01`` being ``s`` (ry form) or ``i s`` (rx
+    form), and the BLAS calls, in float64 units for the rx form; see
+    :func:`_rotation_kernel`."""
+    calls = _rotation_layout(qubit, num_qubits)
+    m01 = terms[:, 0, 1]
+    imaginary = bool(m01.imag.any())
+    cs = terms[:, 0, 0].real.tolist()
+    ss = (m01.imag if imaginary else m01.real).tolist()
+    if imaginary:
+        calls = [(n, 2 * offx, 2 * incx, 2 * offy, 2 * incy)
+                 for n, offx, incx, offy, incy in calls]
+
+    def bind(coefficients):
+        c = s = 0.0
+        for weight, ck, sk in zip(coefficients, cs, ss):
+            c += weight * ck
+            s += weight * sk
+        return _rotation_kernel(c, s, imaginary, calls)
+    return bind
+
+
+def _rotation_kernel(c: float, s: float, imaginary: bool, calls):
+    """In-place plane rotation by ``[[c, m01], [-conj(m01), c]]``, ``m01`` being
+    ``s`` or ``i s``; see :class:`MatrixGateOperator`."""
+    if not imaginary:  # ry form, drot's own: x' = c x + s y, y' = c y - s x
         def apply(amplitudes: np.ndarray) -> None:
             for n, offx, incx, offy, incy in calls:
                 zdrot(amplitudes, amplitudes, c, s, n, offx, incx, offy, incy, 1, 1)
         return apply
-    s = m01.imag  # rx form: Re x with Im y at (c, -s), Im x with Re y at (c, s)
-    floats = [(n, 2 * offx, 2 * incx, 2 * offy, 2 * incy) for n, offx, incx, offy, incy in calls]
 
+    # rx form: Re x with Im y at (c, -s), Im x with Re y at (c, s)
     def apply(amplitudes: np.ndarray) -> None:
         parts = amplitudes.view(np.float64)
-        for n, offx, incx, offy, incy in floats:
+        for n, offx, incx, offy, incy in calls:
             drot(parts, parts, c, -s, n, offx, incx, offy + 1, incy, 1, 1)
             drot(parts, parts, c, s, n, offx + 1, incx, offy, incy, 1, 1)
     return apply
 
 
-def _rotation_form(matrix: np.ndarray) -> bool:
-    """Whether a 2x2 matrix is ``[[c, m01], [-conj(m01), c]]`` with real ``c``
-    and ``m01`` real or imaginary: rx, ry, their adjoints and factors D."""
-    (m00, m01), (m10, m11) = matrix
-    return (m00 == m11 and not m00.imag and m10 == -m01.conjugate()
-            and not (m01.real and m01.imag))
+def _kernel_plan(terms: np.ndarray, targets: tuple[int, ...], real: bool, num_qubits: int):
+    """The kernel family of ``sum_k c_k terms[k]`` at N qubits, picked from
+    the terms alone (with ``real``: whether every ``c_k`` is real), and a
+    function of the coefficients that builds the kernel."""
+    if np.count_nonzero(terms) == np.count_nonzero(terms.diagonal(axis1=1, axis2=2)):
+        return _diagonal_plan(terms, targets, num_qubits)
+    if (real and len(targets) == 1 and _rotation_layout(targets[0], num_qubits)
+            and _rotation_form(terms)):
+        return _rotation_plan(terms, targets[0], num_qubits)
+    return _dense_plan(terms, targets, num_qubits)
 
 
-@dataclass(frozen=True, eq=False)
+class OperatorBasis:
+    """Theta-free matrices ``M_k`` on ``targets``, stacked as ``terms``; the
+    operators :meth:`bind` makes are ``sum_k c_k M_k``, and share one kernel
+    plan per register size.
+
+    ``real`` says every coefficient a caller binds is real; only then may
+    the plan be a plane rotation.  ``adjoint_signs`` (``M_k^dagger = sign_k
+    M_k``), when given, lets :meth:`MatrixGateOperator.adjoint` rebind the
+    basis at ``sign_k * conj(c_k)``.
+    """
+
+    __slots__ = ("targets", "terms", "real", "adjoint_signs", "_plans")
+
+    def __init__(self, targets: tuple[int, ...], terms, real: bool = True,
+                 adjoint_signs: tuple[int, ...] | None = None) -> None:
+        self.targets = targets
+        self.terms = _frozen(np.asarray(terms, dtype=np.complex128))
+        self.real = real
+        self.adjoint_signs = adjoint_signs
+        self._plans = {}
+
+    def bind(self, coefficients: tuple) -> "MatrixGateOperator":
+        """The operator ``sum_k coefficients[k] * M_k``, unchecked."""
+        op = object.__new__(MatrixGateOperator)
+        op.targets, op._basis, op._coefficients = self.targets, self, coefficients
+        op._matrix, op._kernels = None, {}
+        return op
+
+    def plan(self, num_qubits: int):
+        """The kernel plan at N qubits, built on first use and cached."""
+        plan = self._plans.get(num_qubits)
+        if plan is None:
+            plan = self._plans[num_qubits] = _kernel_plan(self.terms, self.targets, self.real,
+                                                          num_qubits)
+        return plan
+
+
 class MatrixGateOperator:
     """A dense matrix on a few target qubits, controls already folded in.
 
@@ -458,19 +577,29 @@ class MatrixGateOperator:
     of the matrix index addresses ``targets[j]``.  The matrix need not be
     unitary (derivative operators are not).
 
-    The kernel follows the matrix's structure and is built once per N.  Its
-    index layout depends only on the targets and N and is cached for every
-    operator on them; the matrix entries and the skip and zero decisions are
-    taken per operator:
+    An operator is ``sum_k c_k M_k`` over the theta-free matrices of an
+    :class:`OperatorBasis`.  A gate binds its own basis at theta: a rotation
+    is ``M0 + cos(s theta) I + sin(s theta) i sigma`` on its block, ``M0``
+    being the control-0 identity (absent without a control), and
+    :meth:`adjoint` rebinds it at the adjoint coefficients; ``matrix`` is
+    then formed only when read.  An operator built from a matrix is the
+    one-term basis of that matrix, at coefficient 1.
+
+    The kernel follows the basis's structure, not its coefficients.  Per N
+    the basis caches a plan: the kernel family, its index layout (shared by
+    every basis on the same targets and N), each term expanded through that
+    layout and the slices a diagonal kernel may skip or zero.  Binding a
+    kernel then combines the expanded terms with the coefficients in one
+    product of at most 32x32 entries:
 
     * diagonal (rz, crz, their derivatives and adjoints): an in-place multiply
       by a phase pattern over blocks of at least 64 amplitudes, with one axis
-      per target bit above the block.  Slices of those axes whose pattern is
-      all ones (crz's control-0 half) are skipped, all zeros (a derivative's
-      control projector) zeroed; a skipping kernel still counts one gate.
-      Up to N = 6 one block spans the register, and the kernel is a single
-      call: one in-place multiply, a fill if every factor is zero, nothing if
-      every factor is one.
+      per target bit above the block.  A slice of those axes on which one
+      term alone is nonzero and all ones (crz's control-0 half) is skipped
+      at coefficient 1 and zeroed at 0 (a derivative's control projector),
+      and one on which every term is zero is zeroed; a skipping kernel still
+      counts one gate.  Up to N = 6 one block spans the register, and the
+      kernel is a single call: one in-place multiply, a fill, or nothing.
     * dense, all targets within 5 consecutive bits (rx, ry, their derivatives,
       crx and cry on neighbouring qubits): one GEMM against ``K``, the matrix
       kron-expanded to a window holding the targets: ``view(-1, 2**b) @ K.T``
@@ -480,54 +609,59 @@ class MatrixGateOperator:
       written into its own operand would copy that operand first, and a
       scratch buffer on the operator would be shared by every binding and
       thread).
-    * rotation form, from N = 6 (rx, ry, their adjoints and factors D, which
-      are ``[[c, m01], [-conj(m01), c]]`` on one target with real ``c`` and
-      ``m01`` real or imaginary): BLAS plane rotations on the register, one
-      ``zdrot`` for real ``m01`` (ry), two ``drot`` on the float64 view for
-      imaginary ``m01`` (rx), pairing Re x0 with Im x1 and Im x0 with Re x1.
-      At bits 0 and 1 that is 2**q strided calls over the register (a
-      stride of at most 4 amplitudes, one 64-byte line); from bit 8 up, one
-      unit-stride call per block of 2**(q+1) amplitudes.  Bits 2-7 keep the
-      window GEMM above, where rx measured slower as strided or per-block
-      calls.  Offsets are cached per (bit, N), and an rx kernel doubles them
-      into float64 units when it is built; each kernel holds ``c`` and ``s``.
+    * rotation form, from N = 6 (rx, ry, their adjoints and factors D: one
+      target, every term ``[[c, m01], [-conj(m01), c]]`` with real ``c``,
+      ``m01`` real for all terms or imaginary for all, and real
+      coefficients): BLAS plane rotations on the register, one ``zdrot``
+      for real ``m01`` (ry), two ``drot`` on the float64 view for imaginary
+      ``m01`` (rx), pairing Re x0 with Im x1 and Im x0 with Re x1.  At bits
+      0 and 1 that is 2**q strided calls over the register (a stride of at
+      most 4 amplitudes, one 64-byte line); from bit 8 up, one unit-stride
+      call per block of 2**(q+1) amplitudes.  Bits 2-7 keep the window GEMM
+      above, where rx measured slower as strided or per-block calls.  Calls
+      are cached per (bit, N), in float64 units in an rx plan; each kernel
+      holds ``c`` and ``s``.  A phase rate makes the coefficients complex,
+      so phased rotations keep the GEMM.
     * dense, targets further apart: target axes moved to the front, one GEMM.
     """
 
-    targets: tuple[int, ...]
-    matrix: np.ndarray
+    __slots__ = ("targets", "_basis", "_coefficients", "_matrix", "_kernels")
 
-    def __post_init__(self) -> None:
-        targets = tuple(int(q) for q in self.targets)
+    def __init__(self, targets: tuple[int, ...], matrix: np.ndarray) -> None:
+        targets = tuple(int(q) for q in targets)
         if len(set(targets)) != len(targets):
             raise ValueError(f"target qubits must be distinct, got {targets}")
         if any(q < 0 for q in targets):
             raise ValueError(f"target qubits must be non-negative, got {targets}")
         dim = 1 << len(targets)
-        matrix = np.asarray(self.matrix, dtype=np.complex128)
+        matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.shape != (dim, dim):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match {len(targets)} targets"
             )
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_kernels", {})
+        self.targets = targets
+        self._basis, self._coefficients = OperatorBasis(targets, matrix[None]), (1.0,)
+        self._matrix, self._kernels = matrix, {}
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = np.tensordot(self._coefficients, self._basis.terms, 1)
+        return self._matrix
 
     @property
     def qubit_indices(self) -> tuple[int, ...]:
         return self.targets
 
     def adjoint(self) -> "MatrixGateOperator":
-        return MatrixGateOperator(self.targets, self.matrix.conj().T)
+        signs = self._basis.adjoint_signs
+        if signs is None:
+            return MatrixGateOperator(self.targets, self.matrix.conj().T)
+        return self._basis.bind(tuple(sign * weight.conjugate()
+                                      for sign, weight in zip(signs, self._coefficients)))
 
     def _kernel(self, num_qubits: int):
-        matrix, targets = self.matrix, self.targets
-        if np.count_nonzero(matrix) == np.count_nonzero(matrix.diagonal()):
-            return _diagonal_kernel(matrix, targets, num_qubits)
-        if (len(targets) == 1 and _rotation_layout(targets[0], num_qubits)
-                and _rotation_form(matrix)):
-            return _rotation_kernel(matrix, targets[0], num_qubits)
-        return _dense_kernel(matrix, targets, num_qubits)
+        return self._basis.plan(num_qubits)(self._coefficients)
 
 
 def controlled_matrix_operator(targets: tuple[int, ...], matrix: np.ndarray,

@@ -100,6 +100,30 @@ def test_parse_generated_gate_too_wide():
         parse_circuit_text("qubits 4\ngen 0.1 X0 X1 X2 X3\n")
 
 
+@pytest.mark.parametrize("text, where", [
+    ("qubits ²\nrx 0\n", ":1: expected header"),     # superscript two
+    ("qubits ٣\nrx 0\n", ":1: expected header"),     # Arabic-Indic three
+    ("qubits 2\nrx ²\n", ":2: target must be a qubit index"),
+    ("qubits 4\ncrz 0 ٣\n", ":2: target must be a qubit index"),
+    ("qubits 2\ngen 0.5 X²\n", ":2: cannot parse Pauli factor"),
+])
+def test_parse_accepts_ascii_digits_only(text, where):
+    # str.isdigit holds for these characters, and int() rejects the first
+    # or reads the second as a digit
+    with pytest.raises(ParseError, match=where):
+        parse_circuit_text(text, source="c.txt")
+
+
+def test_tensor_command_names_the_line_of_a_non_ascii_header(tmp_path, capsys):
+    path = tmp_path / "circuit.txt"
+    path.write_text("qubits ²\nrx 0\n", encoding="utf-8")
+    code = main(["tensor", "--circuit", str(path), "--params", "0.1",
+                 "--out", str(tmp_path / "g.csv")])
+    assert code == EXIT_USAGE
+    assert f"{path}:1: expected header 'qubits N'" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # tensor command
 # ---------------------------------------------------------------------------

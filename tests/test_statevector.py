@@ -16,6 +16,7 @@ from qngsim.gates import (
     PauliString,
     PauliSum,
 )
+from qngsim.ansatz import random_circuit, random_parameters
 from qngsim.statevector import (
     MatrixGateOperator,
     OpCounter,
@@ -541,6 +542,160 @@ def test_rotation_acts_on_an_offset_buffer(axis, source):
     expected = one_target_oracle(raw, 0, op.matrix)
     apply_operator(state, op, OpCounter())
     np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Kernel plans: every gate word against its generator, on every bit
+# ---------------------------------------------------------------------------
+
+GATE_WORDS = ("rx", "ry", "rz", "crx", "cry", "crz", "prx", "pry", "prz", "gen")
+
+
+def word_gates(word, qubit, num_qubits):
+    """The gates of a circuit-file word with target ``qubit``.  Controlled
+    words take the next bit and the farthest bit as control; ``gen`` is a
+    one-qubit generator that is no rotation and, from 2 qubits, a two-qubit
+    one with each of those bits."""
+    others = sorted({(qubit + 1) % num_qubits,
+                     0 if 2 * qubit >= num_qubits else num_qubits - 1} - {qubit})
+    if word == "gen":
+        one = PauliSum(((0.3, PauliString.single(qubit, "X")),
+                        (0.4, PauliString.single(qubit, "Y"))))
+        return [GeneratedGate(one)] + [
+            GeneratedGate(PauliSum(((0.3, PauliString.single(qubit, "X")),
+                                    (-0.2, PauliString(((qubit, "Z"), (other, "Y")))))))
+            for other in others]
+    axis = PauliString.single(qubit, word[-1].upper())
+    if word.startswith("c"):
+        return [ControlledPauliRotation(other, axis) for other in others]
+    if word.startswith("p"):
+        return [PauliRotation(axis, scale=0.3, phase_rate=-0.7)]
+    return [PauliRotation(axis)]
+
+
+def generator_matrix(gate):
+    """``A`` of ``U(theta) = exp(i theta A)`` on ``gate.qubit_indices``, from
+    the gate's definition."""
+    if isinstance(gate, GeneratedGate):
+        support = gate.generator.support
+        return sum(weight * pauli.dense_matrix(support) for weight, pauli in gate.generator.terms)
+    sigma = gate.scale * gate.axis.dense_matrix()
+    if isinstance(gate, ControlledPauliRotation):  # the control is the top matrix bit
+        return np.kron(np.diag([0, 1]), sigma)
+    return gate.phase_rate * np.eye(len(sigma)) + sigma
+
+
+def dense_oracle(amplitudes, num_qubits, targets, matrix):
+    """``matrix`` on ``targets`` as one tensor contraction: its column axes
+    (bit k-1 first) against the register's target axes."""
+    k = len(targets)
+    axes = [num_qubits - 1 - q for q in reversed(targets)]
+    out = np.tensordot(matrix.reshape((2,) * 2 * k), amplitudes.reshape((2,) * num_qubits),
+                       (list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, range(k), axes).reshape(-1)
+
+
+def test_dense_oracle_matches_kron_oracle():
+    rng = np.random.default_rng(31)
+    matrix = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    state = random_state(5, seed=32)
+    for targets in ((3, 0, 4), (1, 2, 0)):
+        np.testing.assert_allclose(dense_oracle(state.amplitudes, 5, targets, matrix),
+                                   kron_oracle(5, targets, matrix) @ state.amplitudes,
+                                   rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 4, 5, 6, 7, 9, 12])
+@pytest.mark.parametrize("word", GATE_WORDS)
+def test_plan_kernels_match_dense_oracle_on_every_bit(num_qubits, word):
+    # U, its adjoint and the factor D, bound from the gate's plan, against
+    # exp(i theta A), its conjugate transpose and i A, at theta = 0, at pi
+    # over the scale (U = -I for a rotation) and at a large theta; U then
+    # U^dagger gives the state back
+    if word in ("crx", "cry", "crz") and num_qubits < 2:
+        pytest.skip("needs a control")
+    for qubit in range(num_qubits):
+        for gate in word_gates(word, qubit, num_qubits):
+            generator = generator_matrix(gate)
+            scale = getattr(gate, "scale", 1.0)
+            for theta in (0.0, np.pi / scale, 123.456):
+                unitary = gate.unitary(theta)
+                expected = scipy.linalg.expm(1j * theta * generator)
+                cases = ((unitary, expected), (unitary.adjoint(), expected.conj().T),
+                         (gate.derivative_factor, 1j * generator))
+                for op, matrix in cases:
+                    np.testing.assert_allclose(op.matrix, matrix, rtol=0, atol=1e-12)
+                    state = random_state(num_qubits, seed=qubit)
+                    wanted = dense_oracle(state.amplitudes, num_qubits, op.targets, matrix)
+                    apply_operator(state, op, OpCounter())
+                    np.testing.assert_allclose(state.amplitudes, wanted, rtol=0, atol=1e-12)
+                state = random_state(num_qubits, seed=qubit)
+                before = state.amplitudes.copy()
+                apply_operator(state, unitary, OpCounter())
+                apply_operator(state, unitary.adjoint(), OpCounter())
+                # expm's U for gen is unitary to only ~2e-15 at theta = 123
+                roundtrip = 1e-14 if isinstance(gate, GeneratedGate) else 1e-15
+                np.testing.assert_allclose(state.amplitudes, before, rtol=0, atol=roundtrip)
+
+
+def matrix_family(matrix, targets, num_qubits):
+    """The kernel family a matrix picks by its own entries, the rule before
+    plans: diagonal, else a one-target plane rotation on the rotation path,
+    else dense."""
+    if np.count_nonzero(matrix) == np.count_nonzero(matrix.diagonal()):
+        return "_diagonal_kernel"
+    if len(targets) == 1 and _rotation_layout(targets[0], num_qubits):
+        (m00, m01), (m10, m11) = matrix
+        if (m00 == m11 and not m00.imag and m10 == -m01.conjugate()
+                and not (m01.real and m01.imag)):
+            return "_rotation_kernel"
+    return "_dense_kernel"
+
+
+@pytest.mark.parametrize("word", GATE_WORDS)
+def test_plans_pick_the_matrix_rule_family_on_wide_registers(word):
+    # at N = 18 and a theta where no entry vanishes, each bit's U, U^dagger
+    # and D keep the family their matrices picked before plans
+    num_qubits = 18
+    for qubit in range(num_qubits):
+        for gate in word_gates(word, qubit, num_qubits):
+            unitary = gate.unitary(0.7)
+            for op in (unitary, unitary.adjoint(), gate.derivative_factor):
+                assert kernel_name(op, num_qubits) == matrix_family(op.matrix, op.targets,
+                                                                    num_qubits), (word, qubit)
+
+
+def test_binding_twice_builds_each_plan_once_per_register_size(monkeypatch):
+    # gates of one axis and control share a basis, whose plan per N every
+    # binding of every such gate reuses
+    import qngsim.gates
+    import qngsim.statevector
+
+    built = []
+    original = qngsim.statevector._kernel_plan
+
+    def counting(terms, targets, real, num_qubits):
+        built.append((targets, id(terms), real, num_qubits))
+        return original(terms, targets, real, num_qubits)
+
+    qngsim.gates._rotation_basis.cache_clear()
+    monkeypatch.setattr(qngsim.statevector, "_kernel_plan", counting)
+    circuit = random_circuit(3, 15, 41)
+    bases = {id(gate._basis): gate._basis for gate in circuit.gates}.values()
+    sizes = (3, 5)
+    counts = []
+    for seed in (42, 43):
+        bound = circuit.bind(random_parameters(15, seed))
+        factors = tuple(gate.derivative_factor for gate in circuit.gates)
+        for num_qubits in sizes:
+            state = random_state(num_qubits, seed=seed)
+            for op in bound.unitaries + bound.adjoints + factors:
+                apply_operator(state, op, OpCounter())
+        counts.append(len(built))
+    assert len(bases) < circuit.num_parameters
+    assert sorted(built) == sorted((basis.targets, id(basis.terms), basis.real, num_qubits)
+                                   for basis in bases for num_qubits in sizes)
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("num_qubits", [2, 4, 8])
