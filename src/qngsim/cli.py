@@ -65,7 +65,7 @@ from .optimizer import (
 )
 # _cmd_tensor calls parse_circuit_file by this module's name, which a tracer
 # can wrap; parse_circuit_text is re-exported
-from .parsing import parse_circuit_file, parse_circuit_text, parse_hamiltonian_file
+from .parsing import _is_index, parse_circuit_file, parse_circuit_text, parse_hamiltonian_file
 from .statevector import OpCounter, track_allocations
 from .verify import DEFAULT_SEED, run_checks
 
@@ -97,7 +97,7 @@ def _memory_budget() -> int:
     if raw is None:
         return DEFAULT_MEMORY_BUDGET_BYTES
     try:
-        budget = int(raw)
+        budget = integer(raw)
     except ValueError:
         raise ParseError(f"invalid {MEMORY_BUDGET_ENV}={raw!r}")
     if budget < 0:
@@ -244,7 +244,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     algorithms = _parse_algorithm_list(args.algorithms)
     if args.plist is not None:
         try:  # every field must parse: an empty one is not skipped
-            p_values = sorted({int(field) for field in args.plist.split(",")})
+            p_values = sorted({integer(field) for field in args.plist.split(",")})
         except ValueError:
             raise ParseError(f"--plist: expected comma-separated integers, "
                              f"got {args.plist!r}") from None
@@ -346,9 +346,17 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
+def integer(text: str) -> int:
+    """An integer given from outside: an optional ``-``, then ASCII digits
+    only (``int`` alone also reads ``'\u0663'`` and ``'1_0'``)."""
+    if not _is_index(text.removeprefix("-")):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _seed(text: str) -> int:
     """The ``--seed`` type: an integer >= 0, as numpy's generators take."""
-    if not text.isdecimal():
+    if not _is_index(text):
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return int(text)
 
@@ -381,12 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="sweep P, recording measured vs predicted costs")
     bench.add_argument("--algorithms", default="all",
                        help="comma list; ranges like alg2..alg8, plus main or all")
-    bench.add_argument("--pmin", type=int, default=1)
-    bench.add_argument("--pmax", type=int, default=32)
-    bench.add_argument("--pstep", type=int, default=1)
+    bench.add_argument("--pmin", type=integer, default=1)
+    bench.add_argument("--pmax", type=integer, default=32)
+    bench.add_argument("--pstep", type=integer, default=1)
     bench.add_argument("--plist", default=None,
                        help="explicit comma-separated P values (overrides the range)")
-    bench.add_argument("--qubits", type=int, default=4,
+    bench.add_argument("--qubits", type=integer, default=4,
                        help="fixed circuit width for every sweep point")
     bench.add_argument("--seed", type=_seed, default=BENCH_SEED_DEFAULT)
     bench.add_argument("--out", required=True)
@@ -398,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--dt", type=float, default=0.05, help="update timestep")
     optimize.add_argument("--lambda", dest="lam", type=float, default=1e-8,
                           help="Tikhonov shift added to the metric")
-    optimize.add_argument("--steps", type=int, default=500, help="maximum steps")
+    optimize.add_argument("--steps", type=integer, default=500, help="maximum steps")
     optimize.add_argument("--energy-tol", type=float, default=1e-10,
                           help="stop when the energy change drops below this")
     optimize.add_argument("--params", default=None,

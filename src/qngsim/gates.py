@@ -28,8 +28,9 @@ same axis, control and phase kind.  Per register size the basis caches a
 kernel *plan*: the kernel family, its layout and each matrix expanded
 through it.  So ``unitary(theta)`` costs a cosine and a sine, and its
 kernel one product of the cached expansions with the coefficients.
-``derivative(theta)`` and :class:`GeneratedGate` (an ``expm``) build a
-matrix, which is a one-term basis of its own.
+``dU = D . U`` is in the same span, as ``(i sigma)^2 = -I``, so
+``derivative(theta)`` binds the basis too; only :class:`GeneratedGate`
+(an ``expm``) builds a matrix, which is a one-term basis of its own.
 
 Derivative operators are represented structurally (small matrix on the
 support, optionally behind a control projector), never as full-register
@@ -48,12 +49,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import UnsupportedGateError
-from .statevector import (
-    MatrixGateOperator,
-    OperatorBasis,
-    PauliStringOperator,
-    controlled_matrix_operator,
-)
+from .statevector import MatrixGateOperator, OperatorBasis, PauliStringOperator
 
 __all__ = [
     "ControlledPauliRotation",
@@ -194,12 +190,6 @@ class PauliSum:
         return tuple((weight, pauli.operator()) for weight, pauli in self.terms)
 
 
-def _rotation_matrix(sigma: np.ndarray, angle: float) -> np.ndarray:
-    # exp(i*angle*sigma) for self-inverse sigma
-    dim = sigma.shape[0]
-    return np.cos(angle) * np.eye(dim, dtype=np.complex128) + 1j * np.sin(angle) * sigma
-
-
 @lru_cache(maxsize=64)
 def _rotation_terms(labels: tuple[str, ...], controlled: bool) -> np.ndarray:
     """``(I, i*sigma)`` for the Pauli word ``labels`` on its own support, or
@@ -279,20 +269,12 @@ class PauliRotation(ParameterizedGate):
             raise ValueError(f"phase rate must be finite, got {self.phase_rate}")
 
     @cached_property
-    def _sigma(self) -> np.ndarray:
-        return self.axis.dense_matrix()
-
-    @cached_property
     def _basis(self) -> OperatorBasis:
         return _rotation_basis(self.axis, None, not self.phase_rate)
 
     @property
     def qubit_indices(self) -> tuple[int, ...]:
         return self.axis.qubits
-
-    def _matrix(self, theta: float) -> np.ndarray:
-        rot = _rotation_matrix(self._sigma, self.scale * theta)
-        return np.exp(1j * self.phase_rate * theta) * rot if self.phase_rate else rot
 
     def unitary(self, theta: float) -> MatrixGateOperator:
         angle = self.scale * theta
@@ -303,8 +285,13 @@ class PauliRotation(ParameterizedGate):
         return self._basis.bind(weights)
 
     def derivative(self, theta: float) -> MatrixGateOperator:
-        return MatrixGateOperator(self.axis.qubits,
-                                  self.derivative_factor.matrix @ self._matrix(theta))
+        # D U = (d I + s i sigma)(a I + b i sigma), and (i sigma)^2 = -I
+        angle, s = self.scale * theta, self.scale
+        a, b, d = math.cos(angle), math.sin(angle), 0.0
+        if self.phase_rate:
+            phase, d = cmath.exp(1j * self.phase_rate * theta), 1j * self.phase_rate
+            a, b = phase * a, phase * b
+        return self._basis.bind((d * a - s * b, d * b + s * a))
 
     @cached_property
     def derivative_factor(self) -> MatrixGateOperator:
@@ -337,10 +324,6 @@ class ControlledPauliRotation(ParameterizedGate):
             )
 
     @cached_property
-    def _sigma(self) -> np.ndarray:
-        return self.axis.dense_matrix()
-
-    @cached_property
     def _basis(self) -> OperatorBasis:
         return _rotation_basis(self.axis, self.control, True)
 
@@ -353,11 +336,9 @@ class ControlledPauliRotation(ParameterizedGate):
         return self._basis.bind((1.0, math.cos(angle), math.sin(angle)))
 
     def derivative(self, theta: float) -> MatrixGateOperator:
-        rot = _rotation_matrix(self._sigma, self.scale * theta)
-        return controlled_matrix_operator(
-            self.axis.qubits, 1j * self.scale * self._sigma @ rot, (self.control,),
-            zero_uncontrolled=True,
-        )
+        angle = self.scale * theta
+        return self._basis.bind((0.0, -self.scale * math.sin(angle),
+                                 self.scale * math.cos(angle)))
 
     @cached_property
     def derivative_factor(self) -> MatrixGateOperator:

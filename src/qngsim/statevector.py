@@ -48,7 +48,6 @@ __all__ = [
     "apply_operator",
     "axpy",
     "clone_into",
-    "controlled_matrix_operator",
     "inner_product",
     "make_basis_state",
     "track_allocations",
@@ -580,10 +579,11 @@ class MatrixGateOperator:
     An operator is ``sum_k c_k M_k`` over the theta-free matrices of an
     :class:`OperatorBasis`.  A gate binds its own basis at theta: a rotation
     is ``M0 + cos(s theta) I + sin(s theta) i sigma`` on its block, ``M0``
-    being the control-0 identity (absent without a control), and
-    :meth:`adjoint` rebinds it at the adjoint coefficients; ``matrix`` is
-    then formed only when read.  An operator built from a matrix is the
-    one-term basis of that matrix, at coefficient 1.
+    being the control-0 identity (absent without a control), its
+    derivative ``D . U`` is a binding of the same basis, and
+    :meth:`adjoint` rebinds either at the adjoint coefficients; ``matrix``
+    is then formed only when read.  An operator built from a matrix (a
+    ``gen`` gate's) is the one-term basis of that matrix, at coefficient 1.
 
     The kernel follows the basis's structure, not its coefficients.  Per N
     the basis caches a plan: the kernel family, its index layout (shared by
@@ -662,27 +662,6 @@ class MatrixGateOperator:
 
     def _kernel(self, num_qubits: int):
         return self._basis.plan(num_qubits)(self._coefficients)
-
-
-def controlled_matrix_operator(targets: tuple[int, ...], matrix: np.ndarray,
-                               controls: tuple[int, ...],
-                               zero_uncontrolled: bool = False) -> MatrixGateOperator:
-    """Fold control qubits into a target matrix.
-
-    With ``zero_uncontrolled=False`` the control-0 block is the identity
-    (ordinary controlled gate); with ``True`` it is zero, i.e. the operator is
-    the projector onto all controls being 1 followed by ``matrix`` (the form a
-    controlled gate's parameter derivative takes).
-    """
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    for _ in controls:
-        dim = matrix.shape[0]
-        folded = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
-        if not zero_uncontrolled:
-            folded[:dim, :dim] = np.eye(dim)
-        folded[dim:, dim:] = matrix
-        matrix = folded
-    return MatrixGateOperator(tuple(targets) + tuple(controls), matrix)
 
 
 class PauliStringOperator:

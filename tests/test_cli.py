@@ -499,17 +499,20 @@ def test_bench_skips_over_memory_budget(tmp_path, monkeypatch):
 
 
 def test_negative_memory_budget_is_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QNG_MEMORY_BUDGET_BYTES", "-1")
-    out = tmp_path / "bench.csv"
-    code = main(["bench", "--algorithms", "alg7", "--plist", "2", "--out", str(out)])
-    assert code == EXIT_USAGE
-    assert "QNG_MEMORY_BUDGET_BYTES" in capsys.readouterr().err
-    assert not out.exists()
+    # int alone reads the Arabic-Indic digit three as 3
+    for budget in ("-1", "\u0663"):
+        monkeypatch.setenv("QNG_MEMORY_BUDGET_BYTES", budget)
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--algorithms", "alg7", "--plist", "2", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "QNG_MEMORY_BUDGET_BYTES" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--plist", "2,,3"), ("--plist", ""),
                                          ("--plist", ","), ("--plist", "2.5"),
-                                         ("--plist", "3,x"), ("--algorithms", "main,,alg2"),
+                                         ("--plist", "3,x"), ("--plist", "2,\u0663"),
+                                         ("--plist", "1_0"), ("--algorithms", "main,,alg2"),
                                          ("--algorithms", "main,"), ("--algorithms", "")])
 def test_bench_list_field_is_usage_error(tmp_path, capsys, flag, value):
     # every comma-separated field must parse: none is skipped, and an empty
@@ -559,6 +562,12 @@ def test_bench_rejects_bad_sweep(tmp_path):
                  "--out", str(tmp_path / "b.csv")]) == EXIT_USAGE
     assert main(["bench", "--algorithms", "alg9",
                  "--out", str(tmp_path / "b.csv")]) == EXIT_USAGE
+    # int alone reads Arabic-Indic digits, as --pmin 1 and --qubits 3
+    assert main(["bench", "--algorithms", "main", "--pmin", "\u0661", "--pmax", "2",
+                 "--out", str(tmp_path / "b.csv")]) == EXIT_USAGE
+    assert main(["bench", "--algorithms", "main", "--qubits", "\u0663", "--plist", "2",
+                 "--out", str(tmp_path / "b.csv")]) == EXIT_USAGE
+    assert not (tmp_path / "b.csv").exists()
 
 
 @pytest.mark.parametrize("spec", ["alg9", "alg6,mian", "main..alg8"])
@@ -733,6 +742,7 @@ def test_verify_reads_a_negative_number_as_the_tolerance(capsys, tol):
     ("--lambda", "-1e-9", "regularization must be non-negative"),
     ("--energy-tol", "-1e-12", "energy_tolerance must be positive"),
     ("--params", "-0.3,0.7", "circuit has 3 parameters, got 2"),
+    ("--steps", "\u0663", "argument --steps: invalid integer value"),
 ])
 def test_optimize_reads_a_negative_number_as_a_value(circuit_file, hamiltonian_file, tmp_path,
                                                     capsys, flag, value, message):
@@ -757,7 +767,7 @@ def test_params_may_start_with_a_negative_number(circuit_file, hamiltonian_file,
 
 
 @pytest.mark.parametrize("command", ["verify", "optimize", "bench"])
-@pytest.mark.parametrize("seed", ["-3", "1.5"])
+@pytest.mark.parametrize("seed", ["-3", "1.5", "\u0663"])
 def test_seed_below_zero_names_the_flag(circuit_file, hamiltonian_file, tmp_path, capsys,
                                         command, seed):
     argv = {"verify": ["verify", "--quick"],

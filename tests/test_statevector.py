@@ -25,7 +25,6 @@ from qngsim.statevector import (
     _rotation_layout,
     apply_operator,
     clone_into,
-    controlled_matrix_operator,
     inner_product,
     make_basis_state,
     track_allocations,
@@ -318,13 +317,10 @@ def kernel_case_operator(kind, targets, rng):
     if kind in ("zero_diagonal", "identity_diagonal"):
         dim = 1 << len(targets)
         return MatrixGateOperator(targets, np.eye(dim) * (kind == "identity_diagonal"))
-    inner = targets[:-1]
-    if kind == "controlled_dense":
-        return controlled_matrix_operator(inner, random_matrix(1 << len(inner)),
-                                          targets[-1:])
-    diagonal = random_diagonal(1 << len(inner))
-    return controlled_matrix_operator(inner, diagonal, targets[-1:],
-                                      zero_uncontrolled=kind == "diagonal_zero_control")
+    dim = 1 << (len(targets) - 1)
+    block = random_matrix(dim) if kind == "controlled_dense" else random_diagonal(dim)
+    control_zero = np.eye(dim) * (kind != "diagonal_zero_control")
+    return MatrixGateOperator(targets, scipy.linalg.block_diag(control_zero, block))
 
 
 def check_kernel_against_oracle(num_qubits, targets, kind, seed):
@@ -416,26 +412,6 @@ def test_adjacent_two_qubit_kron_anchor():
         expected = full @ state.amplitudes
         apply_operator(state, MatrixGateOperator((q, q + 1), gate), OpCounter())
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
-
-
-def test_controlled_fold_matches_kron_oracle():
-    # control on qubit 1, target qubit 0: |0><0| (x) I + |1><1| (x) U
-    rng = np.random.default_rng(14)
-    gate = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    full = np.kron(p0, np.eye(2)) + np.kron(p1, gate)
-    state = random_state(2, seed=15)
-    expected = full @ state.amplitudes
-    op = controlled_matrix_operator((0,), gate, (1,))
-    apply_operator(state, op, OpCounter())
-    np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
-    # projector variant zeroes the control-0 block
-    state = random_state(2, seed=16)
-    expected = np.kron(p1, gate) @ state.amplitudes
-    op = controlled_matrix_operator((0,), gate, (1,), zero_uncontrolled=True)
-    apply_operator(state, op, OpCounter())
-    np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +584,9 @@ def test_dense_oracle_matches_kron_oracle():
 @pytest.mark.parametrize("num_qubits", [1, 2, 4, 5, 6, 7, 9, 12])
 @pytest.mark.parametrize("word", GATE_WORDS)
 def test_plan_kernels_match_dense_oracle_on_every_bit(num_qubits, word):
-    # U, its adjoint and the factor D, bound from the gate's plan, against
-    # exp(i theta A), its conjugate transpose and i A, at theta = 0, at pi
+    # U, its adjoint, the factor D and dU = D U with its adjoint, bound from
+    # the gate's plan, against exp(i theta A), its conjugate transpose, i A,
+    # i A exp(i theta A) and its conjugate transpose, at theta = 0, at pi
     # over the scale (U = -I for a rotation) and at a large theta; U then
     # U^dagger gives the state back
     if word in ("crx", "cry", "crz") and num_qubits < 2:
@@ -619,10 +596,12 @@ def test_plan_kernels_match_dense_oracle_on_every_bit(num_qubits, word):
             generator = generator_matrix(gate)
             scale = getattr(gate, "scale", 1.0)
             for theta in (0.0, np.pi / scale, 123.456):
-                unitary = gate.unitary(theta)
+                unitary, derivative = gate.unitary(theta), gate.derivative(theta)
                 expected = scipy.linalg.expm(1j * theta * generator)
+                slope = 1j * generator @ expected
                 cases = ((unitary, expected), (unitary.adjoint(), expected.conj().T),
-                         (gate.derivative_factor, 1j * generator))
+                         (gate.derivative_factor, 1j * generator),
+                         (derivative, slope), (derivative.adjoint(), slope.conj().T))
                 for op, matrix in cases:
                     np.testing.assert_allclose(op.matrix, matrix, rtol=0, atol=1e-12)
                     state = random_state(num_qubits, seed=qubit)
@@ -654,20 +633,21 @@ def matrix_family(matrix, targets, num_qubits):
 
 @pytest.mark.parametrize("word", GATE_WORDS)
 def test_plans_pick_the_matrix_rule_family_on_wide_registers(word):
-    # at N = 18 and a theta where no entry vanishes, each bit's U, U^dagger
-    # and D keep the family their matrices picked before plans
+    # at N = 18 and a theta where no entry vanishes, each bit's U, U^dagger,
+    # D, dU and dU^dagger keep the family their matrices picked before plans
     num_qubits = 18
     for qubit in range(num_qubits):
         for gate in word_gates(word, qubit, num_qubits):
-            unitary = gate.unitary(0.7)
-            for op in (unitary, unitary.adjoint(), gate.derivative_factor):
+            unitary, derivative = gate.unitary(0.7), gate.derivative(0.7)
+            for op in (unitary, unitary.adjoint(), gate.derivative_factor,
+                       derivative, derivative.adjoint()):
                 assert kernel_name(op, num_qubits) == matrix_family(op.matrix, op.targets,
                                                                     num_qubits), (word, qubit)
 
 
 def test_binding_twice_builds_each_plan_once_per_register_size(monkeypatch):
     # gates of one axis and control share a basis, whose plan per N every
-    # binding of every such gate reuses
+    # binding of every such gate reuses: U, U^dagger, D, dU and dU^dagger
     import qngsim.gates
     import qngsim.statevector
 
@@ -689,7 +669,8 @@ def test_binding_twice_builds_each_plan_once_per_register_size(monkeypatch):
         factors = tuple(gate.derivative_factor for gate in circuit.gates)
         for num_qubits in sizes:
             state = random_state(num_qubits, seed=seed)
-            for op in bound.unitaries + bound.adjoints + factors:
+            for op in (bound.unitaries + bound.adjoints + factors + bound.derivatives
+                       + bound.derivative_adjoints):
                 apply_operator(state, op, OpCounter())
         counts.append(len(built))
     assert len(bases) < circuit.num_parameters
