@@ -65,7 +65,13 @@ from .optimizer import (
 )
 # _cmd_tensor calls parse_circuit_file by this module's name, which a tracer
 # can wrap; parse_circuit_text is re-exported
-from .parsing import _is_index, parse_circuit_file, parse_circuit_text, parse_hamiltonian_file
+from .parsing import (
+    _is_index,
+    parse_circuit_file,
+    parse_circuit_text,
+    parse_hamiltonian_file,
+    real,
+)
 from .statevector import OpCounter, track_allocations
 from .verify import DEFAULT_SEED, run_checks
 
@@ -84,7 +90,7 @@ BENCH_SEED_DEFAULT = 1234
 
 def _parse_param_values(text: str, expected: int) -> np.ndarray:
     try:
-        values = np.array([float(part) for part in text.split(",")])
+        values = np.array([real(part) for part in text.split(",")])
     except ValueError:
         raise ParseError(f"could not parse parameter list {text!r}")
     if values.size != expected:
@@ -403,11 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     optimize = sub.add_parser("optimize", help="minimize a Pauli-sum Hamiltonian")
     optimize.add_argument("--circuit", required=True)
     optimize.add_argument("--hamiltonian", required=True)
-    optimize.add_argument("--dt", type=float, default=0.05, help="update timestep")
-    optimize.add_argument("--lambda", dest="lam", type=float, default=1e-8,
+    optimize.add_argument("--dt", type=real, default=0.05, help="update timestep")
+    optimize.add_argument("--lambda", dest="lam", type=real, default=1e-8,
                           help="Tikhonov shift added to the metric")
     optimize.add_argument("--steps", type=integer, default=500, help="maximum steps")
-    optimize.add_argument("--energy-tol", type=float, default=1e-10,
+    optimize.add_argument("--energy-tol", type=real, default=1e-10,
                           help="stop when the energy change drops below this")
     optimize.add_argument("--params", default=None,
                           help="initial parameters (default: seeded uniform)")
@@ -423,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--quick", action="store_true",
                         help="reduced suite, finishes in a few seconds")
     verify.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    verify.add_argument("--tol", type=float, default=None,
+    verify.add_argument("--tol", type=real, default=None,
                         help="override every comparison tolerance (finite, >= 0)")
     verify.set_defaults(handler=_cmd_verify)
 

@@ -30,7 +30,8 @@ through it.  So ``unitary(theta)`` costs a cosine and a sine, and its
 kernel one product of the cached expansions with the coefficients.
 ``dU = D . U`` is in the same span, as ``(i sigma)^2 = -I``, so
 ``derivative(theta)`` binds the basis too; only :class:`GeneratedGate`
-(an ``expm``) builds a matrix, which is a one-term basis of its own.
+(an ``expm``) builds a matrix, which is a one-term basis of its own.  That
+``expm`` is scipy's, imported at a generated gate's first binding.
 
 Derivative operators are represented structurally (small matrix on the
 support, optionally behind a control projector), never as full-register
@@ -46,7 +47,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import UnsupportedGateError
 from .statevector import MatrixGateOperator, OperatorBasis, PauliStringOperator
@@ -58,7 +58,6 @@ __all__ = [
     "PauliRotation",
     "PauliString",
     "PauliSum",
-    "parse_pauli_term",
 ]
 
 PAULI_LABELS = ("X", "Y", "Z")
@@ -147,19 +146,6 @@ class PauliString:
         if not self.factors:
             return "I"
         return " ".join(f"{label}{qubit}" for qubit, label in self.factors)
-
-
-def parse_pauli_term(text: str) -> tuple[float, PauliString]:
-    """One ``coeff pauli-word`` term, e.g. ``"0.5 X0 X1"``; a bare coefficient
-    is the identity term.  Raises ValueError."""
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("expected a term 'coeff pauli-word', got nothing")
-    try:
-        weight = float(tokens[0])
-    except ValueError:
-        raise ValueError(f"expected a coefficient, got {tokens[0]!r}") from None
-    return weight, PauliString.parse(" ".join(tokens[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,13 +365,19 @@ class GeneratedGate(ParameterizedGate):
         return sum(weight * pauli.dense_matrix(support)
                    for weight, pauli in self.generator.terms)
 
+    def _exponential(self, theta: float) -> np.ndarray:
+        """``exp(i * theta * A)`` on the support; the one use of scipy here,
+        imported on the first call."""
+        from scipy.linalg import expm
+
+        return expm(1j * theta * self._generator_matrix)
+
     def unitary(self, theta: float) -> MatrixGateOperator:
-        return MatrixGateOperator(self.generator.support,
-                                  expm(1j * theta * self._generator_matrix))
+        return MatrixGateOperator(self.generator.support, self._exponential(theta))
 
     def derivative(self, theta: float) -> MatrixGateOperator:
-        return MatrixGateOperator(self.generator.support, self.derivative_factor.matrix
-                                  @ expm(1j * theta * self._generator_matrix))
+        return MatrixGateOperator(self.generator.support,
+                                  self.derivative_factor.matrix @ self._exponential(theta))
 
     @cached_property
     def derivative_factor(self) -> MatrixGateOperator:

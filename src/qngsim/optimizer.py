@@ -22,6 +22,10 @@ the blocked route with the block the metric module's rule,
 default: B = P, in P + 1 registers, when those take no more memory than G,
 else B = 3 in five registers.  Either way a point builds only
 unitaries and adjoints.
+
+The energy and the gradient need numpy only.  The natural-gradient solve,
+:func:`_solve_metric_system`, imports ``scipy.linalg`` on first use, so the
+first natural step of a process also pays that import.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .ansatz import AnsatzCircuit, BoundCircuit, prepare_ansatz_state
 from .errors import SingularMetricError
@@ -210,13 +213,15 @@ def _solve_metric_system(metric: np.ndarray, rhs: np.ndarray,
     Raises SingularMetricError when the shifted system is still singular,
     which with ``regularization == 0`` means the metric itself is.
     """
+    import scipy.linalg  # the optimizer's one use of scipy: load it at the first solve
+
     shifted = metric + regularization * np.eye(len(rhs))
     try:
         solution = scipy.linalg.solve(shifted, rhs, assume_a="sym")
         residual = rhs - shifted @ solution
         if np.max(np.abs(residual)) > 0.0:
             solution = solution + scipy.linalg.solve(shifted, residual, assume_a="sym")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
         raise SingularMetricError(
             "metric solve failed on a singular system; rerun with a positive "
             "regularization (lambda > 0)"

@@ -2,7 +2,8 @@
 
 Both are line-based; ``#`` starts a comment and blank lines are skipped.  A
 malformed line raises :class:`~qngsim.errors.ParseError` naming its source
-and line number.
+and line number.  Numbers are read in ASCII form only: qubit indices by
+``_is_index``, phase rates and coefficients by :func:`real`.
 
 Circuit files hold a header and then one gate per line; a gate's position
 is its parameter index:
@@ -21,6 +22,7 @@ identity term.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 from .ansatz import AnsatzCircuit
@@ -32,7 +34,6 @@ from .gates import (
     PauliRotation,
     PauliString,
     PauliSum,
-    parse_pauli_term,
 )
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "parse_circuit_text",
     "parse_hamiltonian_file",
     "parse_hamiltonian_text",
+    "parse_pauli_term",
 ]
 
 _ROTATIONS = {"rx": "X", "ry": "Y", "rz": "Z"}
@@ -51,6 +53,33 @@ def _is_index(token: str) -> bool:
     """ASCII digits only: ``str.isdigit`` also accepts e.g. ``'²'``, which
     ``int`` rejects."""
     return token.isascii() and token.isdigit()
+
+
+_REAL = re.compile(r"\s*[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)\s*",
+                   re.ASCII | re.IGNORECASE)
+
+
+def real(token: str) -> float:
+    """A real number from outside the program: ASCII decimal or exponent
+    form, or ``inf`` or ``nan``, which each caller rejects where it must
+    (``float`` alone also reads ``'\u0663'`` and ``'1_0'``).  Raises
+    ValueError."""
+    if not _REAL.fullmatch(token):
+        raise ValueError(f"expected a real number, got {token!r}")
+    return float(token)
+
+
+def parse_pauli_term(text: str) -> tuple[float, PauliString]:
+    """One ``coeff pauli-word`` term, e.g. ``"0.5 X0 X1"``; a bare coefficient
+    is the identity term.  Raises ValueError."""
+    tokens = text.split()
+    if not tokens:
+        raise ValueError("expected a term 'coeff pauli-word', got nothing")
+    try:
+        weight = real(tokens[0])
+    except ValueError:
+        raise ValueError(f"expected a coefficient, got {tokens[0]!r}") from None
+    return weight, PauliString.parse(" ".join(tokens[1:]))
 
 
 def _parse_qubit(token: str, num_qubits: int, role: str) -> int:
@@ -82,7 +111,7 @@ def _parse_gate_line(tokens: list[str], num_qubits: int) -> ParameterizedGate:
             raise ValueError(f"{word} takes a qubit and a phase rate")
         qubit = _parse_qubit(tokens[1], num_qubits, "target")
         try:
-            rate = float(tokens[2])
+            rate = real(tokens[2])
         except ValueError:
             raise ValueError(f"phase rate must be a number, got {tokens[2]!r}")
         return PauliRotation(PauliString.single(qubit, _PHASED[word]), phase_rate=rate)

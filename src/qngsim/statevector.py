@@ -25,6 +25,10 @@ Inner products reduce with a single fixed BLAS call, so repeated runs on the
 same machine are bit-identical.  A Statevector must not be mutated from two
 threads at once, but may be handed between threads while no primitive is in
 flight.
+
+This module imports numpy only.  ``scipy.linalg.blas`` loads with the
+first plane-rotation plan (:func:`_rotation_plan`, an rx or ry on 6 or more
+qubits), so the primitives never import scipy on narrower registers.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from functools import cache
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg.blas import drot, zaxpy, zdrot
 
 __all__ = [
     "AllocationTally",
@@ -266,13 +269,23 @@ def inner_product(bra: Statevector, ket: Statevector, counter: OpCounter) -> com
     return complex(np.vdot(bra._amplitudes, ket._amplitudes))
 
 
+_AXPY_CHUNK = 1 << 14  # amplitudes per step of axpy: a 256 KiB temporary
+
+
 def axpy(alpha: complex, x: Statevector, y: Statevector, counter: OpCounter) -> None:
-    """``y += alpha * x`` in place, with no temporary; counts one axpy."""
+    """``y += alpha * x`` in place; counts one axpy.
+
+    Each element is numpy's ``y + alpha * x``, taken ``_AXPY_CHUNK``
+    amplitudes at a time, so the only temporary is one chunk of
+    ``alpha * x`` and never a register.
+    """
     if x.num_qubits != y.num_qubits:
         raise ValueError(
             f"cannot add a {x.num_qubits}-qubit state to a {y.num_qubits}-qubit register"
         )
-    zaxpy(x._amplitudes, y._amplitudes, a=alpha)
+    xs, ys = x._amplitudes, y._amplitudes
+    for start in range(0, len(ys), _AXPY_CHUNK):
+        ys[start:start + _AXPY_CHUNK] += alpha * xs[start:start + _AXPY_CHUNK]
     counter.axpys += 1
 
 
@@ -482,11 +495,18 @@ def _rotation_form(terms: np.ndarray) -> bool:
 
 def _rotation_plan(terms: np.ndarray, qubit: int, num_qubits: int):
     """Each term's ``(c, s)``, ``m01`` being ``s`` (ry form) or ``i s`` (rx
-    form), and the BLAS calls, in float64 units for the rx form; see
-    :func:`_rotation_kernel`."""
+    form), the BLAS calls, in float64 units for the rx form, and the BLAS
+    routine, ``zdrot`` or ``drot``; see :func:`_rotation_kernel`.
+
+    The plan imports ``scipy.linalg.blas`` and looks the routine up once;
+    every kernel it binds shares that routine.
+    """
+    from scipy.linalg.blas import drot, zdrot
+
     calls = _rotation_layout(qubit, num_qubits)
     m01 = terms[:, 0, 1]
     imaginary = bool(m01.imag.any())
+    rot = drot if imaginary else zdrot
     cs = terms[:, 0, 0].real.tolist()
     ss = (m01.imag if imaginary else m01.real).tolist()
     if imaginary:
@@ -498,25 +518,26 @@ def _rotation_plan(terms: np.ndarray, qubit: int, num_qubits: int):
         for weight, ck, sk in zip(coefficients, cs, ss):
             c += weight * ck
             s += weight * sk
-        return _rotation_kernel(c, s, imaginary, calls)
+        return _rotation_kernel(c, s, imaginary, rot, calls)
     return bind
 
 
-def _rotation_kernel(c: float, s: float, imaginary: bool, calls):
+def _rotation_kernel(c: float, s: float, imaginary: bool, rot, calls):
     """In-place plane rotation by ``[[c, m01], [-conj(m01), c]]``, ``m01`` being
-    ``s`` or ``i s``; see :class:`MatrixGateOperator`."""
+    ``s`` or ``i s``, through the BLAS routine ``rot`` (``zdrot``, or ``drot``
+    for the rx form); see :class:`MatrixGateOperator`."""
     if not imaginary:  # ry form, drot's own: x' = c x + s y, y' = c y - s x
         def apply(amplitudes: np.ndarray) -> None:
             for n, offx, incx, offy, incy in calls:
-                zdrot(amplitudes, amplitudes, c, s, n, offx, incx, offy, incy, 1, 1)
+                rot(amplitudes, amplitudes, c, s, n, offx, incx, offy, incy, 1, 1)
         return apply
 
     # rx form: Re x with Im y at (c, -s), Im x with Re y at (c, s)
     def apply(amplitudes: np.ndarray) -> None:
         parts = amplitudes.view(np.float64)
         for n, offx, incx, offy, incy in calls:
-            drot(parts, parts, c, -s, n, offx, incx, offy + 1, incy, 1, 1)
-            drot(parts, parts, c, s, n, offx + 1, incx, offy, incy, 1, 1)
+            rot(parts, parts, c, -s, n, offx, incx, offy + 1, incy, 1, 1)
+            rot(parts, parts, c, s, n, offx + 1, incx, offy, incy, 1, 1)
     return apply
 
 

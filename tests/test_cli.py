@@ -106,10 +106,13 @@ def test_parse_generated_gate_too_wide():
     ("qubits 2\nrx ²\n", ":2: target must be a qubit index"),
     ("qubits 4\ncrz 0 ٣\n", ":2: target must be a qubit index"),
     ("qubits 2\ngen 0.5 X²\n", ":2: cannot parse Pauli factor"),
+    ("qubits 2\nrx 0\nprz 1 ٠.٧\n", ":3: phase rate must be a number"),  # Arabic-Indic 0.7
+    ("qubits 2\ngen ٠.٥ X0\n", ":2: expected a coefficient"),
+    ("qubits 2\ngen 0.5 X0 ; 1_0 Z1\n", ":2: expected a coefficient"),
 ])
 def test_parse_accepts_ascii_digits_only(text, where):
     # str.isdigit holds for these characters, and int() rejects the first
-    # or reads the second as a digit
+    # or reads the second as a digit; float() reads Arabic-Indic digits and 1_0
     with pytest.raises(ParseError, match=where):
         parse_circuit_text(text, source="c.txt")
 
@@ -340,10 +343,12 @@ def test_tensor_command_rejects_non_finite_params(circuit_file, tmp_path, capsys
 
 
 @pytest.mark.parametrize("command", ["tensor", "optimize"])
-@pytest.mark.parametrize("params", ["0.1,,0.2,0.3", "0.3,0.7,1.1,", ",0.3,0.7,1.1"])
+@pytest.mark.parametrize("params", ["0.1,,0.2,0.3", "0.3,0.7,1.1,", ",0.3,0.7,1.1",
+                                    "٠.٣,١,٢", "0.3,1_0,2"])
 def test_empty_parameter_field_is_usage_error(circuit_file, hamiltonian_file, tmp_path,
                                               capsys, command, params):
-    # an empty field is not skipped: "0.1,,0.2,0.3" is not 0.1, 0.2, 0.3
+    # an empty field is not skipped: "0.1,,0.2,0.3" is not 0.1, 0.2, 0.3; nor
+    # does a field read as a number unless it is one in ASCII digits
     out = tmp_path / "out.csv"
     argv = {"tensor": ["tensor", "--circuit", str(circuit_file)],
             "optimize": ["optimize", "--circuit", str(circuit_file), "--hamiltonian",
@@ -727,6 +732,14 @@ def test_verify_rejects_unusable_tolerance_before_any_check(capsys, tol):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("tol", ["\u0661e-3", "1_0"])
+def test_verify_tolerance_takes_ascii_digits_only(capsys, tol):
+    assert main(["verify", "--quick", "--tol", tol]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"argument --tol: invalid real value: '{tol}'" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("tol", ["-1e-3", "-1E-3", "-2.5e+1", "-inf"])
 def test_verify_reads_a_negative_number_as_the_tolerance(capsys, tol):
     # argparse's own pattern reads -1e-3 and -inf as options
@@ -743,6 +756,9 @@ def test_verify_reads_a_negative_number_as_the_tolerance(capsys, tol):
     ("--energy-tol", "-1e-12", "energy_tolerance must be positive"),
     ("--params", "-0.3,0.7", "circuit has 3 parameters, got 2"),
     ("--steps", "\u0663", "argument --steps: invalid integer value"),
+    ("--dt", "\u0660.\u0660\u0665", "argument --dt: invalid real value"),
+    ("--lambda", "\u0661e-9", "argument --lambda: invalid real value"),
+    ("--energy-tol", "1_0", "argument --energy-tol: invalid real value"),
 ])
 def test_optimize_reads_a_negative_number_as_a_value(circuit_file, hamiltonian_file, tmp_path,
                                                     capsys, flag, value, message):

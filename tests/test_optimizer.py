@@ -79,6 +79,9 @@ def test_parse_hamiltonian_errors_carry_line_numbers():
     for bad in ("nan Z0", "inf", "-inf X1"):
         with pytest.raises(ParseError, match=":2:.*finite"):
             parse_hamiltonian_text(f"1.0 Z0\n{bad}\n")
+    for bad in ("\u0660.\u0665 Z0", "1_0 X1"):  # float() reads both
+        with pytest.raises(ParseError, match=":2: expected a coefficient"):
+            parse_hamiltonian_text(f"1.0 Z0\n{bad}\n")
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n  # another\n"])

@@ -1,6 +1,7 @@
 """Statevector primitives: semantics, counting, allocation tracking, kernels."""
 
 import time
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -24,6 +25,7 @@ from qngsim.statevector import (
     Statevector,
     _rotation_layout,
     apply_operator,
+    axpy,
     clone_into,
     inner_product,
     make_basis_state,
@@ -171,6 +173,40 @@ def test_inner_product_repeated_runs_bit_identical():
     b = random_state(6, seed=5)
     first = inner_product(a, b, counter)
     assert all(inner_product(a, b, counter) == first for _ in range(5))
+
+
+# ---------------------------------------------------------------------------
+# Axpy
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("num_qubits", [1, 4, 18])
+@pytest.mark.parametrize("alpha", [0.37, -1.25e-3, 0.6 - 0.8j, 1.0, -1.0, 1, -1])
+def test_axpy_is_numpy_sum_bit_for_bit(num_qubits, alpha):
+    x = random_state(num_qubits, seed=7)
+    y = random_state(num_qubits, seed=8)
+    expected = y.amplitudes + alpha * x.amplitudes
+    counter = OpCounter()
+    axpy(alpha, x, y, counter)
+    assert np.array_equal(y.amplitudes.view(np.float64), expected.view(np.float64))
+    assert counter.axpys == 1 and counter.as_tuple() == (0, 0, 0)
+
+
+def test_axpy_allocates_no_register_sized_temporary():
+    # a register at N = 18 is 4 MiB; alpha * x taken whole would allocate one
+    x, y = random_state(18, seed=9), random_state(18, seed=10)
+    tracemalloc.start()
+    try:
+        axpy(0.37 - 0.2j, x, y, OpCounter())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_axpy_dimension_mismatch():
+    with pytest.raises(ValueError, match="cannot add a 1-qubit state"):
+        axpy(1.0, Statevector(1), Statevector(2), OpCounter())
 
 
 # ---------------------------------------------------------------------------
