@@ -29,9 +29,11 @@ kernel *plan*: the kernel family, its layout and each matrix expanded
 through it.  So ``unitary(theta)`` costs a cosine and a sine, and its
 kernel one product of the cached expansions with the coefficients.
 ``dU = D . U`` is in the same span, as ``(i sigma)^2 = -I``, so
-``derivative(theta)`` binds the basis too; only :class:`GeneratedGate`
-(an ``expm``) builds a matrix, which is a one-term basis of its own.  That
-``expm`` is scipy's, imported at a generated gate's first binding.
+``derivative(theta)`` binds the basis too.  A :class:`GeneratedGate` takes
+its basis from the spectrum of ``A``, once per gate: ``A = sum_k w_k P_k``
+with rank-1 projectors ``P_k`` (numpy's ``eigh``), so ``U(theta)`` is the
+basis at ``exp(i theta w_k)`` and ``dU`` at ``i w_k exp(i theta w_k)``.
+Every gate kind is thus a binding of cached plans, and no gate needs scipy.
 
 Derivative operators are represented structurally (small matrix on the
 support, optionally behind a control projector), never as full-register
@@ -70,7 +72,7 @@ _PAULI_2X2 = {
 }
 
 # Dense matrices are only ever built on a gate's local support; generated
-# gates are capped at 3 support qubits so the exponential stays at most 8x8.
+# gates are capped at 3 support qubits so the eigendecomposition stays at most 8x8.
 GENERATOR_SUPPORT_LIMIT = 3
 _DENSE_SUPPORT_LIMIT = 6
 
@@ -336,9 +338,17 @@ class GeneratedGate(ParameterizedGate):
     """``exp(i * theta * A)`` for a small :class:`PauliSum` ``A``.
 
     ``A`` needs at least one term and no identity term, and its support is
-    capped at GENERATOR_SUPPORT_LIMIT qubits so the local exponential stays a
-    small dense computation; larger generators are rejected loudly rather
+    capped at GENERATOR_SUPPORT_LIMIT qubits so its eigendecomposition stays
+    a small dense computation; larger generators are rejected loudly rather
     than silently slow.
+
+    ``A`` is Hermitian (its weights are real), so ``A = sum_k w_k P_k`` with
+    real eigenvalues ``w_k`` and rank-1 projectors ``P_k = v_k v_k^dagger``.
+    The projectors are the gate's theta-free basis, built once per gate with
+    its kernel plans: ``U(theta)`` binds it at ``exp(i theta w_k)`` and
+    ``dU/dtheta`` at ``i w_k exp(i theta w_k)``; each ``P_k`` is Hermitian, so
+    an adjoint rebinds it at the conjugate coefficients.  A diagonal ``A``
+    has diagonal projectors, and so the diagonal kernel family.
     """
 
     generator: PauliSum
@@ -365,19 +375,25 @@ class GeneratedGate(ParameterizedGate):
         return sum(weight * pauli.dense_matrix(support)
                    for weight, pauli in self.generator.terms)
 
-    def _exponential(self, theta: float) -> np.ndarray:
-        """``exp(i * theta * A)`` on the support; the one use of scipy here,
-        imported on the first call."""
-        from scipy.linalg import expm
+    @cached_property
+    def _spectrum(self) -> tuple[tuple[float, ...], OperatorBasis]:
+        """The eigenvalues ``w_k`` of ``A`` and the basis of its projectors."""
+        values, vectors = np.linalg.eigh(self._generator_matrix)
+        projectors = vectors.T[:, :, None] * vectors.T.conj()[:, None, :]
+        return tuple(values.tolist()), OperatorBasis(
+            self.generator.support, projectors, real=False, adjoint_signs=(1,) * len(values))
 
-        return expm(1j * theta * self._generator_matrix)
+    @property
+    def _basis(self) -> OperatorBasis:
+        return self._spectrum[1]
 
     def unitary(self, theta: float) -> MatrixGateOperator:
-        return MatrixGateOperator(self.generator.support, self._exponential(theta))
+        values, basis = self._spectrum
+        return basis.bind(tuple(cmath.exp(1j * theta * w) for w in values))
 
     def derivative(self, theta: float) -> MatrixGateOperator:
-        return MatrixGateOperator(self.generator.support,
-                                  self.derivative_factor.matrix @ self._exponential(theta))
+        values, basis = self._spectrum
+        return basis.bind(tuple(1j * w * cmath.exp(1j * theta * w) for w in values))
 
     @cached_property
     def derivative_factor(self) -> MatrixGateOperator:

@@ -23,9 +23,10 @@ default: B = P, in P + 1 registers, when those take no more memory than G,
 else B = 3 in five registers.  Either way a point builds only
 unitaries and adjoints.
 
-The energy and the gradient need numpy only.  The natural-gradient solve,
-:func:`_solve_metric_system`, imports ``scipy.linalg`` on first use, so the
-first natural step of a process also pays that import.
+The whole loop needs numpy only: the natural-gradient solve,
+:func:`_solve_metric_system`, is numpy's LAPACK LU solve, so an optimizer
+run loads no scipy module unless its gates do (an rx or ry on six or more
+qubits is a BLAS plane rotation).
 """
 
 from __future__ import annotations
@@ -207,21 +208,20 @@ class OptimizationTrace:
 
 def _solve_metric_system(metric: np.ndarray, rhs: np.ndarray,
                          regularization: float) -> np.ndarray:
-    """Solve ``(metric + regularization*I) x = rhs`` by a dense symmetric solve.
+    """Solve ``(metric + regularization*I) x = rhs`` by a dense LU solve
+    (``np.linalg.solve``, LAPACK ``gesv``).
 
     One iterative-refinement pass keeps the residual near machine level.
     Raises SingularMetricError when the shifted system is still singular,
     which with ``regularization == 0`` means the metric itself is.
     """
-    import scipy.linalg  # the optimizer's one use of scipy: load it at the first solve
-
     shifted = metric + regularization * np.eye(len(rhs))
     try:
-        solution = scipy.linalg.solve(shifted, rhs, assume_a="sym")
+        solution = np.linalg.solve(shifted, rhs)
         residual = rhs - shifted @ solution
         if np.max(np.abs(residual)) > 0.0:
-            solution = solution + scipy.linalg.solve(shifted, residual, assume_a="sym")
-    except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
+            solution = solution + np.linalg.solve(shifted, residual)
+    except np.linalg.LinAlgError as exc:
         raise SingularMetricError(
             "metric solve failed on a singular system; rerun with a positive "
             "regularization (lambda > 0)"

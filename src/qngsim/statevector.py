@@ -603,8 +603,10 @@ class MatrixGateOperator:
     being the control-0 identity (absent without a control), its
     derivative ``D . U`` is a binding of the same basis, and
     :meth:`adjoint` rebinds either at the adjoint coefficients; ``matrix``
-    is then formed only when read.  An operator built from a matrix (a
-    ``gen`` gate's) is the one-term basis of that matrix, at coefficient 1.
+    is then formed only when read.  A ``gen`` gate binds the rank-1
+    projectors of its generator at ``exp(i theta w_k)``.  An operator built
+    from a matrix (a ``gen`` gate's factor ``D = i A``) is the one-term basis
+    of that matrix, at coefficient 1.
 
     The kernel follows the basis's structure, not its coefficients.  Per N
     the basis caches a plan: the kernel family, its index layout (shared by

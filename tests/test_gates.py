@@ -271,8 +271,15 @@ def test_generated_gate_unitary_matches_expm_oracle():
     theta = 0.8
     x0y1 = np.kron(np.array([[0, -1j], [1j, 0]]), X)
     z0 = np.kron(np.eye(2), np.diag([1, -1])).astype(complex)
-    oracle = scipy.linalg.expm(1j * theta * (0.3 * x0y1 - 0.2 * z0))
-    np.testing.assert_allclose(gate.unitary(theta).matrix, oracle, atol=1e-12)
+    generator = 0.3 * x0y1 - 0.2 * z0
+    oracle = scipy.linalg.expm(1j * theta * generator)
+    slope = 1j * generator @ oracle
+    unitary, derivative = gate.unitary(theta), gate.derivative(theta)
+    np.testing.assert_allclose(unitary.matrix, oracle, atol=1e-12)
+    np.testing.assert_allclose(derivative.matrix, slope, atol=1e-12)
+    np.testing.assert_allclose(unitary.adjoint().matrix, oracle.conj().T, atol=1e-12)
+    np.testing.assert_allclose(derivative.adjoint().matrix, slope.conj().T, atol=1e-12)
+    np.testing.assert_array_equal(gate.derivative_factor.matrix, 1j * generator)
 
 
 def test_generated_gate_support_limit():

@@ -369,6 +369,36 @@ def test_metric_solve_residual_small():
         assert np.max(np.abs(shifted @ solution - rhs)) <= 1e-10
 
 
+def test_metric_solve_matches_symmetric_solve_oracle():
+    # numpy's LU solve against scipy's symmetric (LDL^T) solve, on a
+    # well-conditioned SPD metric and on the singular metric above (three
+    # zero eigenvalues) at a small and a large shift: the two agree to
+    # within the shifted system's condition number times rounding
+    import scipy.linalg
+
+    from qngsim.optimizer import _solve_metric_system
+
+    rng = np.random.default_rng(76)
+    circuit = random_circuit(3, 8, rng)
+    params = random_parameters(8, rng)
+    h = PauliSum((
+        (1.0, PauliString.parse("Z0 Z1")),
+        (0.5, PauliString.single(2, "X")),
+    ))
+    singular = compute_geometric_tensor(circuit, params, OpCounter()).fubini_study_metric
+    rhs = -0.05 * energy_gradient(circuit, params, h, OpCounter())
+    spread = np.random.default_rng(77).normal(size=(24, 24))
+    cases = [(singular, rhs, lam) for lam in (1e-8, 1e-3)]
+    cases.append((spread @ spread.T + 24 * np.eye(24),
+                  np.random.default_rng(78).normal(size=24), 1e-8))
+    for metric, b, lam in cases:
+        shifted = metric + lam * np.eye(len(b))
+        oracle = scipy.linalg.solve(shifted, b, assume_a="sym")
+        solution = _solve_metric_system(metric, b, lam)
+        bound = len(b) * np.linalg.cond(shifted) * np.finfo(float).eps
+        assert np.linalg.norm(solution - oracle) <= bound * np.linalg.norm(oracle), lam
+
+
 def test_plain_mode_skips_tensor_and_scales_linearly(monkeypatch):
     def no_tensor(*args, **kwargs):
         raise AssertionError("plain mode must not evaluate the geometric tensor")
