@@ -4,15 +4,16 @@ Commands
 --------
 ``tensor``    compute the geometric tensor of a circuit file at given
               parameters and write it as CSV or a packed binary dump.
-              ``--algorithm auto`` (the default) takes the blocked route
-              with the block B of ``qngsim.metric.route_block``: B = P,
-              (P^2 + 3P)/2 gates in P + 1 registers, when
-              ``(P + 1) * 2^N <= P^2`` (its registers take no more memory
-              than G), and otherwise B = 3, in main's five registers;
-              ``main`` (the recurrence, (3P^2 + P)/2 gates) and
-              ``alg2``..``alg8`` force a route.  Auto prints the blocked
-              route's counts, and its CSV differs from main's in the last
-              bits (about 1e-16).
+              ``--algorithm auto`` (the default) takes the route of
+              ``qngsim.metric.tensor_route``: the co-state route,
+              O(2^N P) primitives in 2^N + 2 registers, when P > 2^(N+1);
+              else the blocked route with B = P, (P^2 + 3P)/2 gates in
+              P + 1 registers, when ``(P + 1) * 2^N <= P^2`` (its
+              registers take no more memory than G); and otherwise B = 3,
+              in main's five registers; ``main`` (the recurrence,
+              (3P^2 + P)/2 gates) and ``alg2``..``alg8`` force a route.
+              Auto prints the chosen route's counts, and its CSV differs
+              from main's in the last bits (about 1e-16).
 ``bench``     sweep parameter counts for selected algorithms, recording
               measured against predicted primitive counts (plot-ready CSV).
 ``optimize``  natural-gradient (or plain-gradient) minimization of a
@@ -47,13 +48,18 @@ from .baselines import (
     compute_li_tensor,
     cost_model,
 )
-from .errors import ParseError, ResourceLimitError, SingularMetricError
+from .errors import (
+    ParseError,
+    ResourceLimitError,
+    SingularMetricError,
+    StepOverflowError,
+)
 from .metric import (
     compute_berry_vector,
     compute_geometric_tensor,
     main_algorithm_cost,
-    route_block,
     tensor_matrix,
+    tensor_route,
     write_tensor_binary,
     write_tensor_csv,
 )
@@ -131,7 +137,7 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
     counter = OpCounter()
     if args.algorithm == "auto":
         matrix = compute_geometric_tensor(circuit, params, counter,
-                                          block=route_block(circuit)).matrix
+                                          route=tensor_route(circuit)).matrix
     elif args.algorithm == "main":
         matrix = compute_geometric_tensor(circuit, params, counter).matrix
     else:
@@ -381,7 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated parameter values, one per gate")
     tensor.add_argument("--algorithm", default="auto", type=str.lower,
                         choices=["auto", "main"] + [alg.value for alg in BaselineId],
-                        help="auto (default): the blocked route, with B = P "
+                        help="auto (default): the co-state route (2^N + 2 "
+                             "registers, O(2^N P) primitives) when P > 2^(N+1), "
+                             "else the blocked route, with B = P "
                              "(P + 1 registers, (P^2+3P)/2 gates) when "
                              "(P+1)*2^N <= P^2, else B = 3 (five registers); "
                              "main: the five-register recurrence, (3P^2+P)/2 gates; "
@@ -456,7 +464,7 @@ def main(argv=None) -> int:
     except MemoryError:
         print("resource error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
-    except SingularMetricError as exc:
+    except (SingularMetricError, StepOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except ValueError as exc:

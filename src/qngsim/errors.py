@@ -4,6 +4,7 @@ __all__ = [
     "ParseError",
     "ResourceLimitError",
     "SingularMetricError",
+    "StepOverflowError",
     "UnsupportedGateError",
 ]
 
@@ -22,3 +23,8 @@ class ResourceLimitError(RuntimeError):
 
 class SingularMetricError(RuntimeError):
     """The (unregularized) metric solve hit a singular system."""
+
+
+class StepOverflowError(RuntimeError):
+    """A natural-gradient step does not fit in a float: the timestep is too
+    large for the gradient and the metric at that point."""

@@ -1,4 +1,4 @@
-"""The quantum geometric tensor in O(P^2) gates, by two routes.
+"""The quantum geometric tensor in O(P^2) gates, by three routes.
 
 For an ansatz state ``|psi(theta)> = U_P ... U_1 |in>`` the tensor is
 
@@ -6,7 +6,7 @@ For an ansatz state ``|psi(theta)> = U_P ... U_1 |in>`` the tensor is
          = L_ij - conj(T_i) T_j
 
 with the derivative-overlap tensor ``L`` and the Berry vector
-``T_i = <psi, d_i psi>``.  Two routes evaluate it, trading registers for
+``T_i = <psi, d_i psi>``.  Three routes evaluate it, trading registers for
 gates as the paper's abstract describes:
 
 * main, :func:`compute_geometric_tensor`: the paper's recurrence in five
@@ -24,24 +24,33 @@ gates as the paper's abstract describes:
   binding.
   With B = P it keeps every derivative state at once, in P + 1 registers,
   for (P^2 + 3P)/2 gates and P + 1 clones.
+* co-state, :func:`compute_geometric_tensor_costate`: the state Jacobian
+  ``J_mk = <m|d_k psi>`` read in one reverse sweep against the 2^N
+  co-states ``U_{k+1}^dag ... U_P^dag |m>`` (the reverse mode of Jones and
+  Gacon, arXiv:2009.02823), then ``L = J^dag J`` by one classical product.
+  It costs :func:`costate_tensor_cost`, O(2^N P) primitives in 2^N + 2
+  registers: 2415 gates, 129 clones and 2176 inner products at N = 4,
+  P = 128 against B = P's 8384 / 129 / 8384.
 
-:func:`route_block` is the rule that picks B for ``qngsim tensor``
-(``--algorithm auto``, the default) and for the optimizer: B = P where its
-P + 1 registers take no more memory than G itself,
-``(P + 1) * 2^N <= P^2``, and B = 3 otherwise,
-in main's five registers.  The two routes round differently, so their G
-differ in the last bits (about 1e-16): the default ``tensor`` prints the
-blocked route's counts and its CSV differs from main's in those bits.  Both
-routes are O(P^2), against O(P^3) for evaluating each matrix element from
-scratch (see the baselines module).  Every route returns L as a P x P array
-whose lower triangle :func:`mirror_upper` fills with the conjugate of the
-upper one, and :func:`tensor_matrix` completes G the same way, so L and G
-are exactly Hermitian.
+:func:`tensor_route` is the rule that picks the route for ``qngsim tensor``
+(``--algorithm auto``, the default) and for the optimizer: co-state where
+P > 2^(N+1), exactly where its primitive total is below B = P's; else B = P
+where its P + 1 registers take no more memory than G itself,
+``(P + 1) * 2^N <= P^2``; else B = 3, in main's five registers.  The routes
+round differently, so their G differ in the last bits (about 1e-16): the
+default ``tensor`` prints the chosen route's counts and its CSV differs from
+main's in those bits.  Every route is O(P^2) for a fixed register width,
+against O(P^3) for evaluating each matrix element from scratch (see the
+baselines module).  Every route returns L as a P x P array whose lower
+triangle :func:`mirror_upper` fills with the conjugate of the upper one, and
+:func:`tensor_matrix` completes G the same way, so L and G are exactly
+Hermitian.
 
-Both routes take each derivative state from ``|psi_j> = U_j ... U_1 |in>``
+Every route takes each derivative state from ``|psi_j> = U_j ... U_1 |in>``
 and the gate's cached theta-free factor ``D_j``, as
-``dU_j |psi_{j-1}> = D_j |psi_j>``, so neither builds a per-theta dU, and
-both read every entry of L and T with one counted inner product.
+``dU_j |psi_{j-1}> = D_j |psi_j>``, so none builds a per-theta dU, and
+each reads every entry it needs of L (or J) and T with one counted inner
+product.
 """
 
 from __future__ import annotations
@@ -59,9 +68,11 @@ from .statevector import (
     apply_operator,
     clone_into,
     inner_product,
+    make_basis_state,
 )
 
 __all__ = [
+    "COSTATE",
     "GeometricTensor",
     "TENSOR_MAGIC",
     "blocked_overlaps",
@@ -70,12 +81,14 @@ __all__ = [
     "compute_berry_vector",
     "compute_geometric_tensor",
     "compute_geometric_tensor_blocked",
+    "compute_geometric_tensor_costate",
+    "costate_tensor_cost",
     "main_algorithm_cost",
     "mirror_upper",
     "overlap_matrix",
     "read_tensor_binary",
-    "route_block",
     "tensor_matrix",
+    "tensor_route",
     "write_tensor_binary",
     "write_tensor_csv",
 ]
@@ -129,19 +142,21 @@ def main_algorithm_cost(num_parameters: int) -> tuple[int, int, int]:
 
 
 def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
-                             block: int | None = None) -> GeometricTensor:
+                             route: int | str | None = None) -> GeometricTensor:
     """Evaluate G, L and T for ``circuit`` at ``params`` with 5 fixed registers,
-    or by :func:`compute_geometric_tensor_blocked` when ``block`` is given.
+    or by the route ``route`` names when one is given.
 
     Args:
         circuit: the ansatz; gate k owns parameter k.
         params: length-P vector of finite reals, or a ``BoundCircuit`` of
             ``circuit`` whose operators are then reused.
         counter: receives the exact tally, :func:`main_algorithm_cost` for main.
-        block: None for main; B >= 1 for the blocked route with B live
-            derivative states, as :func:`route_block` picks it.  The CLI and
-            the optimizer reach the blocked route through this function, so
-            a wrapper of this one name (a tracer's span, a test's stub) sees
+        route: None for main; :data:`COSTATE` for
+            :func:`compute_geometric_tensor_costate`; B >= 1 for
+            :func:`compute_geometric_tensor_blocked` with B live derivative
+            states; :func:`tensor_route` picks one of the last two.  The CLI
+            and the optimizer reach every route through this function, so a
+            wrapper of this one name (a tracer's span, a test's stub) sees
             every tensor they compute.
 
     The five registers are: the rolling suffix state ``|psi_j>`` (the state
@@ -152,8 +167,10 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
     products.  Each ``D`` is the gate's cached theta-free factor, so a
     binding builds only its unitaries and their adjoints.
     """
-    if block is not None:
-        return compute_geometric_tensor_blocked(circuit, params, counter, block)
+    if route == COSTATE:
+        return compute_geometric_tensor_costate(circuit, params, counter)
+    if route is not None:
+        return compute_geometric_tensor_blocked(circuit, params, counter, route)
     bound = circuit.bind(params)
     count = circuit.num_parameters
     unitaries, adjoints = bound.unitaries, bound.adjoints
@@ -214,13 +231,25 @@ def blocked_tensor_registers(num_parameters: int, block: int) -> int:
     return num_parameters + 1 if block >= num_parameters else block + 2
 
 
-def route_block(circuit: AnsatzCircuit) -> int:
-    """The route rule: the block B of the blocked route, P where its P + 1
-    registers take no more memory than the P x P tensor itself,
-    ``(P + 1) * 2^N <= P^2``, else 3, which holds main's five workspace
-    registers."""
-    p = circuit.num_parameters
-    return p if (p + 1) * 2**circuit.num_qubits <= p * p else 3
+COSTATE = "costate"
+"""The ``route`` of :func:`compute_geometric_tensor` that names the co-state
+route, :func:`compute_geometric_tensor_costate`."""
+
+
+def tensor_route(circuit: AnsatzCircuit) -> int | str:
+    """The route rule, as the ``route`` of :func:`compute_geometric_tensor`.
+
+    :data:`COSTATE` where P > 2^(N+1): there, and only there, the total of
+    :func:`costate_tensor_cost` is below that of B = P.  Else the block B of
+    the blocked route: P where its P + 1 registers take no more memory than
+    the P x P tensor itself, ``(P + 1) * 2^N <= P^2``, else 3, which holds
+    main's five workspace registers.  The co-state route's 2^N + 2 registers
+    are fewer than B = P's wherever it is taken.
+    """
+    p, dim = circuit.num_parameters, 2**circuit.num_qubits
+    if p > 2 * dim:
+        return COSTATE
+    return p if (p + 1) * dim <= p * p else 3
 
 
 def blocked_overlaps(bound: BoundCircuit, block: int, counter: OpCounter,
@@ -302,6 +331,66 @@ def compute_geometric_tensor_blocked(circuit: AnsatzCircuit, params,
     return GeometricTensor(matrix=tensor_matrix(li, berry), berry=berry, li=li)
 
 
+def costate_tensor_cost(num_parameters: int, num_qubits: int) -> tuple[int, int, int]:
+    """Exact (gate applications, clones, inner products) of
+    :func:`compute_geometric_tensor_costate` on P gates and N qubits.
+
+    Preparing psi costs a clone and P gates; each of the P steps of the
+    reverse sweep costs a clone, the factor D_k and 2^N + 1 inner products
+    (T_k and a column of J), and each step but the last rolls psi and the
+    2^N co-states back through one adjoint.  Peak workspace: 2^N + 2
+    registers.
+    """
+    p, dim = num_parameters, 2**num_qubits
+    return 2 * p + (p - 1) * (dim + 1), p + 1, p * (dim + 1)
+
+
+def compute_geometric_tensor_costate(circuit: AnsatzCircuit, params,
+                                     counter: OpCounter) -> GeometricTensor:
+    """Evaluate G, L and T for ``circuit`` at ``params`` from the state
+    Jacobian ``J_mk = <m|d_k psi>``, read in one reverse sweep.
+
+    ``|d_k psi> = U_P ... U_{k+1} D_k |psi_k>``, so ``J_mk`` is the overlap
+    of ``D_k|psi_k>`` with the co-state ``U_{k+1}^dag ... U_P^dag |m>``.  The
+    2^N co-states start as the basis states ``|m>``, written directly and
+    uncounted like the circuit input; psi is prepared once.  For k = P..1
+    a clone of ``|psi_k>`` takes ``D_k``, ``T_k`` and column k of J are
+    read from it, and psi and every co-state roll back through ``U_k^dag``.
+    ``L = J^dag J`` is one classical product on the counted inner products,
+    as :func:`tensor_matrix`'s outer product is.  Costs
+    :func:`costate_tensor_cost` in 2^N + 2 workspace registers.
+
+    Args:
+        circuit: the ansatz; gate k owns parameter k.
+        params: length-P vector of finite reals, or a ``BoundCircuit`` of
+            ``circuit`` whose unitaries and adjoints are then reused.
+        counter: receives the exact :func:`costate_tensor_cost`.
+    """
+    bound = circuit.bind(params)
+    count, width = circuit.num_parameters, circuit.num_qubits
+    adjoints = bound.adjoints
+    psi = Statevector.zeros(width)
+    clone_into(input_state(circuit), psi, counter)
+    for unitary in bound.unitaries:
+        apply_operator(psi, unitary, counter)
+    work = Statevector.zeros(width)
+    costates = [make_basis_state(width, m, kind="workspace") for m in range(1 << width)]
+    berry = np.zeros(count, dtype=np.complex128)
+    jacobian = np.zeros((len(costates), count), dtype=np.complex128)
+    for k in range(count - 1, -1, -1):
+        clone_into(psi, work, counter)                       # psi = |psi_k>
+        apply_operator(work, circuit.gates[k].derivative_factor, counter)
+        berry[k] = inner_product(psi, work, counter)
+        for m, costate in enumerate(costates):
+            jacobian[m, k] = inner_product(costate, work, counter)
+        if k:
+            apply_operator(psi, adjoints[k], counter)
+            for costate in costates:
+                apply_operator(costate, adjoints[k], counter)
+    li = mirror_upper(jacobian.conj().T @ jacobian)
+    return GeometricTensor(matrix=tensor_matrix(li, berry), berry=berry, li=li)
+
+
 def compute_berry_vector(circuit: AnsatzCircuit, params,
                          counter: OpCounter) -> np.ndarray:
     """Standalone ``T_i = <psi_i| D_i |psi_i>`` with each gate's cached factor
@@ -324,6 +413,7 @@ def compute_berry_vector(circuit: AnsatzCircuit, params,
 # ---------------------------------------------------------------------------
 
 TENSOR_MAGIC = b"QGTDUMP1"
+_SIGN_BIT = np.uint64(1 << 63)
 
 
 def _as_matrix(tensor) -> np.ndarray:
@@ -336,15 +426,40 @@ def _as_matrix(tensor) -> np.ndarray:
 
 def write_tensor_csv(tensor, path) -> None:
     """Write one ``i,j,re,im`` line per entry (0-based indices, row-major),
-    formatting each row of G with one ``%`` call."""
-    matrix = _as_matrix(tensor)
+    each number as ``%.17g``.
+
+    The upper triangle is formatted once, with one ``%`` call per row.  A
+    lower entry whose bits are its mirror's conjugate (equal real bits,
+    imaginary bits equal but for the sign bit) reuses the mirror's text with
+    the imaginary sign flipped, so a Hermitian G formats each pair once.
+    Bits decide, not ``==``, since ``-0.0 == 0.0``.  Any other lower entry,
+    and one with a NaN imaginary part (whose text has no sign), is formatted
+    itself, so the bytes are those of formatting every entry.
+    """
+    matrix = np.ascontiguousarray(_as_matrix(tensor))
     size = len(matrix)
-    row_format = "%d,%d,%.17g,%.17g\n" * size
+    bits = matrix.view(np.uint64).reshape(size, size, 2)
+    mirrored = ((bits[..., 0] == bits[..., 0].T)
+                & (bits[..., 1] == bits[..., 1].T ^ _SIGN_BIT)
+                & ~np.isnan(matrix.imag)).tolist()
+    row_format = "%d,%d,%s\n" * size
+    # conjugates[j]: "re,im" texts of conj(G_jk) for k > j, last k first;
+    # row i pops column i's from each, so a text lives until its mirror is written
+    conjugates: list[list[str]] = []
     with open(path, "w") as handle:
         handle.write("i,j,re,im\n")
         for i, row in enumerate(matrix):
-            entries = zip(repeat(i), range(size), row.real.tolist(), row.imag.tolist())
-            handle.write(row_format % tuple(chain.from_iterable(entries)))
+            values = row.view(np.float64).tolist()  # re, im interleaved
+            upper = (("%.17g,%.17g\n" * (size - i)) % tuple(values[2 * i:])).split("\n")[:-1]
+            lower = zip([pending.pop() for pending in conjugates], mirrored[i],
+                        values[0::2], values[1::2])
+            texts = [text if mirror else "%.17g,%.17g" % (re, im)
+                     for text, mirror, re, im in lower] + upper
+            # the real text has no comma, so ",-" can only start the imaginary one
+            conjugates.append([text.replace(",-", ",") if ",-" in text
+                               else text.replace(",", ",-") for text in reversed(upper[1:])])
+            handle.write(row_format % tuple(chain.from_iterable(
+                zip(repeat(i), range(size), texts))))
 
 
 def write_tensor_binary(tensor, path) -> None:

@@ -16,12 +16,14 @@ factor ``D_i`` (``dU_i |psi_{i-1}> = D_i |psi_i>``).  That is O(P + T)
 primitives in three registers, counted exactly by :func:`gradient_cost`,
 against the O(P^2) of parameter-wise finite differences.
 ``run_optimization`` binds each point once: the energy, the gradient and the
-tensor all take their gate operators from that one binding.  Its tensor is
-the blocked route with the block the metric module's rule,
-:func:`~qngsim.metric.route_block`, picks, as ``qngsim tensor`` does by
-default: B = P, in P + 1 registers, when those take no more memory than G,
-else B = 3 in five registers.  Either way a point builds only
-unitaries and adjoints.
+tensor all take their gate operators from that one binding.  Its tensor
+takes the route the metric module's rule,
+:func:`~qngsim.metric.tensor_route`, picks, as ``qngsim tensor`` does by
+default: the co-state route, in 2^N + 2 registers, when P > 2^(N+1); else
+the blocked route with B = P, in P + 1 registers, when those take no more
+memory than G; else B = 3 in five registers.  Either way a point builds
+only unitaries and adjoints, and the co-state route rolls back through the
+same adjoints the gradient sweep uses.
 
 The whole loop needs numpy only: the natural-gradient solve,
 :func:`_solve_metric_system`, is numpy's LAPACK LU solve, so an optimizer
@@ -37,9 +39,9 @@ from pathlib import Path
 import numpy as np
 
 from .ansatz import AnsatzCircuit, BoundCircuit, prepare_ansatz_state
-from .errors import SingularMetricError
+from .errors import SingularMetricError, StepOverflowError
 from .gates import PauliSum
-from .metric import compute_geometric_tensor, route_block
+from .metric import compute_geometric_tensor, tensor_route
 from .parsing import parse_hamiltonian_file, parse_hamiltonian_text  # re-exported
 from .statevector import (
     OpCounter,
@@ -212,9 +214,19 @@ def _solve_metric_system(metric: np.ndarray, rhs: np.ndarray,
     (``np.linalg.solve``, LAPACK ``gesv``).
 
     One iterative-refinement pass keeps the residual near machine level.
-    Raises SingularMetricError when the shifted system is still singular,
-    which with ``regularization == 0`` means the metric itself is.
+
+    Raises:
+        StepOverflowError: the step does not fit in a float: ``rhs``
+            (``-dt * grad(E)``) is not finite, or the solve is finite for
+            ``rhs`` scaled to a largest entry of 1 but not for ``rhs``
+            itself.  Either way a smaller timestep helps, not the shift.
+        SingularMetricError: the shifted system is still singular, which
+            with ``regularization == 0`` means the metric itself is.
     """
+    if not np.all(np.isfinite(rhs)):
+        raise StepOverflowError(
+            "the step -dt * grad(E) is not finite; lower the timestep (--dt)"
+        )
     shifted = metric + regularization * np.eye(len(rhs))
     try:
         solution = np.linalg.solve(shifted, rhs)
@@ -227,6 +239,12 @@ def _solve_metric_system(metric: np.ndarray, rhs: np.ndarray,
             "regularization (lambda > 0)"
         ) from exc
     if not np.all(np.isfinite(solution)):
+        scale = np.max(np.abs(rhs))
+        if scale > 0.0 and np.all(np.isfinite(np.linalg.solve(shifted, rhs / scale))):
+            raise StepOverflowError(
+                "the natural-gradient step (metric + lambda*I)^-1 (-dt * grad(E)) "
+                "is not finite; lower the timestep (--dt)"
+            )
         raise SingularMetricError(
             "metric solve produced non-finite values; rerun with a positive "
             "regularization (lambda > 0)"
@@ -242,7 +260,7 @@ def run_optimization(circuit: AnsatzCircuit, initial_params,
     counter = OpCounter()
     bound = circuit.bind(initial_params)
     theta = bound.theta
-    block = route_block(circuit)
+    route = tensor_route(circuit)
     trace = OptimizationTrace()
     energy, grad = _energy_and_gradient(bound, hamiltonian, counter)
     trace.records.append(StepRecord(0, energy, float(np.linalg.norm(grad)), theta.copy()))
@@ -250,7 +268,7 @@ def run_optimization(circuit: AnsatzCircuit, initial_params,
         delta = -config.timestep * grad
         if config.mode == NATURAL_GRADIENT:
             metric = compute_geometric_tensor(circuit, bound, counter,
-                                              block=block).fubini_study_metric
+                                              route=route).fubini_study_metric
             delta = _solve_metric_system(metric, delta, config.regularization)
         bound = circuit.bind(theta + delta)
         theta = bound.theta

@@ -17,7 +17,14 @@ holds its counts to ``blocked_tensor_cost(P, B)`` and its peak to
 ``blocked_tensor_registers(P, B)`` workspace registers for P = 1..10 (quick)
 or 1..40 and every B from 1 to P + 1, and ``blocked_agreement`` holds its
 G, L and T for every B from 1 to P to main's on the circuits of the
-baseline-equivalence and finite-difference checks.
+baseline-equivalence and finite-difference checks.  Three cover the co-state
+route: ``costate_count_exactness`` holds its counts to
+``costate_tensor_cost(P, N)`` and its peak to 2^N + 2 workspace registers for
+N = 1..4 and P = 1..10 (quick) or 1..40; ``costate_agreement`` holds its G, L
+and T to main's, and ``costate_finite_difference`` its G to central
+differences, on the circuits of the baseline-equivalence and
+finite-difference checks and on circuits the route rule sends to it
+(P > 2^(N+1)).
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ from .metric import (
     compute_berry_vector,
     compute_geometric_tensor,
     compute_geometric_tensor_blocked,
+    compute_geometric_tensor_costate,
+    costate_tensor_cost,
     main_algorithm_cost,
 )
 from .optimizer import energy_expectation, energy_gradient, gradient_cost
@@ -289,6 +298,67 @@ def check_blocked_agreement(seed: int, quick: bool, tolerance: float) -> CheckRe
                        f"{len(cases)} circuits, B = 1..P, G, L and T")
 
 
+def check_costate_count_exactness(seed: int, quick: bool) -> CheckResult:
+    """The co-state route's counts equal ``costate_tensor_cost`` and its peak
+    is 2^N + 2 workspace registers, integer for integer, for N = 1..4."""
+    max_parameters = 10 if quick else 40
+    rng = np.random.default_rng([seed, 96])
+    worst = 0
+    for num_qubits in range(1, 5):
+        for num_parameters in range(1, max_parameters + 1):
+            circuit = random_circuit(num_qubits, num_parameters, rng)
+            params = random_parameters(num_parameters, rng)
+            counter = OpCounter()
+            with track_allocations() as tally:
+                compute_geometric_tensor_costate(circuit, params, counter)
+            measured = counter.as_tuple() + (tally.peak_live("workspace"),)
+            predicted = (costate_tensor_cost(num_parameters, num_qubits)
+                         + (2**num_qubits + 2,))
+            worst = max(worst, *(abs(m - p) for m, p in zip(measured, predicted)))
+    return CheckResult("costate_count_exactness", worst == 0, float(worst), 0.0,
+                       f"gates, clones, inner products and registers, N = 1..4, "
+                       f"P = 1..{max_parameters}")
+
+
+def _costate_cases(seed: int, quick: bool) -> list:
+    """The circuits of :func:`check_baseline_equivalence` and
+    :func:`check_finite_difference`, and circuits with P > 2^(N+1), which
+    the route rule sends to the co-state route."""
+    num_cases, num_qubits, num_parameters = (4, 3, 6) if quick else (20, 4, 8)
+    return [*_random_cases(seed, num_cases, num_qubits, num_parameters),
+            *_random_cases(seed + 1, 3 if quick else 8, 4, 8),
+            *_random_cases(seed + 6, 2 if quick else 4, 1, 5),
+            *_random_cases(seed + 7, 2 if quick else 4, 2, 12)]
+
+
+def check_costate_agreement(seed: int, quick: bool, tolerance: float) -> CheckResult:
+    """The co-state route's G, L and T against main's."""
+    cases = _costate_cases(seed, quick)
+    worst = 0.0
+    for circuit, params in cases:
+        bound = circuit.bind(params)
+        main = compute_geometric_tensor(circuit, bound, OpCounter())
+        costate = compute_geometric_tensor_costate(circuit, bound, OpCounter())
+        for ours, theirs in ((costate.matrix, main.matrix), (costate.li, main.li),
+                             (costate.berry, main.berry)):
+            worst = max(worst, float(np.max(np.abs(ours - theirs))))
+    return CheckResult("costate_agreement", worst <= tolerance, worst, tolerance,
+                       f"{len(cases)} circuits, G, L and T")
+
+
+def check_costate_finite_difference(seed: int, quick: bool,
+                                    tolerance: float) -> CheckResult:
+    """The co-state route's G against the central-difference oracle."""
+    cases = _costate_cases(seed, quick)
+    worst = 0.0
+    for circuit, params in cases:
+        computed = compute_geometric_tensor_costate(circuit, params, OpCounter()).matrix
+        oracle = finite_difference_tensor(circuit, params)
+        worst = max(worst, float(np.max(np.abs(computed - oracle))))
+    return CheckResult("costate_finite_difference", worst <= tolerance, worst, tolerance,
+                       f"{len(cases)} circuits, central step 1e-5")
+
+
 def _random_hamiltonian(rng: np.random.Generator, num_qubits: int,
                         num_terms: int) -> PauliSum:
     """``num_terms`` terms with coefficients in [-1, 1); each qubit carries
@@ -351,6 +421,9 @@ def run_checks(seed: int = DEFAULT_SEED, quick: bool = False,
         check_berry_consistency(seed, quick, tol(1e-12)),
         check_blocked_count_exactness(seed, quick),
         check_blocked_agreement(seed, quick, tol(1e-10)),
+        check_costate_count_exactness(seed, quick),
+        check_costate_agreement(seed, quick, tol(1e-10)),
+        check_costate_finite_difference(seed, quick, tol(1e-6)),
         check_gradient_count_exactness(seed, quick),
         check_gradient_finite_difference(seed, quick, tol(1e-6)),
     ]

@@ -14,7 +14,7 @@ from qngsim.ansatz import (
 )
 from qngsim.baselines import BaselineId, compute_li_tensor, cost_model
 from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString, PauliSum
-from qngsim.metric import compute_berry_vector, compute_geometric_tensor, route_block
+from qngsim.metric import compute_berry_vector, compute_geometric_tensor, tensor_route
 from qngsim.optimizer import OptimizerConfig, run_optimization
 from qngsim.statevector import OpCounter, track_allocations
 from qngsim.verify import finite_difference_tensor
@@ -118,8 +118,8 @@ def test_c5_diagonal_shortcuts():
         ones = amplitudes.reshape(-1, 2, 1 << control)[:, 1]  # the control reads 1
         expected[gate] = 0.25 * np.sum(np.abs(ones) ** 2)
     rotation_dev = controlled_dev = 0.0
-    for block in (None, route_block(circuit)):
-        li = compute_geometric_tensor(circuit, bound, OpCounter(), block=block).li
+    for route in (None, tensor_route(circuit)):
+        li = compute_geometric_tensor(circuit, bound, OpCounter(), route=route).li
         rotation_dev = max(rotation_dev, *(abs(li[i, i] - expected[i]) for i in (0, 2)))
         controlled_dev = max(controlled_dev, *(abs(li[i, i] - expected[i]) for i in (1, 3)))
     passed = rotation_dev <= 1e-12 and controlled_dev <= 1e-12

@@ -714,12 +714,14 @@ def test_verify_quick_passes(capsys):
     elapsed = time.perf_counter() - started
     assert code == EXIT_OK
     out = capsys.readouterr().out
-    assert "all 10 checks passed" in out
+    assert "all 13 checks passed" in out
     passed = [line.split()[1].rstrip(":") for line in out.splitlines()
               if line.startswith("PASS")]
     assert passed == ["count_exactness", "reference_totals", "baseline_equivalence",
                       "finite_difference", "gauge_invariance", "berry_consistency",
                       "blocked_count_exactness", "blocked_agreement",
+                      "costate_count_exactness", "costate_agreement",
+                      "costate_finite_difference",
                       "gradient_count_exactness", "gradient_finite_difference"]
     assert elapsed < 10.0
 
@@ -802,3 +804,18 @@ def test_verify_with_absurd_tolerance_fails(capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "max deviation" in out
+
+
+def test_optimize_overflowing_step_names_the_timestep(tmp_path, capsys):
+    # at the default lambda the natural step 4 * -dt * grad(E) overflows; the
+    # run fails (exit 1) and says to lower --dt rather than to raise lambda
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("qubits 2\nrx 0\nry 1\n")
+    hamiltonian = tmp_path / "h.txt"
+    hamiltonian.write_text("1.0 Z0\n")
+    code = main(["optimize", "--circuit", str(circuit), "--hamiltonian", str(hamiltonian),
+                 "--dt", "1e308", "--out", str(tmp_path / "t.csv")])
+    assert code == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lower the timestep (--dt)" in err
+    assert "lambda > 0" not in err and "Traceback" not in err

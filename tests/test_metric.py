@@ -14,15 +14,18 @@ from qngsim.ansatz import (
 from qngsim.baselines import BaselineId, compute_li_tensor, cost_model, naive_full_li_matrix
 from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString
 from qngsim.metric import (
+    COSTATE,
     blocked_tensor_cost,
     blocked_tensor_registers,
     compute_berry_vector,
     compute_geometric_tensor,
     compute_geometric_tensor_blocked,
+    compute_geometric_tensor_costate,
+    costate_tensor_cost,
     main_algorithm_cost,
     read_tensor_binary,
-    route_block,
     tensor_matrix,
+    tensor_route,
     write_tensor_binary,
     write_tensor_csv,
 )
@@ -183,8 +186,13 @@ def test_tensor_properties_on_random_circuits(case):
         blocked = compute_geometric_tensor_blocked(circuit, params, counter, block)
     assert counter.as_tuple() == blocked_tensor_cost(count, block)
     assert tally.peak_live("workspace") == blocked_tensor_registers(count, block)
-    overlaps = {"main": main.li, "blocked": blocked.li}
-    tensors = {"main": main.matrix, "blocked": blocked.matrix}
+    counter = OpCounter()
+    with track_allocations() as tally:
+        costate = compute_geometric_tensor_costate(circuit, params, counter)
+    assert counter.as_tuple() == costate_tensor_cost(count, circuit.num_qubits)
+    assert tally.peak_live("workspace") == 2**circuit.num_qubits + 2
+    overlaps = {"main": main.li, "blocked": blocked.li, "costate": costate.li}
+    tensors = {"main": main.matrix, "blocked": blocked.matrix, "costate": costate.matrix}
     for alg in BaselineId:
         counter = OpCounter()
         li = compute_li_tensor(alg, circuit, params, counter)
@@ -195,31 +203,35 @@ def test_tensor_properties_on_random_circuits(case):
     # real part of their diagonals, so both are Hermitian bit for bit
     for matrix in (*overlaps.values(), *tensors.values()):
         assert np.array_equal(matrix, matrix.conj().T)
-    for tensor in (main, blocked):
+    for tensor in (main, blocked, costate):
         assert np.min(np.linalg.eigvalsh(tensor.fubini_study_metric)) >= -1e-10
-    np.testing.assert_allclose(blocked.berry, main.berry, rtol=0, atol=1e-10)
+    for tensor in (blocked, costate):
+        np.testing.assert_allclose(tensor.berry, main.berry, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(tensor.li, main.li, rtol=0, atol=1e-10)
     oracle = finite_difference_tensor(circuit, params)
-    for route in ("main", "blocked", BaselineId.ALG6, BaselineId.ALG8):
+    for route in ("main", "blocked", "costate", BaselineId.ALG6, BaselineId.ALG8):
         np.testing.assert_allclose(tensors[route], main.matrix, rtol=0, atol=1e-10)
         np.testing.assert_allclose(tensors[route], oracle, rtol=0, atol=1e-6)
 
 
-@pytest.mark.parametrize("block", [3, 128])
-def test_deep_tensor_is_hermitian_bit_for_bit(block):
+@pytest.mark.parametrize("route", [3, 128, COSTATE])
+def test_deep_tensor_is_hermitian_bit_for_bit(route):
     # 128 gates on 4 qubits, the shape of the narrow benchmark workload; the
-    # two triangles of conj(T) T^T, formed separately, differ in the last bit
+    # two triangles of conj(T) T^T (or of J^dag J), formed separately, differ
+    # in the last bit
     circuit = random_circuit(4, 128, seed_or_rng=np.random.default_rng([1, 0]))
     params = random_parameters(128, np.random.default_rng([1, 2]))
     for tensor in (compute_geometric_tensor(circuit, params, OpCounter()),
-                   compute_geometric_tensor_blocked(circuit, params, OpCounter(), block)):
+                   compute_geometric_tensor(circuit, params, OpCounter(), route=route)):
         assert np.array_equal(tensor.matrix, tensor.matrix.conj().T)
+        assert np.array_equal(tensor.li, tensor.li.conj().T)
 
 
 @settings(max_examples=40, deadline=None)
 @given(blocked_cases(2, 4, 10, kinds=("rotation", "phased")), st.floats(-1.0, 1.0))
 def test_tensor_gauge_invariant_under_phased_variant(case, phase_rate):
     circuit, params, block = case
-    for route in (compute_geometric_tensor,
+    for route in (compute_geometric_tensor, compute_geometric_tensor_costate,
                   lambda *args: compute_geometric_tensor_blocked(*args, block)):
         plain = route(circuit, params, OpCounter())
         phased = route(phased_variant(circuit, phase_rate), params, OpCounter())
@@ -246,8 +258,8 @@ def test_diagonal_shortcut_equivalence(seed):
             amplitudes = bound.prepare(OpCounter(), upto=j).amplitudes
             p1 = np.sum(np.abs(amplitudes.reshape(-1, 2, 1 << gate.control)[:, 1]) ** 2)
         expected.append(gate.scale**2 * p1)
-    for block in (None, 3):
-        li = compute_geometric_tensor(circuit, bound, OpCounter(), block=block).li
+    for route in (None, 3, COSTATE):
+        li = compute_geometric_tensor(circuit, bound, OpCounter(), route=route).li
         np.testing.assert_allclose(li.diagonal(), expected, rtol=0, atol=1e-12)
 
 
@@ -354,13 +366,15 @@ def test_blocked_tensor_cost_closed_form():
                                          OpCounter(), 0)
 
 
-@pytest.mark.parametrize("num_qubits, num_parameters, block", [
-    (1, 3, 3), (3, 8, 3), (3, 9, 9), (4, 128, 128), (18, 24, 3),
+@pytest.mark.parametrize("num_qubits, num_parameters, route", [
+    (1, 3, 3), (3, 8, 3), (3, 9, 9), (4, 128, COSTATE), (18, 24, 3),
+    (2, 8, 8), (2, 9, COSTATE), (4, 32, 32), (4, 33, COSTATE),
 ])
-def test_route_rule_picks_the_block(num_qubits, num_parameters, block):
-    # B = P where its P + 1 registers fit, else B = 3: main's five registers
+def test_route_rule_picks_the_block(num_qubits, num_parameters, route):
+    # co-state where P > 2^(N+1); else B = P where its P + 1 registers fit,
+    # else B = 3: main's five registers
     circuit = random_circuit(num_qubits, num_parameters, 57)
-    assert route_block(circuit) == block
+    assert tensor_route(circuit) == route
 
 
 @pytest.mark.parametrize("num_qubits, num_parameters, fits", [
@@ -368,9 +382,13 @@ def test_route_rule_picks_the_block(num_qubits, num_parameters, block):
     (4, 16, False), (4, 17, True), (4, 128, True), (18, 24, False),
 ])
 def test_route_rule_compares_registers_with_the_tensor(num_qubits, num_parameters, fits):
-    # (P + 1) * 2^N amplitudes of registers against the P^2 entries of G
+    # (P + 1) * 2^N amplitudes of registers against the P^2 entries of G;
+    # where P > 2^(N+1) (here only at N = 4, P = 128) the co-state route is
+    # taken first, whose 2^N + 2 registers fit wherever B = P's do
     circuit = random_circuit(num_qubits, num_parameters, 53)
-    assert route_block(circuit) == (num_parameters if fits else 3)
+    blocked = num_parameters if fits else 3
+    expected = COSTATE if num_parameters > 2 ** (num_qubits + 1) else blocked
+    assert tensor_route(circuit) == expected
     assert fits == ((num_parameters + 1) * 2**num_qubits <= num_parameters**2)
 
 
@@ -416,6 +434,41 @@ def test_tensor_csv_output(tmp_path):
         "-0", "0", "4.9406564584124654e-324", "1e-300", "0.33333333333333331", "-2.5e+17"]
     with pytest.raises(ValueError, match="square"):
         write_tensor_csv(matrix[:, :5], path)
+
+
+def test_tensor_csv_reuses_only_bitwise_conjugate_mirrors(tmp_path):
+    # a Hermitian G, whose lower entries reuse their mirrors' strings, with
+    # entries where that would go wrong unless the bits decide: signed zeros
+    # (-0.0 == 0.0), a conjugate pair of NaN imaginary parts (no sign in
+    # "nan"), and lower entries one ulp off their mirror's conjugate
+    rng = np.random.default_rng(58)
+    size = 9
+    upper = np.triu(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+    matrix = upper + np.triu(upper, 1).conj().T
+    np.fill_diagonal(matrix, matrix.diagonal().real)
+    pairs = {(0, 1): complex(0.5, 0.0),                 # mirror (0.5, -0.0)
+             (0, 2): complex(-0.0, -0.0),               # mirror (-0.0, 0.0)
+             (0, 3): complex(np.nan, np.copysign(np.nan, -1.0))}
+    for (i, j), value in pairs.items():
+        matrix[i, j], matrix[j, i] = value, value.conjugate()
+    matrix[4, 0] = complex(1.0, 0.0)                    # mirror also (1.0, 0.0)
+    matrix[0, 4] = complex(1.0, 0.0)
+    matrix[5, 4] = complex(np.nextafter(matrix[4, 5].real, np.inf), -matrix[4, 5].imag)
+    matrix[6, 5] = complex(matrix[5, 6].real, np.nextafter(-matrix[5, 6].imag, np.inf))
+    path = tmp_path / "g.csv"
+    write_tensor_csv(matrix, path)
+    reference = "i,j,re,im\n" + "".join(
+        f"{i},{j},{matrix[i, j].real:.17g},{matrix[i, j].imag:.17g}\n"
+        for i in range(size) for j in range(size))
+    assert path.read_bytes() == reference.encode()
+    lines = path.read_text().splitlines()
+    assert lines[1 + size] == "1,0,0.5,-0"
+    assert lines[1 + 2 * size] == "2,0,-0,0"
+    assert lines[1 + 3 * size] == "3,0,nan,nan"
+    assert lines[1 + 4 * size] == "4,0,1,0"
+    # the same bytes from a view whose memory is the transpose's
+    write_tensor_csv(np.ascontiguousarray(matrix.T).T, path)
+    assert path.read_bytes() == reference.encode()
 
 
 def test_tensor_binary_round_trip(tmp_path):

@@ -8,14 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qngsim.ansatz import AnsatzCircuit, random_circuit, random_layered_circuit, random_parameters
-from qngsim.errors import ParseError, SingularMetricError
+from qngsim.errors import ParseError, SingularMetricError, StepOverflowError
 from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString, PauliSum
-from qngsim.metric import blocked_tensor_cost, compute_geometric_tensor, route_block
+from qngsim.metric import (
+    COSTATE,
+    blocked_tensor_cost,
+    compute_geometric_tensor,
+    costate_tensor_cost,
+    tensor_route,
+)
 from qngsim.optimizer import (
     NATURAL_GRADIENT,
     PLAIN_GRADIENT,
     OptimizerConfig,
     _energy_and_gradient,
+    _solve_metric_system,
     energy_expectation,
     energy_gradient,
     gradient_cost,
@@ -263,7 +270,7 @@ def test_natural_gradient_run_prepares_once_per_point(monkeypatch):
     # (3, 9) the route rule picks B = P for the tensor.
     steps = 3
     circuit = random_circuit(3, 9, 79)
-    assert route_block(circuit) == 9
+    assert tensor_route(circuit) == 9
     tensor_gates, tensor_clones, tensor_inners = blocked_tensor_cost(9, 9)
     counter = _recorded_run(monkeypatch, circuit, steps)
     gates, clones, inners, axpys = gradient_cost(9, len(ising_pair().terms))
@@ -280,12 +287,24 @@ def test_optimizer_tensor_follows_the_route_rule(monkeypatch, num_parameters, st
     steps = 2
     circuit = random_circuit(3, num_parameters, 81)
     block = num_parameters if stored else 3
-    assert route_block(circuit) == block
+    assert tensor_route(circuit) == block
     expected = blocked_tensor_cost(num_parameters, block)
     counter = _recorded_run(monkeypatch, circuit, steps)
     passes = np.array(gradient_cost(num_parameters, len(ising_pair().terms))[:3])
     per_step = (np.array(counter.as_tuple()) - (steps + 1) * passes) / steps
     assert tuple(per_step) == expected
+
+
+def test_optimizer_tensor_takes_the_costate_route(monkeypatch):
+    # on 3 qubits P = 17 > 2^(N+1) = 16: each step pays exactly the co-state
+    # route's tensor
+    steps = 2
+    circuit = random_circuit(3, 17, 81)
+    assert tensor_route(circuit) == COSTATE
+    counter = _recorded_run(monkeypatch, circuit, steps)
+    passes = np.array(gradient_cost(17, len(ising_pair().terms))[:3])
+    per_step = (np.array(counter.as_tuple()) - (steps + 1) * passes) / steps
+    assert tuple(per_step) == costate_tensor_cost(17, 3)
 
 
 @pytest.mark.parametrize("mode", [NATURAL_GRADIENT, PLAIN_GRADIENT])
@@ -339,6 +358,25 @@ def test_singular_metric_without_regularization_raises():
     config = OptimizerConfig(timestep=0.1, regularization=0.0, max_steps=1)
     with pytest.raises(SingularMetricError, match="lambda"):
         run_optimization(circuit, [0.2], z_hamiltonian(), config)
+
+
+def test_overflowing_step_blames_the_timestep():
+    # rx 0 / ry 1 under Z0: G = I/4, so the step is 4 * -dt * grad(E); at
+    # dt = 1e308 it overflows within three steps although every solve is
+    # well posed, so the error names the timestep, not lambda
+    circuit = AnsatzCircuit(2, (PauliRotation(PauliString.single(0, "X")),
+                                PauliRotation(PauliString.single(1, "Y"))))
+    params = np.random.default_rng(1234).uniform(0.0, 2.0 * np.pi, 2)
+    config = OptimizerConfig(timestep=1e308, max_steps=5)
+    with pytest.raises(StepOverflowError, match="--dt") as error:
+        run_optimization(circuit, params, z_hamiltonian(), config)
+    assert "lambda > 0" not in str(error.value)
+
+
+@pytest.mark.parametrize("rhs", [[np.inf, 0.0], [np.nan, 1.0], [-np.inf, np.inf]])
+def test_non_finite_step_direction_blames_the_timestep(rhs):
+    with pytest.raises(StepOverflowError, match="-dt \\* grad\\(E\\) is not finite"):
+        _solve_metric_system(0.25 * np.eye(2), np.array(rhs), 1e-8)
 
 
 def test_singular_metric_with_regularization_is_finite():

@@ -14,6 +14,7 @@ import qngsim.metric
 import qngsim.optimizer
 from qngsim.ansatz import random_circuit, random_parameters
 from qngsim.gates import PauliString, PauliSum
+from qngsim.metric import COSTATE, costate_tensor_cost, tensor_route
 from qngsim.optimizer import OptimizerConfig
 from qngsim.statevector import OpCounter
 
@@ -65,18 +66,26 @@ def test_traced_counts_agree_with_the_counter(monkeypatch):
                             (0.5, PauliString.parse("X1 Y2")),
                             (0.25, PauliString.parse(""))))
     config = OptimizerConfig(timestep=0.05, max_steps=1, energy_tolerance=1e-300)
+    # 9 gates on 2 qubits: P > 2^(N+1), so the rule takes the co-state route
+    narrow = random_circuit(2, 9, 95)
+    narrow_params = random_parameters(9, 96)
+    assert tensor_route(narrow) == COSTATE
     operations = {
         "tensor": lambda counter: qngsim.cli.compute_geometric_tensor(
             circuit, params, counter),
         # the two blocks tensor --algorithm auto takes: B = P and B = 3
         "blocked-9": lambda counter: qngsim.cli.compute_geometric_tensor(
-            circuit, params, counter, block=9),
+            circuit, params, counter, route=9),
         "blocked-3": lambda counter: qngsim.cli.compute_geometric_tensor(
-            circuit, params, counter, block=3),
+            circuit, params, counter, route=3),
+        "costate": lambda counter: qngsim.cli.compute_geometric_tensor(
+            narrow, narrow_params, counter, route=qngsim.cli.tensor_route(narrow)),
         "gradient": lambda counter: qngsim.optimizer.energy_gradient(
             circuit, params, hamiltonian, counter),
         "qng": lambda counter: qngsim.optimizer.run_optimization(
             circuit, params, hamiltonian, config),
+        "qng-costate": lambda counter: qngsim.optimizer.run_optimization(
+            narrow, narrow_params, PauliSum(hamiltonian.terms[:1]), config),
     }
     tracer = Tracer()
     tracer.install()
@@ -88,8 +97,11 @@ def test_traced_counts_agree_with_the_counter(monkeypatch):
                 operation(counter)
             finally:
                 root = tracer.end_op()
-            if kind == "qng":
+            if kind.startswith("qng"):
                 (counter,) = counters  # the one run_optimization made
+                counters.clear()
+            if kind == "costate":
+                assert counter.as_tuple() == costate_tensor_cost(9, 2)
             assert counter.as_tuple() != (0, 0, 0), kind
             assert (root.gates, root.clones, root.inners) == counter.as_tuple(), kind
     finally:
