@@ -3,11 +3,11 @@
 The package computes the quantum geometric tensor of a parameterized circuit
 with a recurrent algorithm costing O(P^2) gate/clone operations and a fixed
 number of workspace registers, or with fewer gates from derivative states
-kept B at a time (B = P, in P + 1 registers, where those registers are no
-larger than the tensor, B = 3 otherwise), or from the state Jacobian read
-against 2^N co-states (where P > 2^(N+1)), validates it against seven
-reference strategies and finite differences, and uses it to drive
-natural-gradient minimization of Pauli-sum Hamiltonians.
+kept B at a time, or from the state Jacobian read against 2^N co-states
+(``compute_geometric_tensor`` picks the route by the rule its docstring
+states), validates it against seven reference strategies and finite
+differences, and uses it to drive natural-gradient minimization of
+Pauli-sum Hamiltonians.
 """
 
 from .ansatz import (
@@ -42,17 +42,16 @@ from .gates import (
     PauliSum,
 )
 from .metric import (
-    COSTATE,
     GeometricTensor,
     blocked_tensor_cost,
     compute_berry_vector,
     compute_geometric_tensor,
     compute_geometric_tensor_blocked,
     compute_geometric_tensor_costate,
+    compute_geometric_tensor_main,
     costate_tensor_cost,
     main_algorithm_cost,
     read_tensor_binary,
-    tensor_route,
     write_tensor_binary,
     write_tensor_csv,
 )

@@ -51,7 +51,8 @@ class AnsatzCircuit:
             raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
         if not gates:
             raise ValueError("a circuit needs at least one gate")
-        if not 0 <= self.input_basis < (1 << self.num_qubits):
+        # a shift right, not 1 << N, so a huge N allocates nothing here
+        if self.input_basis < 0 or self.input_basis >> self.num_qubits:
             raise ValueError(
                 f"input basis index {self.input_basis} out of range for "
                 f"{self.num_qubits} qubits"

@@ -4,16 +4,12 @@ Commands
 --------
 ``tensor``    compute the geometric tensor of a circuit file at given
               parameters and write it as CSV or a packed binary dump.
-              ``--algorithm auto`` (the default) takes the route of
-              ``qngsim.metric.tensor_route``: the co-state route,
-              O(2^N P) primitives in 2^N + 2 registers, when P > 2^(N+1);
-              else the blocked route with B = P, (P^2 + 3P)/2 gates in
-              P + 1 registers, when ``(P + 1) * 2^N <= P^2`` (its
-              registers take no more memory than G); and otherwise B = 3,
-              in main's five registers; ``main`` (the recurrence,
-              (3P^2 + P)/2 gates) and ``alg2``..``alg8`` force a route.
-              Auto prints the chosen route's counts, and its CSV differs
-              from main's in the last bits (about 1e-16).
+              ``--algorithm auto`` (the default) takes the route
+              ``qngsim.metric.compute_geometric_tensor`` picks (its
+              docstring states the rule); ``main`` (the recurrence,
+              ``compute_geometric_tensor_main``) and ``alg2``..``alg8``
+              force a route.  Auto prints the chosen route's counts, and
+              its CSV differs from main's in the last bits (about 1e-16).
 ``bench``     sweep parameter counts for selected algorithms, recording
               measured against predicted primitive counts (plot-ready CSV).
 ``optimize``  natural-gradient (or plain-gradient) minimization of a
@@ -57,9 +53,9 @@ from .errors import (
 from .metric import (
     compute_berry_vector,
     compute_geometric_tensor,
+    compute_geometric_tensor_main,
     main_algorithm_cost,
     tensor_matrix,
-    tensor_route,
     write_tensor_binary,
     write_tensor_csv,
 )
@@ -136,10 +132,9 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
     params = _parse_param_values(args.params, circuit.num_parameters)
     counter = OpCounter()
     if args.algorithm == "auto":
-        matrix = compute_geometric_tensor(circuit, params, counter,
-                                          route=tensor_route(circuit)).matrix
-    elif args.algorithm == "main":
         matrix = compute_geometric_tensor(circuit, params, counter).matrix
+    elif args.algorithm == "main":
+        matrix = compute_geometric_tensor_main(circuit, params, counter).matrix
     else:
         alg = BaselineId(args.algorithm)
         bound = circuit.bind(params)
@@ -230,7 +225,7 @@ def _bench_point(alg: str, num_parameters: int, num_qubits: int, seed: int,
     try:
         with track_allocations() as tally:
             if alg == "main":
-                compute_geometric_tensor(circuit, params, counter)
+                compute_geometric_tensor_main(circuit, params, counter)
             else:
                 compute_li_tensor(BaselineId.parse(alg), circuit, params, counter,
                                   memory_budget_bytes=budget)
@@ -387,11 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated parameter values, one per gate")
     tensor.add_argument("--algorithm", default="auto", type=str.lower,
                         choices=["auto", "main"] + [alg.value for alg in BaselineId],
-                        help="auto (default): the co-state route (2^N + 2 "
-                             "registers, O(2^N P) primitives) when P > 2^(N+1), "
-                             "else the blocked route, with B = P "
-                             "(P + 1 registers, (P^2+3P)/2 gates) when "
-                             "(P+1)*2^N <= P^2, else B = 3 (five registers); "
+                        help="auto (default): the route "
+                             "qngsim.metric.compute_geometric_tensor picks "
+                             "from P against 2^N (see its docstring); "
                              "main: the five-register recurrence, (3P^2+P)/2 gates; "
                              "or one of alg2..alg8 (any case)")
     tensor.add_argument("--format", choices=("csv", "bin"), default="csv")

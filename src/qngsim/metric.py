@@ -9,7 +9,7 @@ with the derivative-overlap tensor ``L`` and the Berry vector
 ``T_i = <psi, d_i psi>``.  Three routes evaluate it, trading registers for
 gates as the paper's abstract describes:
 
-* main, :func:`compute_geometric_tensor`: the paper's recurrence in five
+* main, :func:`compute_geometric_tensor_main`: the paper's recurrence in five
   fixed registers.  Gates beyond max(i, j) cancel between bra and ket, so
   every L and T entry is an inner product between two states that each
   differ from the previous iteration's states by one gate (or adjoint); a
@@ -32,19 +32,16 @@ gates as the paper's abstract describes:
   registers: 2415 gates, 129 clones and 2176 inner products at N = 4,
   P = 128 against B = P's 8384 / 129 / 8384.
 
-:func:`tensor_route` is the rule that picks the route for ``qngsim tensor``
-(``--algorithm auto``, the default) and for the optimizer: co-state where
-P > 2^(N+1), exactly where its primitive total is below B = P's; else B = P
-where its P + 1 registers take no more memory than G itself,
-``(P + 1) * 2^N <= P^2``; else B = 3, in main's five registers.  The routes
-round differently, so their G differ in the last bits (about 1e-16): the
-default ``tensor`` prints the chosen route's counts and its CSV differs from
-main's in those bits.  Every route is O(P^2) for a fixed register width,
-against O(P^3) for evaluating each matrix element from scratch (see the
-baselines module).  Every route returns L as a P x P array whose lower
-triangle :func:`mirror_upper` fills with the conjugate of the upper one, and
-:func:`tensor_matrix` completes G the same way, so L and G are exactly
-Hermitian.
+:func:`compute_geometric_tensor` is the one entry: it picks a route by the
+rule its docstring states, for ``qngsim tensor`` (``--algorithm auto``, the
+default) and for the optimizer.  The routes round differently, so their G
+differ in the last bits (about 1e-16): the default ``tensor`` prints the
+chosen route's counts and its CSV differs from main's in those bits.  Every
+route is O(P^2) for a fixed register width, against O(P^3) for evaluating
+each matrix element from scratch (see the baselines module).  Every route
+returns L as a P x P array whose lower triangle :func:`mirror_upper` fills
+with the conjugate of the upper one, and :func:`tensor_matrix` completes G
+the same way, so L and G are exactly Hermitian.
 
 Every route takes each derivative state from ``|psi_j> = U_j ... U_1 |in>``
 and the gate's cached theta-free factor ``D_j``, as
@@ -72,7 +69,6 @@ from .statevector import (
 )
 
 __all__ = [
-    "COSTATE",
     "GeometricTensor",
     "TENSOR_MAGIC",
     "blocked_overlaps",
@@ -82,13 +78,13 @@ __all__ = [
     "compute_geometric_tensor",
     "compute_geometric_tensor_blocked",
     "compute_geometric_tensor_costate",
+    "compute_geometric_tensor_main",
     "costate_tensor_cost",
     "main_algorithm_cost",
     "mirror_upper",
     "overlap_matrix",
     "read_tensor_binary",
     "tensor_matrix",
-    "tensor_route",
     "write_tensor_binary",
     "write_tensor_csv",
 ]
@@ -127,7 +123,7 @@ class GeometricTensor:
 
 
 def main_algorithm_cost(num_parameters: int) -> tuple[int, int, int]:
-    """Recorded primitive counts of :func:`compute_geometric_tensor`.
+    """Recorded primitive counts of :func:`compute_geometric_tensor_main`.
 
     Returns (gate applications, clones, inner products) for any P-parameter
     circuit, whatever its gate kinds.  These closed forms were read off
@@ -141,23 +137,16 @@ def main_algorithm_cost(num_parameters: int) -> tuple[int, int, int]:
     return gates, clones, inner_products
 
 
-def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
-                             route: int | str | None = None) -> GeometricTensor:
-    """Evaluate G, L and T for ``circuit`` at ``params`` with 5 fixed registers,
-    or by the route ``route`` names when one is given.
+def compute_geometric_tensor_main(circuit: AnsatzCircuit, params,
+                                  counter: OpCounter) -> GeometricTensor:
+    """Evaluate G, L and T for ``circuit`` at ``params`` by the paper's
+    recurrence, in 5 fixed registers.
 
     Args:
         circuit: the ansatz; gate k owns parameter k.
         params: length-P vector of finite reals, or a ``BoundCircuit`` of
             ``circuit`` whose operators are then reused.
-        counter: receives the exact tally, :func:`main_algorithm_cost` for main.
-        route: None for main; :data:`COSTATE` for
-            :func:`compute_geometric_tensor_costate`; B >= 1 for
-            :func:`compute_geometric_tensor_blocked` with B live derivative
-            states; :func:`tensor_route` picks one of the last two.  The CLI
-            and the optimizer reach every route through this function, so a
-            wrapper of this one name (a tracer's span, a test's stub) sees
-            every tensor they compute.
+        counter: receives the exact tally, :func:`main_algorithm_cost`.
 
     The five registers are: the rolling suffix state ``|psi_j>`` (the state
     after the current gate j), the derivative seed ``D_j|psi_j>`` being rolled
@@ -167,10 +156,6 @@ def compute_geometric_tensor(circuit: AnsatzCircuit, params, counter: OpCounter,
     products.  Each ``D`` is the gate's cached theta-free factor, so a
     binding builds only its unitaries and their adjoints.
     """
-    if route == COSTATE:
-        return compute_geometric_tensor_costate(circuit, params, counter)
-    if route is not None:
-        return compute_geometric_tensor_blocked(circuit, params, counter, route)
     bound = circuit.bind(params)
     count = circuit.num_parameters
     unitaries, adjoints = bound.unitaries, bound.adjoints
@@ -229,27 +214,6 @@ def blocked_tensor_registers(num_parameters: int, block: int) -> int:
     """Peak workspace registers of :func:`compute_geometric_tensor_blocked`:
     psi, min(B, P) derivative states and, when B < P, one work register."""
     return num_parameters + 1 if block >= num_parameters else block + 2
-
-
-COSTATE = "costate"
-"""The ``route`` of :func:`compute_geometric_tensor` that names the co-state
-route, :func:`compute_geometric_tensor_costate`."""
-
-
-def tensor_route(circuit: AnsatzCircuit) -> int | str:
-    """The route rule, as the ``route`` of :func:`compute_geometric_tensor`.
-
-    :data:`COSTATE` where P > 2^(N+1): there, and only there, the total of
-    :func:`costate_tensor_cost` is below that of B = P.  Else the block B of
-    the blocked route: P where its P + 1 registers take no more memory than
-    the P x P tensor itself, ``(P + 1) * 2^N <= P^2``, else 3, which holds
-    main's five workspace registers.  The co-state route's 2^N + 2 registers
-    are fewer than B = P's wherever it is taken.
-    """
-    p, dim = circuit.num_parameters, 2**circuit.num_qubits
-    if p > 2 * dim:
-        return COSTATE
-    return p if (p + 1) * dim <= p * p else 3
 
 
 def blocked_overlaps(bound: BoundCircuit, block: int, counter: OpCounter,
@@ -389,6 +353,32 @@ def compute_geometric_tensor_costate(circuit: AnsatzCircuit, params,
                 apply_operator(costate, adjoints[k], counter)
     li = mirror_upper(jacobian.conj().T @ jacobian)
     return GeometricTensor(matrix=tensor_matrix(li, berry), berry=berry, li=li)
+
+
+def compute_geometric_tensor(circuit: AnsatzCircuit, params,
+                             counter: OpCounter) -> GeometricTensor:
+    """Evaluate G, L and T for ``circuit`` at ``params`` by the route the
+    register-for-gate rule picks for P gates on N qubits:
+
+    * co-state, :func:`compute_geometric_tensor_costate`, where P > 2^(N+1):
+      there, and only there, the total of :func:`costate_tensor_cost` is
+      below that of B = P, and its 2^N + 2 registers are fewer than B = P's;
+    * else blocked with B = P, :func:`compute_geometric_tensor_blocked`,
+      where P > 2^N: exactly where its P + 1 registers take no more memory
+      than the P x P tensor itself, ``(P + 1) * 2^N <= P^2``;
+    * else blocked with B = 3, which holds main's five workspace registers.
+
+    ``qngsim tensor`` (by default) and the optimizer call this one name, so
+    a wrapper of it (a tracer's span, a test's stub) sees every tensor they
+    compute.  ``params`` is a length-P vector of finite reals or a
+    ``BoundCircuit`` of ``circuit``, and ``counter`` receives the picked
+    route's exact cost.
+    """
+    count, dim = circuit.num_parameters, 2**circuit.num_qubits
+    if count > 2 * dim:
+        return compute_geometric_tensor_costate(circuit, params, counter)
+    return compute_geometric_tensor_blocked(circuit, params, counter,
+                                            count if count > dim else 3)
 
 
 def compute_berry_vector(circuit: AnsatzCircuit, params,

@@ -16,14 +16,11 @@ factor ``D_i`` (``dU_i |psi_{i-1}> = D_i |psi_i>``).  That is O(P + T)
 primitives in three registers, counted exactly by :func:`gradient_cost`,
 against the O(P^2) of parameter-wise finite differences.
 ``run_optimization`` binds each point once: the energy, the gradient and the
-tensor all take their gate operators from that one binding.  Its tensor
-takes the route the metric module's rule,
-:func:`~qngsim.metric.tensor_route`, picks, as ``qngsim tensor`` does by
-default: the co-state route, in 2^N + 2 registers, when P > 2^(N+1); else
-the blocked route with B = P, in P + 1 registers, when those take no more
-memory than G; else B = 3 in five registers.  Either way a point builds
-only unitaries and adjoints, and the co-state route rolls back through the
-same adjoints the gradient sweep uses.
+tensor all take their gate operators from that one binding.  Its tensor is
+:func:`~qngsim.metric.compute_geometric_tensor`, whose docstring states the
+rule that picks the route, as ``qngsim tensor`` does by default.  Every
+route builds only unitaries and adjoints at a point, and the co-state route
+rolls back through the same adjoints the gradient sweep uses.
 
 The whole loop needs numpy only: the natural-gradient solve,
 :func:`_solve_metric_system`, is numpy's LAPACK LU solve, so an optimizer
@@ -41,7 +38,7 @@ import numpy as np
 from .ansatz import AnsatzCircuit, BoundCircuit, prepare_ansatz_state
 from .errors import SingularMetricError, StepOverflowError
 from .gates import PauliSum
-from .metric import compute_geometric_tensor, tensor_route
+from .metric import compute_geometric_tensor
 from .parsing import parse_hamiltonian_file, parse_hamiltonian_text  # re-exported
 from .statevector import (
     OpCounter,
@@ -256,21 +253,32 @@ def run_optimization(circuit: AnsatzCircuit, initial_params,
                      hamiltonian: PauliSum,
                      config: OptimizerConfig) -> OptimizationTrace:
     """Iterate updates until ``max_steps`` or the energy change drops below
-    ``energy_tolerance``; every evaluated point is recorded in the trace."""
+    ``energy_tolerance``; every evaluated point is recorded in the trace.
+
+    Raises:
+        StepOverflowError: a step leaves the finite floats, in ``-dt * grad``,
+            in the natural-gradient solve or in ``theta + delta``.
+    """
     counter = OpCounter()
     bound = circuit.bind(initial_params)
     theta = bound.theta
-    route = tensor_route(circuit)
     trace = OptimizationTrace()
     energy, grad = _energy_and_gradient(bound, hamiltonian, counter)
     trace.records.append(StepRecord(0, energy, float(np.linalg.norm(grad)), theta.copy()))
     for step in range(1, config.max_steps + 1):
-        delta = -config.timestep * grad
+        with np.errstate(over="ignore"):
+            delta = -config.timestep * grad
         if config.mode == NATURAL_GRADIENT:
-            metric = compute_geometric_tensor(circuit, bound, counter,
-                                              route=route).fubini_study_metric
+            metric = compute_geometric_tensor(circuit, bound, counter).fubini_study_metric
             delta = _solve_metric_system(metric, delta, config.regularization)
-        bound = circuit.bind(theta + delta)
+        with np.errstate(over="ignore"):
+            theta = theta + delta
+        if not np.all(np.isfinite(theta)):
+            raise StepOverflowError(
+                f"step {step} takes the parameters past the largest float; "
+                f"lower the timestep (--dt)"
+            )
+        bound = circuit.bind(theta)
         theta = bound.theta
         new_energy, grad = _energy_and_gradient(bound, hamiltonian, counter)
         trace.records.append(

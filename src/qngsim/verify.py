@@ -23,8 +23,8 @@ route: ``costate_count_exactness`` holds its counts to
 N = 1..4 and P = 1..10 (quick) or 1..40; ``costate_agreement`` holds its G, L
 and T to main's, and ``costate_finite_difference`` its G to central
 differences, on the circuits of the baseline-equivalence and
-finite-difference checks and on circuits the route rule sends to it
-(P > 2^(N+1)).
+finite-difference checks and on circuits ``compute_geometric_tensor`` sends
+to it.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ from .metric import (
     blocked_tensor_cost,
     blocked_tensor_registers,
     compute_berry_vector,
-    compute_geometric_tensor,
     compute_geometric_tensor_blocked,
     compute_geometric_tensor_costate,
+    compute_geometric_tensor_main,
     costate_tensor_cost,
     main_algorithm_cost,
 )
@@ -159,7 +159,7 @@ def check_baseline_equivalence(seed: int, quick: bool,
             compute_li_tensor(alg, circuit, params, OpCounter())
             for alg in BaselineId
         ]
-        tensors.append(compute_geometric_tensor(circuit, params, OpCounter()).li)
+        tensors.append(compute_geometric_tensor_main(circuit, params, OpCounter()).li)
         for i, left in enumerate(tensors):
             for right in tensors[i + 1:]:
                 worst = max(worst, float(np.max(np.abs(left - right))))
@@ -172,7 +172,7 @@ def check_finite_difference(seed: int, quick: bool, tolerance: float) -> CheckRe
     num_cases = 3 if quick else 8
     worst = 0.0
     for circuit, params in _random_cases(seed + 1, num_cases, 4, 8):
-        computed = compute_geometric_tensor(circuit, params, OpCounter()).matrix
+        computed = compute_geometric_tensor_main(circuit, params, OpCounter()).matrix
         oracle = finite_difference_tensor(circuit, params)
         worst = max(worst, float(np.max(np.abs(computed - oracle))))
     return CheckResult("finite_difference", worst <= tolerance, worst, tolerance,
@@ -187,9 +187,9 @@ def check_gauge_invariance(seed: int, quick: bool, tolerance: float) -> CheckRes
     weakest_move = np.inf
     for circuit, params in _random_cases(seed + 2, num_cases, 3, 6,
                                          include_controlled=False):
-        plain = compute_geometric_tensor(circuit, params, OpCounter())
-        phased = compute_geometric_tensor(phased_variant(circuit, phase_rate),
-                                          params, OpCounter())
+        plain = compute_geometric_tensor_main(circuit, params, OpCounter())
+        phased = compute_geometric_tensor_main(phased_variant(circuit, phase_rate),
+                                               params, OpCounter())
         worst_g = max(worst_g, float(np.max(np.abs(plain.matrix - phased.matrix))))
         moved_l = float(np.max(np.abs(plain.li - phased.li)))
         moved_t = float(np.max(np.abs(plain.berry - phased.berry)))
@@ -218,7 +218,7 @@ def check_count_exactness(seed: int, quick: bool) -> CheckResult:
                         abs(counter.clones - predicted.clones))
         counter = OpCounter()
         with track_allocations() as tally:
-            compute_geometric_tensor(circuit, params, counter)
+            compute_geometric_tensor_main(circuit, params, counter)
         measured = counter.as_tuple() + (tally.peak_live("workspace"),)
         predicted = main_algorithm_cost(num_parameters) + (5,)
         worst = max(worst, *(abs(m - p) for m, p in zip(measured, predicted)))
@@ -250,7 +250,7 @@ def check_berry_consistency(seed: int, quick: bool, tolerance: float) -> CheckRe
     worst = 0.0
     for circuit, params in _random_cases(seed + 4, num_cases, 3, 7):
         standalone = compute_berry_vector(circuit, params, OpCounter())
-        main = compute_geometric_tensor(circuit, params, OpCounter())
+        main = compute_geometric_tensor_main(circuit, params, OpCounter())
         worst = max(worst, float(np.max(np.abs(standalone - main.berry))))
     return CheckResult("berry_consistency", worst <= tolerance, worst, tolerance)
 
@@ -288,7 +288,7 @@ def check_blocked_agreement(seed: int, quick: bool, tolerance: float) -> CheckRe
     worst = 0.0
     for circuit, params in cases:
         bound = circuit.bind(params)
-        main = compute_geometric_tensor(circuit, bound, OpCounter())
+        main = compute_geometric_tensor_main(circuit, bound, OpCounter())
         for block in range(1, circuit.num_parameters + 1):
             blocked = compute_geometric_tensor_blocked(circuit, bound, OpCounter(), block)
             for ours, theirs in ((blocked.matrix, main.matrix), (blocked.li, main.li),
@@ -323,7 +323,7 @@ def check_costate_count_exactness(seed: int, quick: bool) -> CheckResult:
 def _costate_cases(seed: int, quick: bool) -> list:
     """The circuits of :func:`check_baseline_equivalence` and
     :func:`check_finite_difference`, and circuits with P > 2^(N+1), which
-    the route rule sends to the co-state route."""
+    ``compute_geometric_tensor`` sends to the co-state route."""
     num_cases, num_qubits, num_parameters = (4, 3, 6) if quick else (20, 4, 8)
     return [*_random_cases(seed, num_cases, num_qubits, num_parameters),
             *_random_cases(seed + 1, 3 if quick else 8, 4, 8),
@@ -337,7 +337,7 @@ def check_costate_agreement(seed: int, quick: bool, tolerance: float) -> CheckRe
     worst = 0.0
     for circuit, params in cases:
         bound = circuit.bind(params)
-        main = compute_geometric_tensor(circuit, bound, OpCounter())
+        main = compute_geometric_tensor_main(circuit, bound, OpCounter())
         costate = compute_geometric_tensor_costate(circuit, bound, OpCounter())
         for ours, theirs in ((costate.matrix, main.matrix), (costate.li, main.li),
                              (costate.berry, main.berry)):

@@ -14,7 +14,13 @@ from qngsim.ansatz import (
 )
 from qngsim.baselines import BaselineId, compute_li_tensor, cost_model
 from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString, PauliSum
-from qngsim.metric import compute_berry_vector, compute_geometric_tensor, tensor_route
+from qngsim.metric import (
+    blocked_tensor_cost,
+    compute_berry_vector,
+    compute_geometric_tensor,
+    compute_geometric_tensor_main,
+    main_algorithm_cost,
+)
 from qngsim.optimizer import OptimizerConfig, run_optimization
 from qngsim.statevector import OpCounter, track_allocations
 from qngsim.verify import finite_difference_tensor
@@ -75,7 +81,7 @@ def test_c3_oracle_equivalence():
     for circuit, params in random_suite():
         tensors = [compute_li_tensor(alg, circuit, params, OpCounter())
                    for alg in BaselineId]
-        main = compute_geometric_tensor(circuit, params, OpCounter())
+        main = compute_geometric_tensor_main(circuit, params, OpCounter())
         tensors.append(main.li)
         for i in range(len(tensors)):
             for j in range(i + 1, len(tensors)):
@@ -93,7 +99,7 @@ def test_c4_finite_difference_ground_truth():
     """Main-algorithm G matches central differences (h=1e-5) within 1e-6."""
     worst = 0.0
     for circuit, params in random_suite():
-        computed = compute_geometric_tensor(circuit, params, OpCounter()).matrix
+        computed = compute_geometric_tensor_main(circuit, params, OpCounter()).matrix
         oracle = finite_difference_tensor(circuit, params, step=1e-5)
         worst = max(worst, float(np.max(np.abs(computed - oracle))))
     report(4, "finite-difference ground truth", worst <= 1e-6,
@@ -118,8 +124,12 @@ def test_c5_diagonal_shortcuts():
         ones = amplitudes.reshape(-1, 2, 1 << control)[:, 1]  # the control reads 1
         expected[gate] = 0.25 * np.sum(np.abs(ones) ** 2)
     rotation_dev = controlled_dev = 0.0
-    for route in (None, tensor_route(circuit)):
-        li = compute_geometric_tensor(circuit, bound, OpCounter(), route=route).li
+    # P = 2^N, so the entry takes the blocked route with B = 3
+    for tensor, cost in ((compute_geometric_tensor_main, main_algorithm_cost(4)),
+                         (compute_geometric_tensor, blocked_tensor_cost(4, 3))):
+        counter = OpCounter()
+        li = tensor(circuit, bound, counter).li
+        assert counter.as_tuple() == cost
         rotation_dev = max(rotation_dev, *(abs(li[i, i] - expected[i]) for i in (0, 2)))
         controlled_dev = max(controlled_dev, *(abs(li[i, i] - expected[i]) for i in (1, 3)))
     passed = rotation_dev <= 1e-12 and controlled_dev <= 1e-12
@@ -133,8 +143,9 @@ def test_c6_gauge_invariance():
     rng = np.random.default_rng(6)
     circuit = random_circuit(3, 9, rng, include_controlled=False)
     params = random_parameters(9, rng)
-    plain = compute_geometric_tensor(circuit, params, OpCounter())
-    phased = compute_geometric_tensor(phased_variant(circuit, 0.7), params, OpCounter())
+    plain = compute_geometric_tensor_main(circuit, params, OpCounter())
+    phased = compute_geometric_tensor_main(phased_variant(circuit, 0.7), params,
+                                           OpCounter())
     delta_l = float(np.max(np.abs(plain.li - phased.li)))
     delta_t = float(np.max(np.abs(plain.berry - phased.berry)))
     delta_g = float(np.max(np.abs(plain.matrix - phased.matrix)))
@@ -151,7 +162,7 @@ def _fit_exponent(alg, p_values):
         params = random_parameters(num_parameters, rng)
         counter = OpCounter()
         if alg is None:
-            compute_geometric_tensor(circuit, params, counter)
+            compute_geometric_tensor_main(circuit, params, counter)
         else:
             compute_li_tensor(alg, circuit, params, counter)
         totals.append(counter.gates_plus_clones)
@@ -176,7 +187,7 @@ def test_c8_register_economy():
         circuit = random_circuit(3, num_parameters, rng)
         params = random_parameters(num_parameters, rng)
         with track_allocations() as tally:
-            compute_geometric_tensor(circuit, params, OpCounter())
+            compute_geometric_tensor_main(circuit, params, OpCounter())
         peaks[num_parameters] = tally.peak_live("workspace")
     rng = np.random.default_rng(88)
     circuit = random_circuit(3, 12, rng)

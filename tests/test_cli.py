@@ -16,8 +16,8 @@ from qngsim.errors import ParseError
 from qngsim.gates import ControlledPauliRotation, GeneratedGate, PauliRotation
 from qngsim.metric import (
     blocked_tensor_cost,
-    compute_geometric_tensor,
     compute_geometric_tensor_blocked,
+    compute_geometric_tensor_main,
     main_algorithm_cost,
     read_tensor_binary,
 )
@@ -227,7 +227,7 @@ def test_tensor_default_route_follows_the_rule(circuit_file, stored_circuit_file
         assert _printed_counts(capsys.readouterr().out) == expected
         circuit = parse_circuit_text(path.read_text())
         values = [float(v) for v in params.split(",")]
-        reference = compute_geometric_tensor(circuit, values, OpCounter()).matrix
+        reference = compute_geometric_tensor_main(circuit, values, OpCounter()).matrix
         np.testing.assert_allclose(read_tensor_binary(out), reference, rtol=0, atol=1e-12)
 
 
@@ -307,12 +307,15 @@ def test_directory_path_is_usage_error(circuit_file, hamiltonian_file, tmp_path,
 
 
 def test_tensor_command_qubit_guard(tmp_path, capsys):
+    # headers far past the guard reach it too: the circuit's own range checks
+    # must not build a 2^N-bit integer first
     big = tmp_path / "big.txt"
-    big.write_text("qubits 29\nrx 0\n")
-    code = main(["tensor", "--circuit", str(big), "--params", "0.1",
-                 "--out", str(tmp_path / "g.csv")])
-    assert code == EXIT_RESOURCE
-    assert "guard" in capsys.readouterr().err
+    for num_qubits in (29, 2**62, 10**41):
+        big.write_text(f"qubits {num_qubits}\nrx 0\n")
+        code = main(["tensor", "--circuit", str(big), "--params", "0.1",
+                     "--out", str(tmp_path / "g.csv")])
+        assert code == EXIT_RESOURCE, num_qubits
+        assert "guard" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():
@@ -806,16 +809,24 @@ def test_verify_with_absurd_tolerance_fails(capsys):
     assert "max deviation" in out
 
 
-def test_optimize_overflowing_step_names_the_timestep(tmp_path, capsys):
-    # at the default lambda the natural step 4 * -dt * grad(E) overflows; the
-    # run fails (exit 1) and says to lower --dt rather than to raise lambda
+def test_optimize_overflowing_step_names_the_timestep(tmp_path, capsys, recwarn):
+    # each run fails (exit 1) and says to lower --dt rather than to raise
+    # lambda, with no numpy overflow warning: at the default lambda the
+    # natural step 4 * -dt * grad(E) overflows; a finite step whose sum with
+    # theta overflows, plain and natural; and a plain -dt * grad(E) that
+    # overflows (|grad| > 1 under 10 Z0)
     circuit = tmp_path / "c.txt"
     circuit.write_text("qubits 2\nrx 0\nry 1\n")
     hamiltonian = tmp_path / "h.txt"
-    hamiltonian.write_text("1.0 Z0\n")
-    code = main(["optimize", "--circuit", str(circuit), "--hamiltonian", str(hamiltonian),
-                 "--dt", "1e308", "--out", str(tmp_path / "t.csv")])
-    assert code == EXIT_FAILURE
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "lower the timestep (--dt)" in err
-    assert "lambda > 0" not in err and "Traceback" not in err
+    for coefficient, extra in (("1.0", ["--dt", "1e308"]),
+                               ("1.0", ["--plain", "--dt", "1e308", "--seed", "1"]),
+                               ("1.0", ["--dt", "5e307", "--seed", "3"]),
+                               ("10.0", ["--plain", "--dt", "1e308", "--seed", "1"])):
+        hamiltonian.write_text(f"{coefficient} Z0\n")
+        code = main(["optimize", "--circuit", str(circuit), "--hamiltonian", str(hamiltonian),
+                     "--steps", "20", "--out", str(tmp_path / "t.csv")] + extra)
+        assert code == EXIT_FAILURE, extra
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "lower the timestep (--dt)" in err, extra
+        assert "lambda > 0" not in err and "Traceback" not in err
+    assert [str(warning.message) for warning in recwarn] == []

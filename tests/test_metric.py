@@ -14,18 +14,17 @@ from qngsim.ansatz import (
 from qngsim.baselines import BaselineId, compute_li_tensor, cost_model, naive_full_li_matrix
 from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString
 from qngsim.metric import (
-    COSTATE,
     blocked_tensor_cost,
     blocked_tensor_registers,
     compute_berry_vector,
     compute_geometric_tensor,
     compute_geometric_tensor_blocked,
     compute_geometric_tensor_costate,
+    compute_geometric_tensor_main,
     costate_tensor_cost,
     main_algorithm_cost,
     read_tensor_binary,
     tensor_matrix,
-    tensor_route,
     write_tensor_binary,
     write_tensor_csv,
 )
@@ -46,7 +45,7 @@ def rx_circuit():
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.7, -2.4])
 def test_single_rx_tensor_is_quarter(theta):
-    tensor = compute_geometric_tensor(rx_circuit(), [theta], OpCounter())
+    tensor = compute_geometric_tensor_main(rx_circuit(), [theta], OpCounter())
     np.testing.assert_allclose(tensor.matrix, [[0.25]], atol=1e-12)
     np.testing.assert_allclose(tensor.berry, [0.0], atol=1e-12)
     oracle = finite_difference_tensor(rx_circuit(), [theta])
@@ -58,7 +57,7 @@ def test_rz_then_rx_at_zero_matches_finite_differences():
         PauliRotation(PauliString.single(0, "Z")),
         PauliRotation(PauliString.single(0, "X")),
     ))
-    tensor = compute_geometric_tensor(circuit, [0.0, 0.0], OpCounter())
+    tensor = compute_geometric_tensor_main(circuit, [0.0, 0.0], OpCounter())
     oracle = finite_difference_tensor(circuit, [0.0, 0.0])
     np.testing.assert_allclose(tensor.matrix, oracle, atol=1e-6)
 
@@ -83,7 +82,7 @@ def test_tensor_matches_naive_route(seed):
     rng = np.random.default_rng([31, seed])
     circuit = random_circuit(4, 8, rng)
     params = random_parameters(8, rng)
-    tensor = compute_geometric_tensor(circuit, params, OpCounter())
+    tensor = compute_geometric_tensor_main(circuit, params, OpCounter())
     full = naive_full_li_matrix(circuit, params, OpCounter())
     berry = compute_berry_vector(circuit, params, OpCounter())
     oracle = full - np.outer(np.conj(berry), berry)
@@ -95,7 +94,7 @@ def test_tensor_matches_finite_differences(seed):
     rng = np.random.default_rng([32, seed])
     circuit = random_circuit(4, 8, rng)
     params = random_parameters(8, rng)
-    tensor = compute_geometric_tensor(circuit, params, OpCounter())
+    tensor = compute_geometric_tensor_main(circuit, params, OpCounter())
     oracle = finite_difference_tensor(circuit, params)
     np.testing.assert_allclose(tensor.matrix, oracle, atol=1e-6)
 
@@ -104,13 +103,13 @@ def test_gauge_invariance_under_parameter_dependent_phase():
     rng = np.random.default_rng(33)
     circuit = random_circuit(3, 6, rng, include_controlled=False)
     params = random_parameters(6, rng)
-    plain = compute_geometric_tensor(circuit, params, OpCounter())
-    phased = compute_geometric_tensor(phased_variant(circuit, 0.7), params, OpCounter())
+    plain = compute_geometric_tensor_main(circuit, params, OpCounter())
+    phased = compute_geometric_tensor_main(phased_variant(circuit, 0.7), params, OpCounter())
     assert np.max(np.abs(plain.matrix - phased.matrix)) <= 1e-9
     assert np.max(np.abs(plain.li - phased.li)) >= 1e-3
     assert np.max(np.abs(plain.berry - phased.berry)) >= 1e-3
     # rate 0 is the plain gate family in phased clothing
-    zero = compute_geometric_tensor(phased_variant(circuit, 0.0), params, OpCounter())
+    zero = compute_geometric_tensor_main(phased_variant(circuit, 0.0), params, OpCounter())
     np.testing.assert_allclose(zero.matrix, plain.matrix, atol=1e-12)
 
 
@@ -123,7 +122,7 @@ def test_tensor_is_hermitian_by_construction():
     rng = np.random.default_rng(34)
     circuit = random_circuit(4, 10, rng)
     params = random_parameters(10, rng)
-    matrix = compute_geometric_tensor(circuit, params, OpCounter()).matrix
+    matrix = compute_geometric_tensor_main(circuit, params, OpCounter()).matrix
     assert np.max(np.abs(matrix - matrix.conj().T)) <= 1e-12
 
 
@@ -143,7 +142,7 @@ def test_real_part_positive_semidefinite(seed):
     rng = np.random.default_rng([36, seed])
     circuit = random_circuit(4, 8, rng)
     params = random_parameters(8, rng)
-    metric = compute_geometric_tensor(circuit, params, OpCounter()).fubini_study_metric
+    metric = compute_geometric_tensor_main(circuit, params, OpCounter()).fubini_study_metric
     assert np.min(np.linalg.eigvalsh(metric)) >= -1e-8
 
 
@@ -160,7 +159,7 @@ def test_berry_vector_consistent_with_main_algorithm():
     circuit = random_circuit(3, 7, rng)
     params = random_parameters(7, rng)
     standalone = compute_berry_vector(circuit, params, OpCounter())
-    main = compute_geometric_tensor(circuit, params, OpCounter())
+    main = compute_geometric_tensor_main(circuit, params, OpCounter())
     np.testing.assert_allclose(standalone, main.berry, atol=1e-12)
 
 
@@ -178,7 +177,7 @@ def test_tensor_properties_on_random_circuits(case):
     circuit, params, block = case
     count = circuit.num_parameters
     counter = OpCounter()
-    main = compute_geometric_tensor(circuit, params, counter)
+    main = compute_geometric_tensor_main(circuit, params, counter)
     assert counter.as_tuple() == main_algorithm_cost(count)
     berry = compute_berry_vector(circuit, params, OpCounter())
     counter = OpCounter()
@@ -214,15 +213,18 @@ def test_tensor_properties_on_random_circuits(case):
         np.testing.assert_allclose(tensors[route], oracle, rtol=0, atol=1e-6)
 
 
-@pytest.mark.parametrize("route", [3, 128, COSTATE])
+@pytest.mark.parametrize("route", [3, 128, "costate"])
 def test_deep_tensor_is_hermitian_bit_for_bit(route):
     # 128 gates on 4 qubits, the shape of the narrow benchmark workload; the
     # two triangles of conj(T) T^T (or of J^dag J), formed separately, differ
     # in the last bit
     circuit = random_circuit(4, 128, seed_or_rng=np.random.default_rng([1, 0]))
     params = random_parameters(128, np.random.default_rng([1, 2]))
-    for tensor in (compute_geometric_tensor(circuit, params, OpCounter()),
-                   compute_geometric_tensor(circuit, params, OpCounter(), route=route)):
+    if route == "costate":
+        other = compute_geometric_tensor_costate(circuit, params, OpCounter())
+    else:
+        other = compute_geometric_tensor_blocked(circuit, params, OpCounter(), route)
+    for tensor in (compute_geometric_tensor_main(circuit, params, OpCounter()), other):
         assert np.array_equal(tensor.matrix, tensor.matrix.conj().T)
         assert np.array_equal(tensor.li, tensor.li.conj().T)
 
@@ -231,7 +233,7 @@ def test_deep_tensor_is_hermitian_bit_for_bit(route):
 @given(blocked_cases(2, 4, 10, kinds=("rotation", "phased")), st.floats(-1.0, 1.0))
 def test_tensor_gauge_invariant_under_phased_variant(case, phase_rate):
     circuit, params, block = case
-    for route in (compute_geometric_tensor, compute_geometric_tensor_costate,
+    for route in (compute_geometric_tensor_main, compute_geometric_tensor_costate,
                   lambda *args: compute_geometric_tensor_blocked(*args, block)):
         plain = route(circuit, params, OpCounter())
         phased = route(phased_variant(circuit, phase_rate), params, OpCounter())
@@ -258,9 +260,10 @@ def test_diagonal_shortcut_equivalence(seed):
             amplitudes = bound.prepare(OpCounter(), upto=j).amplitudes
             p1 = np.sum(np.abs(amplitudes.reshape(-1, 2, 1 << gate.control)[:, 1]) ** 2)
         expected.append(gate.scale**2 * p1)
-    for route in (None, 3, COSTATE):
-        li = compute_geometric_tensor(circuit, bound, OpCounter(), route=route).li
-        np.testing.assert_allclose(li.diagonal(), expected, rtol=0, atol=1e-12)
+    for tensor in (compute_geometric_tensor_main(circuit, bound, OpCounter()),
+                   compute_geometric_tensor_blocked(circuit, bound, OpCounter(), 3),
+                   compute_geometric_tensor_costate(circuit, bound, OpCounter())):
+        np.testing.assert_allclose(tensor.li.diagonal(), expected, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +280,7 @@ def test_primitive_counts_match_recorded_formulas(num_parameters):
     rotations = random_circuit(3, num_parameters, rng, include_controlled=False)
     for circuit in (mixed, rotations, phased_variant(rotations, 0.3)):
         counter = OpCounter()
-        compute_geometric_tensor(circuit, params, counter)
+        compute_geometric_tensor_main(circuit, params, counter)
         assert counter.as_tuple() == main_algorithm_cost(num_parameters)
 
 
@@ -288,7 +291,7 @@ def test_exactly_five_workspace_registers(num_parameters):
     params = random_parameters(num_parameters, rng)
     bound = circuit.bind(params)
     with track_allocations() as tally:
-        compute_geometric_tensor(circuit, bound, OpCounter())
+        compute_geometric_tensor_main(circuit, bound, OpCounter())
     assert tally.peak_live("workspace") == 5
     assert tally.total_allocated("workspace") == 5
     assert tally.total_allocated() == 6  # the circuit input is the only extra
@@ -311,7 +314,7 @@ def test_stored_route_counts_registers_and_builds(num_parameters):
     # the pass takes D_i from the gate, so a binding builds only its unitaries
     assert "unitaries" in vars(bound)
     assert not {"adjoints", "derivatives", "derivative_adjoints"} & set(vars(bound))
-    main = compute_geometric_tensor(circuit, bound, OpCounter())
+    main = compute_geometric_tensor_main(circuit, bound, OpCounter())
     np.testing.assert_allclose(stored.matrix, main.matrix, rtol=0, atol=1e-12)
 
 
@@ -344,7 +347,7 @@ def test_blocked_route_holds_its_registers_and_builds(num_parameters, block):
     # the pass takes D_i from the gate, so a binding builds only its unitaries
     assert "unitaries" in vars(bound)
     assert not {"adjoints", "derivatives", "derivative_adjoints"} & set(vars(bound))
-    main = compute_geometric_tensor(circuit, bound, OpCounter())
+    main = compute_geometric_tensor_main(circuit, bound, OpCounter())
     np.testing.assert_allclose(blocked.matrix, main.matrix, rtol=0, atol=1e-12)
 
 
@@ -366,15 +369,34 @@ def test_blocked_tensor_cost_closed_form():
                                          OpCounter(), 0)
 
 
-@pytest.mark.parametrize("num_qubits, num_parameters, route", [
-    (1, 3, 3), (3, 8, 3), (3, 9, 9), (4, 128, COSTATE), (18, 24, 3),
-    (2, 8, 8), (2, 9, COSTATE), (4, 32, 32), (4, 33, COSTATE),
-])
+# on N = 1..4 qubits, both sides of each boundary: P = 2^N (B = 3), 2^N + 1
+# and 2^(N+1) (B = P), 2^(N+1) + 1 (co-state); and the two workloads' shapes
+ROUTE_CASES = sorted({
+    *((n, 2**n, 3) for n in range(1, 5)),
+    *((n, p, p) for n in range(1, 5) for p in (2**n + 1, 2 ** (n + 1))),
+    *((n, 2 ** (n + 1) + 1, "costate") for n in range(1, 5)),
+    (4, 128, "costate"), (18, 24, 3),
+}, key=str)
+
+
+@pytest.mark.parametrize("num_qubits, num_parameters, route", ROUTE_CASES)
 def test_route_rule_picks_the_block(num_qubits, num_parameters, route):
-    # co-state where P > 2^(N+1); else B = P where its P + 1 registers fit,
-    # else B = 3: main's five registers
+    # the entry's counts and registers are exactly those of the route its
+    # rule picks: co-state where P > 2^(N+1); else B = P where P > 2^N, else
+    # B = 3, main's five registers
     circuit = random_circuit(num_qubits, num_parameters, 57)
-    assert tensor_route(circuit) == route
+    params = random_parameters(num_parameters, 58)
+    if route == "costate":
+        cost = costate_tensor_cost(num_parameters, num_qubits)
+        registers = 2**num_qubits + 2
+    else:
+        cost = blocked_tensor_cost(num_parameters, route)
+        registers = blocked_tensor_registers(num_parameters, route)
+    counter = OpCounter()
+    with track_allocations() as tally:
+        compute_geometric_tensor(circuit, params, counter)
+    assert counter.as_tuple() == cost
+    assert tally.peak_live("workspace") == registers
 
 
 @pytest.mark.parametrize("num_qubits, num_parameters, fits", [
@@ -382,14 +404,10 @@ def test_route_rule_picks_the_block(num_qubits, num_parameters, route):
     (4, 16, False), (4, 17, True), (4, 128, True), (18, 24, False),
 ])
 def test_route_rule_compares_registers_with_the_tensor(num_qubits, num_parameters, fits):
-    # (P + 1) * 2^N amplitudes of registers against the P^2 entries of G;
-    # where P > 2^(N+1) (here only at N = 4, P = 128) the co-state route is
-    # taken first, whose 2^N + 2 registers fit wherever B = P's do
-    circuit = random_circuit(num_qubits, num_parameters, 53)
-    blocked = num_parameters if fits else 3
-    expected = COSTATE if num_parameters > 2 ** (num_qubits + 1) else blocked
-    assert tensor_route(circuit) == expected
+    # (P + 1) * 2^N amplitudes of B = P's registers against the P^2 entries
+    # of G: for positive integers the comparison is P > 2^N, the rule's form
     assert fits == ((num_parameters + 1) * 2**num_qubits <= num_parameters**2)
+    assert fits == (num_parameters > 2**num_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +419,14 @@ def test_li_tensor_diagonal_real_nonnegative():
     rng = np.random.default_rng(49)
     circuit = random_circuit(3, 8, rng)
     params = random_parameters(8, rng)
-    li = compute_geometric_tensor(circuit, params, OpCounter()).li
+    li = compute_geometric_tensor_main(circuit, params, OpCounter()).li
     diag = np.diag(li)
     assert np.max(np.abs(diag.imag)) <= 1e-10
     assert np.min(diag.real) >= -1e-10
 
 
 def test_tensor_csv_output(tmp_path):
-    tensor = compute_geometric_tensor(rx_circuit(), [0.4], OpCounter())
+    tensor = compute_geometric_tensor_main(rx_circuit(), [0.4], OpCounter())
     path = tmp_path / "g.csv"
     write_tensor_csv(tensor, path)
     lines = path.read_text().splitlines()
@@ -474,7 +492,7 @@ def test_tensor_csv_reuses_only_bitwise_conjugate_mirrors(tmp_path):
 def test_tensor_binary_round_trip(tmp_path):
     rng = np.random.default_rng(50)
     circuit = random_circuit(3, 5, rng)
-    tensor = compute_geometric_tensor(circuit, random_parameters(5, rng), OpCounter())
+    tensor = compute_geometric_tensor_main(circuit, random_parameters(5, rng), OpCounter())
     path = tmp_path / "g.bin"
     write_tensor_binary(tensor, path)
     recovered = read_tensor_binary(path)

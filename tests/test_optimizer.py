@@ -11,11 +11,10 @@ from qngsim.ansatz import AnsatzCircuit, random_circuit, random_layered_circuit,
 from qngsim.errors import ParseError, SingularMetricError, StepOverflowError
 from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString, PauliSum
 from qngsim.metric import (
-    COSTATE,
     blocked_tensor_cost,
     compute_geometric_tensor,
+    compute_geometric_tensor_main,
     costate_tensor_cost,
-    tensor_route,
 )
 from qngsim.optimizer import (
     NATURAL_GRADIENT,
@@ -264,13 +263,20 @@ def _recorded_run(monkeypatch, circuit, steps):
     return counter
 
 
+def _tensor_cost(circuit):
+    # what one tensor of the route the optimizer's entry picks costs
+    counter = OpCounter()
+    compute_geometric_tensor(circuit, random_parameters(circuit.num_parameters, 0), counter)
+    return counter.as_tuple()
+
+
 def test_natural_gradient_run_prepares_once_per_point(monkeypatch):
     # k steps evaluate k + 1 points, one energy-and-gradient pass each, and
     # k tensors; nothing else applies a gate or clones a state.  At (N, P) =
-    # (3, 9) the route rule picks B = P for the tensor.
+    # (3, 9) the tensor takes the blocked route with B = P.
     steps = 3
     circuit = random_circuit(3, 9, 79)
-    assert tensor_route(circuit) == 9
+    assert _tensor_cost(circuit) == blocked_tensor_cost(9, 9)
     tensor_gates, tensor_clones, tensor_inners = blocked_tensor_cost(9, 9)
     counter = _recorded_run(monkeypatch, circuit, steps)
     gates, clones, inners, axpys = gradient_cost(9, len(ising_pair().terms))
@@ -282,13 +288,12 @@ def test_natural_gradient_run_prepares_once_per_point(monkeypatch):
 
 @pytest.mark.parametrize("num_parameters, stored", [(8, False), (9, True)])
 def test_optimizer_tensor_follows_the_route_rule(monkeypatch, num_parameters, stored):
-    # on 3 qubits (P + 1) * 2^N <= P^2 first holds at P = 9: one circuit on
-    # each side of the rule, and each step pays exactly its block's tensor
+    # on 3 qubits P > 2^N first holds at P = 9: one circuit on each side of
+    # the rule, and each step pays exactly its block's tensor
     steps = 2
     circuit = random_circuit(3, num_parameters, 81)
-    block = num_parameters if stored else 3
-    assert tensor_route(circuit) == block
-    expected = blocked_tensor_cost(num_parameters, block)
+    expected = blocked_tensor_cost(num_parameters, num_parameters if stored else 3)
+    assert _tensor_cost(circuit) == expected
     counter = _recorded_run(monkeypatch, circuit, steps)
     passes = np.array(gradient_cost(num_parameters, len(ising_pair().terms))[:3])
     per_step = (np.array(counter.as_tuple()) - (steps + 1) * passes) / steps
@@ -300,7 +305,7 @@ def test_optimizer_tensor_takes_the_costate_route(monkeypatch):
     # route's tensor
     steps = 2
     circuit = random_circuit(3, 17, 81)
-    assert tensor_route(circuit) == COSTATE
+    assert _tensor_cost(circuit) == costate_tensor_cost(17, 3)
     counter = _recorded_run(monkeypatch, circuit, steps)
     passes = np.array(gradient_cost(17, len(ising_pair().terms))[:3])
     per_step = (np.array(counter.as_tuple()) - (steps + 1) * passes) / steps
@@ -399,7 +404,7 @@ def test_metric_solve_residual_small():
         (1.0, PauliString.parse("Z0 Z1")),
         (0.5, PauliString.single(2, "X")),
     ))
-    metric = compute_geometric_tensor(circuit, params, OpCounter()).fubini_study_metric
+    metric = compute_geometric_tensor_main(circuit, params, OpCounter()).fubini_study_metric
     rhs = -0.05 * energy_gradient(circuit, params, h, OpCounter())
     for lam in (1e-8, 1e-3):
         shifted = metric + lam * np.eye(8)
@@ -423,7 +428,7 @@ def test_metric_solve_matches_symmetric_solve_oracle():
         (1.0, PauliString.parse("Z0 Z1")),
         (0.5, PauliString.single(2, "X")),
     ))
-    singular = compute_geometric_tensor(circuit, params, OpCounter()).fubini_study_metric
+    singular = compute_geometric_tensor_main(circuit, params, OpCounter()).fubini_study_metric
     rhs = -0.05 * energy_gradient(circuit, params, h, OpCounter())
     spread = np.random.default_rng(77).normal(size=(24, 24))
     cases = [(singular, rhs, lam) for lam in (1e-8, 1e-3)]

@@ -14,7 +14,7 @@ import qngsim.metric
 import qngsim.optimizer
 from qngsim.ansatz import random_circuit, random_parameters
 from qngsim.gates import PauliString, PauliSum
-from qngsim.metric import COSTATE, costate_tensor_cost, tensor_route
+from qngsim.metric import blocked_tensor_cost, costate_tensor_cost, main_algorithm_cost
 from qngsim.optimizer import OptimizerConfig
 from qngsim.statevector import OpCounter
 
@@ -69,17 +69,23 @@ def test_traced_counts_agree_with_the_counter(monkeypatch):
     # 9 gates on 2 qubits: P > 2^(N+1), so the rule takes the co-state route
     narrow = random_circuit(2, 9, 95)
     narrow_params = random_parameters(9, 96)
-    assert tensor_route(narrow) == COSTATE
+    # 8 gates on 3 qubits: P = 2^N, so the rule takes blocks of B = 3
+    short = random_circuit(3, 8, 97)
+    short_params = random_parameters(8, 98)
+    # each tensor route, the three tensor --algorithm auto takes by the
+    # traced name, with its exact cost
+    tensors = {
+        "main": (lambda counter: qngsim.metric.compute_geometric_tensor_main(
+            circuit, params, counter), main_algorithm_cost(9)),
+        "blocked-9": (lambda counter: qngsim.cli.compute_geometric_tensor(
+            circuit, params, counter), blocked_tensor_cost(9, 9)),
+        "blocked-3": (lambda counter: qngsim.cli.compute_geometric_tensor(
+            short, short_params, counter), blocked_tensor_cost(8, 3)),
+        "costate": (lambda counter: qngsim.cli.compute_geometric_tensor(
+            narrow, narrow_params, counter), costate_tensor_cost(9, 2)),
+    }
     operations = {
-        "tensor": lambda counter: qngsim.cli.compute_geometric_tensor(
-            circuit, params, counter),
-        # the two blocks tensor --algorithm auto takes: B = P and B = 3
-        "blocked-9": lambda counter: qngsim.cli.compute_geometric_tensor(
-            circuit, params, counter, route=9),
-        "blocked-3": lambda counter: qngsim.cli.compute_geometric_tensor(
-            circuit, params, counter, route=3),
-        "costate": lambda counter: qngsim.cli.compute_geometric_tensor(
-            narrow, narrow_params, counter, route=qngsim.cli.tensor_route(narrow)),
+        **{kind: operation for kind, (operation, _) in tensors.items()},
         "gradient": lambda counter: qngsim.optimizer.energy_gradient(
             circuit, params, hamiltonian, counter),
         "qng": lambda counter: qngsim.optimizer.run_optimization(
@@ -100,8 +106,8 @@ def test_traced_counts_agree_with_the_counter(monkeypatch):
             if kind.startswith("qng"):
                 (counter,) = counters  # the one run_optimization made
                 counters.clear()
-            if kind == "costate":
-                assert counter.as_tuple() == costate_tensor_cost(9, 2)
+            if kind in tensors:
+                assert counter.as_tuple() == tensors[kind][1], kind
             assert counter.as_tuple() != (0, 0, 0), kind
             assert (root.gates, root.clones, root.inners) == counter.as_tuple(), kind
     finally:
