@@ -20,12 +20,7 @@ from .ansatz import (
     random_layered_circuit,
     random_parameters,
 )
-from .baselines import (
-    DEFAULT_MEMORY_BUDGET_BYTES,
-    BaselineId,
-    compute_li_tensor,
-    cost_model,
-)
+from .baselines import BaselineId, compute_li_tensor, cost_model
 from .errors import (
     ParseError,
     ResourceLimitError,
@@ -72,6 +67,7 @@ from .parsing import (
     parse_hamiltonian_text,
 )
 from .statevector import (
+    DEFAULT_MEMORY_BUDGET_BYTES,
     MatrixGateOperator,
     OpCounter,
     PauliStringOperator,

@@ -32,7 +32,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .ansatz import AnsatzCircuit, input_state
-from .errors import ResourceLimitError
 from .metric import blocked_overlaps, mirror_upper, overlap_matrix
 from .statevector import (
     OpCounter,
@@ -45,16 +44,10 @@ from .statevector import (
 __all__ = [
     "BaselineId",
     "CostModel",
-    "DEFAULT_MEMORY_BUDGET_BYTES",
     "compute_li_tensor",
     "cost_model",
     "naive_full_li_matrix",
 ]
-
-DEFAULT_MEMORY_BUDGET_BYTES = 4 * 2**30
-
-_BYTES_PER_AMPLITUDE = 16  # complex128
-
 
 class BaselineId(Enum):
     ALG2 = "alg2"
@@ -109,24 +102,9 @@ def cost_model(alg: BaselineId, num_parameters: int) -> CostModel:
 
 
 def compute_li_tensor(alg: BaselineId, circuit: AnsatzCircuit, params,
-                      counter: OpCounter,
-                      memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES) -> np.ndarray:
+                      counter: OpCounter) -> np.ndarray:
     """Run one baseline strategy for the P x P Hermitian ``L``; the counter
-    ends up matching :func:`cost_model`.
-
-    Raises:
-        ResourceLimitError: for alg7/alg8 when their P (or P + 1) registers,
-            ``cost_model(alg, P).registers``, would exceed
-            ``memory_budget_bytes``.
-    """
-    if alg in (BaselineId.ALG7, BaselineId.ALG8):
-        registers = cost_model(alg, circuit.num_parameters).registers
-        needed = registers * (1 << circuit.num_qubits) * _BYTES_PER_AMPLITUDE
-        if needed > memory_budget_bytes:
-            raise ResourceLimitError(
-                f"{registers} registers of {circuit.num_qubits} qubits need {needed} "
-                f"bytes, over the {memory_budget_bytes}-byte budget"
-            )
+    ends up matching :func:`cost_model`."""
     return _RUNNERS[alg](circuit, circuit.bind(params), counter)
 
 

@@ -19,8 +19,10 @@ Commands
 
 Exit codes: 0 success, 1 verification/optimization failure, 2 usage or parse
 error (a path that is missing, unreadable or a directory included), 3 resource
-limit.  The environment variable QNG_MEMORY_BUDGET_BYTES
-overrides the default 4 GiB guard on the register-hungry alg7/alg8 baselines.
+limit.  Every command runs in one memory budget, QNG_MEMORY_BUDGET_BYTES
+(default 4 GiB): the registers live at once must fit in it, and a circuit
+whose one register does not (over 28 qubits at the default) is refused up
+front by the qubit guard.
 The circuit and Hamiltonian file formats are described in
 :mod:`qngsim.parsing`.
 """
@@ -38,12 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .ansatz import random_circuit, random_parameters
-from .baselines import (
-    DEFAULT_MEMORY_BUDGET_BYTES,
-    BaselineId,
-    compute_li_tensor,
-    cost_model,
-)
+from .baselines import BaselineId, compute_li_tensor, cost_model
 from .errors import (
     ParseError,
     ResourceLimitError,
@@ -74,7 +71,7 @@ from .parsing import (
     parse_hamiltonian_file,
     real,
 )
-from .statevector import OpCounter, track_allocations
+from .statevector import DEFAULT_MEMORY_BUDGET_BYTES, OpCounter, track_allocations
 from .verify import DEFAULT_SEED, run_checks
 
 __all__ = ["main", "parse_circuit_file", "parse_circuit_text"]
@@ -84,8 +81,6 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# Default guard against accidentally allocating beyond-memory registers.
-MAX_QUBITS_GUARD = 28
 MEMORY_BUDGET_ENV = "QNG_MEMORY_BUDGET_BYTES"
 
 BENCH_SEED_DEFAULT = 1234
@@ -113,12 +108,14 @@ def _memory_budget() -> int:
     return budget
 
 
-def _guard_qubits(num_qubits: int, allow_large: bool) -> None:
-    if num_qubits > MAX_QUBITS_GUARD and not allow_large:
+def _guard_qubits(num_qubits: int, budget: int) -> None:
+    # one register, 2^(N+4) bytes, must fit: N + 4 < budget.bit_length(),
+    # which never builds 2^N for a header like "qubits 10**41"
+    widest = max(budget.bit_length() - 5, 0)
+    if num_qubits > widest:
         raise ResourceLimitError(
-            f"{num_qubits} qubits exceeds the default guard of {MAX_QUBITS_GUARD}; "
-            f"pass --allow-large to run anyway"
-        )
+            f"{num_qubits} qubits exceeds the guard: a register must fit the "
+            f"{budget}-byte budget, so at most {widest} qubits")
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +123,9 @@ def _guard_qubits(num_qubits: int, allow_large: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_tensor(args: argparse.Namespace) -> int:
+def _cmd_tensor(args: argparse.Namespace, budget: int) -> int:
     circuit = parse_circuit_file(args.circuit)
-    _guard_qubits(circuit.num_qubits, args.allow_large)
+    _guard_qubits(circuit.num_qubits, budget)
     params = _parse_param_values(args.params, circuit.num_parameters)
     counter = OpCounter()
     if args.algorithm == "auto":
@@ -138,8 +135,7 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
     else:
         alg = BaselineId(args.algorithm)
         bound = circuit.bind(params)
-        li = compute_li_tensor(alg, circuit, bound, counter,
-                               memory_budget_bytes=_memory_budget())
+        li = compute_li_tensor(alg, circuit, bound, counter)
         matrix = tensor_matrix(li, compute_berry_vector(circuit, bound, counter))
     if args.format == "bin":
         write_tensor_binary(matrix, args.out)
@@ -208,8 +204,7 @@ def _parse_algorithm_list(spec: str) -> list[str]:
     return names
 
 
-def _bench_point(alg: str, num_parameters: int, num_qubits: int, seed: int,
-                 budget: int) -> BenchRow:
+def _bench_point(alg: str, num_parameters: int, num_qubits: int, seed: int) -> BenchRow:
     # The circuit depends only on (seed, P) so all algorithms at one sweep
     # point see identical inputs.
     rng = np.random.default_rng([seed, num_parameters])
@@ -227,8 +222,7 @@ def _bench_point(alg: str, num_parameters: int, num_qubits: int, seed: int,
             if alg == "main":
                 compute_geometric_tensor_main(circuit, params, counter)
             else:
-                compute_li_tensor(BaselineId.parse(alg), circuit, params, counter,
-                                  memory_budget_bytes=budget)
+                compute_li_tensor(BaselineId.parse(alg), circuit, params, counter)
     except ResourceLimitError:
         return BenchRow(alg, num_parameters, None, None, gates, clones, None)
     wall_ms = (time.perf_counter() - started) * 1e3
@@ -237,17 +231,16 @@ def _bench_point(alg: str, num_parameters: int, num_qubits: int, seed: int,
 
 
 def run_bench(algorithms: list[str], p_values: list[int], num_qubits: int,
-              seed: int, budget: int) -> list[BenchRow]:
+              seed: int) -> list[BenchRow]:
     """One row per (algorithm, P), run serially so each ``wall_ms`` times
-    that point alone."""
-    return [_bench_point(alg, p, num_qubits, seed, budget)
+    that point alone; a point whose registers exceed the active budget is
+    skipped."""
+    return [_bench_point(alg, p, num_qubits, seed)
             for alg in algorithms for p in p_values]
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.qubits > MAX_QUBITS_GUARD:
-        raise ResourceLimitError(
-            f"bench runs at most {MAX_QUBITS_GUARD} qubits, got {args.qubits}")
+def _cmd_bench(args: argparse.Namespace, budget: int) -> int:
+    _guard_qubits(args.qubits, budget)
     algorithms = _parse_algorithm_list(args.algorithms)
     if args.plist is not None:
         try:  # every field must parse: an empty one is not skipped
@@ -263,7 +256,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         p_values = list(range(args.pmin, args.pmax + 1, args.pstep))
     if not p_values or min(p_values) < 1:
         raise ParseError("sweep values must be >= 1")
-    rows = run_bench(algorithms, p_values, args.qubits, args.seed, _memory_budget())
+    rows = run_bench(algorithms, p_values, args.qubits, args.seed)
     lines = [BENCH_HEADER] + [row.format_csv() for row in rows]
     Path(args.out).write_text("\n".join(lines) + "\n")
     skipped = sum(1 for row in rows if row.counter is None)
@@ -277,9 +270,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
+def _cmd_optimize(args: argparse.Namespace, budget: int) -> int:
     circuit = parse_circuit_file(args.circuit)
-    _guard_qubits(circuit.num_qubits, args.allow_large)
+    _guard_qubits(circuit.num_qubits, budget)
     hamiltonian = parse_hamiltonian_file(args.hamiltonian)
     if hamiltonian.max_qubit >= circuit.num_qubits:
         raise ParseError(
@@ -317,7 +310,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, budget: int) -> int:
     if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0):
         raise ParseError(f"--tol must be finite and >= 0, got {args.tol}")
     results = run_checks(seed=args.seed, quick=args.quick,
@@ -389,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "or one of alg2..alg8 (any case)")
     tensor.add_argument("--format", choices=("csv", "bin"), default="csv")
     tensor.add_argument("--out", required=True, help="output path")
-    tensor.add_argument("--allow-large", action="store_true",
-                        help=f"lift the {MAX_QUBITS_GUARD}-qubit guard")
     tensor.set_defaults(handler=_cmd_tensor)
 
     bench = sub.add_parser("bench", help="sweep P, recording measured vs predicted costs")
@@ -422,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--plain", action="store_true",
                           help="plain gradient descent instead of natural gradient")
     optimize.add_argument("--out", required=True)
-    optimize.add_argument("--allow-large", action="store_true",
-                          help=f"lift the {MAX_QUBITS_GUARD}-qubit guard")
     optimize.set_defaults(handler=_cmd_optimize)
 
     verify = sub.add_parser("verify", help="run the consistency suites")
@@ -444,7 +433,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse has already printed its message
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        budget = _memory_budget()
+        with track_allocations(budget_bytes=budget):
+            return args.handler(args, budget)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

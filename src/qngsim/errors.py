@@ -18,7 +18,8 @@ class ParseError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A computation would exceed the configured memory budget."""
+    """A register would exceed the memory budget, or is too large to
+    allocate at all."""
 
 
 class SingularMetricError(RuntimeError):

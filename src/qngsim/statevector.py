@@ -41,8 +41,11 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import ResourceLimitError
+
 __all__ = [
     "AllocationTally",
+    "DEFAULT_MEMORY_BUDGET_BYTES",
     "MatrixGateOperator",
     "OpCounter",
     "OperatorBasis",
@@ -66,34 +69,51 @@ _TALLIES: ContextVar[tuple["AllocationTally", ...]] = ContextVar(
 )
 
 
+DEFAULT_MEMORY_BUDGET_BYTES = 4 * 2**30  # the CLI's when QNG_MEMORY_BUDGET_BYTES is unset
+
+
 class AllocationTally:
     """Records Statevector allocations seen inside a :func:`track_allocations` block.
 
     Registers are tagged by ``kind`` ("workspace" for algorithm scratch
     registers, "input" for the fixed circuit input, "state" otherwise), so a
     test can assert e.g. that an algorithm's peak number of simultaneously
-    live workspaces is a constant.
+    live workspaces is a constant.  Their bytes are counted too: with a
+    ``budget_bytes``, a register that would take the live bytes past it is
+    refused before its buffer is allocated.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, budget_bytes: int | None = None) -> None:
+        self.budget_bytes = budget_bytes
         self.total: dict[str, int] = {}
         self._live: dict[str, int] = {}
         self._peak: dict[str, int] = {}
         self._live_all = 0
         self.peak_total = 0
         self.total_allocations = 0
+        self.live_bytes = 0
+        self.peak_bytes = 0
 
-    def _on_alloc(self, kind: str) -> None:
+    def _check_room(self, num_qubits: int, nbytes: int) -> None:
+        if self.budget_bytes is not None and self.live_bytes + nbytes > self.budget_bytes:
+            raise ResourceLimitError(
+                f"a {num_qubits}-qubit register ({nbytes} bytes) on top of {self._live_all} "
+                f"live ({self.live_bytes} bytes) exceeds the {self.budget_bytes}-byte budget")
+
+    def _on_alloc(self, kind: str, nbytes: int) -> None:
         self.total[kind] = self.total.get(kind, 0) + 1
         self._live[kind] = self._live.get(kind, 0) + 1
         self._peak[kind] = max(self._peak.get(kind, 0), self._live[kind])
         self.total_allocations += 1
         self._live_all += 1
         self.peak_total = max(self.peak_total, self._live_all)
+        self.live_bytes += nbytes
+        self.peak_bytes = max(self.peak_bytes, self.live_bytes)
 
-    def _on_free(self, kind: str) -> None:
+    def _on_free(self, kind: str, nbytes: int) -> None:
         self._live[kind] = self._live.get(kind, 0) - 1
         self._live_all -= 1
+        self.live_bytes -= nbytes
 
     def peak_live(self, kind: str | None = None) -> int:
         """Peak number of simultaneously live statevectors (optionally by kind)."""
@@ -107,15 +127,16 @@ class AllocationTally:
         return self.total.get(kind, 0)
 
 
-def _notify_free(tallies: tuple[AllocationTally, ...], kind: str) -> None:
+def _notify_free(tallies: tuple[AllocationTally, ...], kind: str, nbytes: int) -> None:
     for tally in tallies:
-        tally._on_free(kind)
+        tally._on_free(kind, nbytes)
 
 
 @contextmanager
-def track_allocations() -> Iterator[AllocationTally]:
-    """Context manager counting every Statevector allocated inside the block."""
-    tally = AllocationTally()
+def track_allocations(budget_bytes: int | None = None) -> Iterator[AllocationTally]:
+    """Context manager counting every Statevector allocated inside the block;
+    with ``budget_bytes``, one that does not fit raises :class:`ResourceLimitError`."""
+    tally = AllocationTally(budget_bytes)
     token = _TALLIES.set(_TALLIES.get() + (tally,))
     try:
         yield tally
@@ -178,16 +199,23 @@ class Statevector:
         if num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
         self.num_qubits = num_qubits
+        tallies = _TALLIES.get()
+        nbytes = 16 << num_qubits  # complex128
+        for tally in tallies:
+            tally._check_room(num_qubits, nbytes)
         if amplitudes is None:
-            self._amplitudes = np.zeros(1 << num_qubits, dtype=np.complex128)
+            try:
+                self._amplitudes = np.zeros(1 << num_qubits, dtype=np.complex128)
+            except ValueError:  # numpy cannot size the array at all
+                raise ResourceLimitError(
+                    f"a {num_qubits}-qubit register is too large to allocate") from None
         else:
             self.amplitudes = amplitudes
         self.kind = kind
-        tallies = _TALLIES.get()
         if tallies:
             for tally in tallies:
-                tally._on_alloc(kind)
-            weakref.finalize(self, _notify_free, tallies, kind)
+                tally._on_alloc(kind, nbytes)
+            weakref.finalize(self, _notify_free, tallies, kind, nbytes)
 
     @property
     def amplitudes(self) -> np.ndarray:

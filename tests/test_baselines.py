@@ -12,7 +12,7 @@ from qngsim.baselines import (
 )
 from qngsim.errors import ResourceLimitError
 from qngsim.gates import PauliRotation, PauliString
-from qngsim.metric import compute_geometric_tensor_main
+from qngsim.metric import compute_geometric_tensor, compute_geometric_tensor_main
 from qngsim.statevector import OpCounter, track_allocations
 
 ALL = list(BaselineId)
@@ -169,13 +169,24 @@ def test_naive_full_matrix_is_hermitian():
 def test_register_hungry_strategies_respect_budget(alg):
     circuit = random_circuit(2, 6, 65)
     params = random_parameters(6, 66)
-    with pytest.raises(ResourceLimitError):
-        compute_li_tensor(alg, circuit, params, OpCounter(), memory_budget_bytes=128)
+    with track_allocations(budget_bytes=128), pytest.raises(ResourceLimitError):
+        compute_li_tensor(alg, circuit, params, OpCounter())
 
 
-def test_fixed_register_strategies_ignore_budget():
+def test_fixed_register_strategies_respect_budget():
+    # 64-byte 2-qubit registers, the input included: alg6 holds five, alg8
+    # P + 2 and auto (B = 3 at P = 2^N) six; a byte less refuses each
     circuit = random_circuit(2, 4, 67)
     params = random_parameters(4, 68)
-    li = compute_li_tensor(BaselineId.ALG6, circuit, params, OpCounter(),
-                           memory_budget_bytes=128)
-    assert li.shape == (4, 4)
+    runs = {
+        "alg6": (lambda: compute_li_tensor(BaselineId.ALG6, circuit, params, OpCounter()), 5),
+        "alg8": (lambda: compute_li_tensor(BaselineId.ALG8, circuit, params, OpCounter()), 6),
+        "auto": (lambda: compute_geometric_tensor(circuit, params, OpCounter()), 6),
+    }
+    for name, (run, registers) in runs.items():
+        with track_allocations(budget_bytes=64 * registers) as tally:
+            run()
+        assert tally.peak_live() == registers, name
+        with track_allocations(budget_bytes=64 * registers - 1), \
+                pytest.raises(ResourceLimitError):
+            run()

@@ -18,6 +18,7 @@ from qngsim.metric import (
     blocked_tensor_cost,
     compute_geometric_tensor_blocked,
     compute_geometric_tensor_main,
+    costate_tensor_cost,
     main_algorithm_cost,
     read_tensor_binary,
 )
@@ -496,7 +497,9 @@ def test_bench_deterministic_apart_from_wall_time(tmp_path):
 
 
 def test_bench_skips_over_memory_budget(tmp_path, monkeypatch):
-    monkeypatch.setenv("QNG_MEMORY_BUDGET_BYTES", "256")
+    # 256-byte 4-qubit registers at P = 6, the input included: alg6's five
+    # (1280 bytes) fit, alg7's seven (1792) and alg8's eight (2048) do not
+    monkeypatch.setenv("QNG_MEMORY_BUDGET_BYTES", "1536")
     out = tmp_path / "bench.csv"
     code = main(["bench", "--algorithms", "alg6,alg7,alg8", "--plist", "6",
                  "--out", str(out)])
@@ -554,15 +557,82 @@ def test_tensor_over_memory_budget_is_resource_error(circuit_file, tmp_path,
     assert code == EXIT_RESOURCE
 
 
-def test_memory_budget_guards_only_the_explicit_baselines(stored_circuit_file, tmp_path,
-                                                          monkeypatch):
-    # B = P's six 2-qubit registers (384 bytes) exceed a 64-byte
-    # budget, which binds alg8 but not auto's choice of the same registers
-    monkeypatch.setenv("QNG_MEMORY_BUDGET_BYTES", "64")
+def test_memory_budget_guards_every_route(stored_circuit_file, tmp_path, monkeypatch):
+    # 64-byte 2-qubit registers, the input included: alg6 holds five, and
+    # alg8 and auto's B = P hold P + 2 = 7; a byte less refuses each
+    out = tmp_path / "g.csv"
     args = ["tensor", "--circuit", str(stored_circuit_file), "--params", STORED_PARAMS,
-            "--out", str(tmp_path / "g.csv")]
+            "--out", str(out)]
+    for extra, registers in ((["--algorithm", "alg6"], 5), (["--algorithm", "alg8"], 7),
+                             ([], 7)):
+        monkeypatch.setenv("QNG_MEMORY_BUDGET_BYTES", str(64 * registers))
+        assert main(args + extra) == EXIT_OK, extra
+        out.unlink()
+        monkeypatch.setenv("QNG_MEMORY_BUDGET_BYTES", str(64 * registers - 1))
+        assert main(args + extra) == EXIT_RESOURCE, extra
+        assert not out.exists()
+
+
+def test_budget_binds_the_default_block_route(tmp_path, monkeypatch, capsys):
+    # N = 26, P = 24 scaled down: 5 qubits and 24 gates take B = 3, the
+    # input and five workspaces of 512 bytes; a budget of four registers
+    # refuses it, as 4 GiB refuses six 1 GiB registers at N = 26
+    circuit = tmp_path / "h.txt"
+    circuit.write_text("qubits 5\n" + "".join(f"ry {k % 5}\n" for k in range(24)))
+    out = tmp_path / "g.csv"
+    args = ["tensor", "--circuit", str(circuit), "--params", ",".join(["0.1"] * 24),
+            "--out", str(out)]
+    monkeypatch.setenv("QNG_MEMORY_BUDGET_BYTES", str(6 * 512))
     assert main(args) == EXIT_OK
-    assert main(args + ["--algorithm", "alg8"]) == EXIT_RESOURCE
+    assert _printed_counts(capsys.readouterr().out) == blocked_tensor_cost(24, 3)
+    out.unlink()
+    monkeypatch.setenv("QNG_MEMORY_BUDGET_BYTES", str(4 * 512))
+    assert main(args) == EXIT_RESOURCE
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_budget_binds_the_costate_route(tmp_path, monkeypatch, capsys):
+    # 2 qubits and P = 9 > 2^(N+1) take the co-state route: 2^N + 2 = 6
+    # registers of 64 bytes live at once
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("qubits 2\n" + "".join(f"rx {k % 2}\n" for k in range(9)))
+    out = tmp_path / "g.csv"
+    args = ["tensor", "--circuit", str(circuit), "--params", ",".join(["0.2"] * 9),
+            "--out", str(out)]
+    monkeypatch.setenv("QNG_MEMORY_BUDGET_BYTES", str(6 * 64))
+    assert main(args) == EXIT_OK
+    assert _printed_counts(capsys.readouterr().out) == costate_tensor_cost(9, 2)
+    out.unlink()
+    monkeypatch.setenv("QNG_MEMORY_BUDGET_BYTES", str(5 * 64))
+    assert main(args) == EXIT_RESOURCE
+    assert not out.exists()
+
+
+def test_budget_binds_optimize(circuit_file, hamiltonian_file, tmp_path, monkeypatch, capsys):
+    # the energy alone takes the prepared state and two Hamiltonian registers
+    monkeypatch.setenv("QNG_MEMORY_BUDGET_BYTES", str(2 * 64))
+    out = tmp_path / "trace.csv"
+    code = main(["optimize", "--circuit", str(circuit_file), "--hamiltonian",
+                 str(hamiltonian_file), "--steps", "2", "--out", str(out)])
+    assert code == EXIT_RESOURCE
+    assert capsys.readouterr().err.startswith("resource error:")
+    assert not out.exists()
+
+
+def test_register_numpy_cannot_size_is_resource_error(tmp_path, monkeypatch, capsys):
+    # a budget of 2^200 bytes passes the guard at 100 qubits, but numpy
+    # cannot build an array of 2^100 amplitudes
+    monkeypatch.setenv("QNG_MEMORY_BUDGET_BYTES", str(2**200))
+    circuit = tmp_path / "wide.txt"
+    circuit.write_text("qubits 100\nrx 0\n")
+    out = tmp_path / "g.csv"
+    code = main(["tensor", "--circuit", str(circuit), "--params", "0.1", "--out", str(out)])
+    assert code == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert "100-qubit" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_bench_rejects_bad_sweep(tmp_path):

@@ -12,6 +12,7 @@ from qngsim.ansatz import (
     random_parameters,
 )
 from qngsim.baselines import BaselineId, compute_li_tensor, cost_model, naive_full_li_matrix
+from qngsim.errors import ResourceLimitError
 from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString
 from qngsim.metric import (
     blocked_tensor_cost,
@@ -297,6 +298,29 @@ def test_exactly_five_workspace_registers(num_parameters):
     assert tally.total_allocated() == 6  # the circuit input is the only extra
     # main applies each gate's cached factor D, so it builds no per-theta dU
     assert not {"derivatives", "derivative_adjoints"} & set(vars(bound))
+
+
+@pytest.mark.parametrize("route, registers", [("main", 6), ("blocked", 5), ("costate", 6)])
+def test_budget_bounds_peak_register_bytes(route, registers):
+    # every budget from zero to past the need, in half registers: a run
+    # completes or is refused, and its live bytes never pass the budget;
+    # it completes from its registers (the input included) of 64 bytes on
+    circuit = random_circuit(2, 6, 71)
+    params = random_parameters(6, 72)
+    run = {"main": lambda: compute_geometric_tensor_main(circuit, params, OpCounter()),
+           "blocked": lambda: compute_geometric_tensor_blocked(circuit, params, OpCounter(), 2),
+           "costate": lambda: compute_geometric_tensor_costate(circuit, params, OpCounter())}
+    completed = []
+    for budget in range(0, 64 * (registers + 2), 32):
+        with track_allocations(budget_bytes=budget) as tally:
+            try:
+                run[route]()
+                completed.append(budget)
+            except ResourceLimitError:
+                pass
+        assert tally.peak_bytes <= budget
+        assert tally.live_bytes == 0
+    assert min(completed) == 64 * registers
 
 
 @pytest.mark.parametrize("num_parameters", [1, 2, 3, 8, 17])

@@ -31,6 +31,7 @@ from qngsim.statevector import (
     make_basis_state,
     track_allocations,
 )
+from qngsim.errors import ResourceLimitError
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -863,6 +864,25 @@ def test_allocation_tracking_scoped():
         Statevector.zeros(1)
     Statevector.zeros(1)
     assert tally.total_allocated() == 1
+
+
+def test_budget_refuses_a_register_before_recording_it():
+    # the inner tally has no budget, the outer one room for two 64-byte
+    # registers: every active tally is asked before the buffer is allocated
+    with track_allocations(budget_bytes=128) as outer, track_allocations() as inner:
+        keep = [Statevector.zeros(2), Statevector(2, np.ones(4))]
+        with pytest.raises(ResourceLimitError, match="2-qubit register"):
+            Statevector.zeros(2)
+        assert (outer.total_allocated(), inner.total_allocated()) == (2, 2)
+        assert (outer.live_bytes, inner.live_bytes) == (128, 128)
+        del keep[0]
+        keep.append(Statevector.zeros(2))
+    assert outer.peak_bytes == inner.peak_bytes == 128
+
+
+def test_register_numpy_cannot_size_is_resource_limit():
+    with pytest.raises(ResourceLimitError, match="100-qubit"):
+        Statevector.zeros(100)
 
 
 # ---------------------------------------------------------------------------
