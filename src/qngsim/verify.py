@@ -1,35 +1,19 @@
-"""End-to-end consistency suites behind the ``verify`` CLI command.
+"""End-to-end consistency checks behind the ``verify`` CLI command.
 
-Each check pits independently computed quantities against each other on
-seeded inputs and reports the worst deviation: every baseline strategy
-against every other and against the main recurrent algorithm, the geometric
-tensor against a central-difference evaluation of its definition, gauge
-invariance under parameter-dependent global phases, and instrumented
-primitive counts against the closed-form cost models (``count_exactness``
-holds main to ``main_algorithm_cost(P)`` in five workspace registers, and
-every baseline to ``cost_model``).  Two checks cover the energy gradient:
-``gradient_count_exactness`` holds its four counts to ``gradient_cost(P, T)``
-for P = 1..10 (quick) or 1..40 and T = 0..4, and
-``gradient_finite_difference`` holds ``energy_gradient`` to central
-differences of ``energy_expectation``.  Two cover the blocked tensor route,
-B = P (all derivative states at once) included: ``blocked_count_exactness``
-holds its counts to ``blocked_tensor_cost(P, B)`` and its peak to
-``blocked_tensor_registers(P, B)`` workspace registers for P = 1..10 (quick)
-or 1..40 and every B from 1 to P + 1, and ``blocked_agreement`` holds its
-G, L and T for every B from 1 to P to main's on the circuits of the
-baseline-equivalence and finite-difference checks.  Three cover the co-state
-route: ``costate_count_exactness`` holds its counts to
-``costate_tensor_cost(P, N)`` and its peak to 2^N + 2 workspace registers for
-N = 1..4 and P = 1..10 (quick) or 1..40; ``costate_agreement`` holds its G, L
-and T to main's, and ``costate_finite_difference`` its G to central
-differences, on the circuits of the baseline-equivalence and
-finite-difference checks and on circuits ``compute_geometric_tensor`` sends
-to it.
+Every check is one of two kinds, run on seeded inputs and reported by its
+worst deviation.  An exact check holds instrumented counts (gate
+applications, clones, inner products, axpys and peak workspace registers) to
+their closed-form cost models, integer for integer, over sweeps of P.  A
+tolerance check holds one array to an independently computed one (a route
+against main or the baselines, or against a central-difference oracle)
+within a tolerance; ``gauge_invariance`` further requires L and T to move
+under a parameter-dependent global phase while G stays put.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -134,229 +118,45 @@ def finite_difference_gradient(circuit: AnsatzCircuit, params,
 
 
 # ---------------------------------------------------------------------------
-# Individual checks
+# Checks
 # ---------------------------------------------------------------------------
 
 
+def _exact(name: str, detail: str, pairs) -> CheckResult:
+    """Measured count tuples against predicted ones, field for field."""
+    worst = max(abs(m - p) for measured, predicted in pairs
+                for m, p in zip(measured, predicted, strict=True))
+    return CheckResult(name, worst == 0, float(worst), 0.0, detail)
+
+
+def _deviations(pairs) -> np.ndarray:
+    """The largest |ours - theirs| entry of each pair of arrays."""
+    return np.array([np.max(np.abs(ours - theirs)) for ours, theirs in pairs])
+
+
+def _close(name: str, detail: str, pairs, tolerance: float) -> CheckResult:
+    """Our arrays against theirs within ``tolerance``; a NaN entry fails."""
+    worst = float(_deviations(pairs).max())
+    return CheckResult(name, worst <= tolerance, worst, tolerance, detail)
+
+
+def _draw(rng: np.random.Generator, num_qubits: int, num_parameters: int,
+          include_controlled: bool = True) -> tuple[AnsatzCircuit, np.ndarray]:
+    circuit = random_circuit(num_qubits, num_parameters, rng,
+                             include_controlled=include_controlled)
+    return circuit, random_parameters(num_parameters, rng)
+
+
 def _random_cases(seed: int, num_cases: int, num_qubits: int, num_parameters: int,
-                  include_controlled: bool = True):
-    for case in range(num_cases):
-        rng = np.random.default_rng([seed, case])
-        circuit = random_circuit(num_qubits, num_parameters, rng,
-                                 include_controlled=include_controlled)
-        params = random_parameters(num_parameters, rng)
-        yield circuit, params
+                  include_controlled: bool = True) -> list:
+    return [_draw(np.random.default_rng([seed, case]), num_qubits, num_parameters,
+                  include_controlled) for case in range(num_cases)]
 
 
-def check_baseline_equivalence(seed: int, quick: bool,
-                               tolerance: float) -> CheckResult:
-    """All seven baselines and the main algorithm agree on L entrywise."""
-    num_cases = 4 if quick else 20
-    num_qubits, num_parameters = (3, 6) if quick else (4, 8)
-    worst = 0.0
-    for circuit, params in _random_cases(seed, num_cases, num_qubits, num_parameters):
-        tensors = [
-            compute_li_tensor(alg, circuit, params, OpCounter())
-            for alg in BaselineId
-        ]
-        tensors.append(compute_geometric_tensor_main(circuit, params, OpCounter()).li)
-        for i, left in enumerate(tensors):
-            for right in tensors[i + 1:]:
-                worst = max(worst, float(np.max(np.abs(left - right))))
-    return CheckResult("baseline_equivalence", worst <= tolerance, worst, tolerance,
-                       f"{num_cases} circuits, P={num_parameters}")
-
-
-def check_finite_difference(seed: int, quick: bool, tolerance: float) -> CheckResult:
-    """Main-algorithm G against the central-difference oracle."""
-    num_cases = 3 if quick else 8
-    worst = 0.0
-    for circuit, params in _random_cases(seed + 1, num_cases, 4, 8):
-        computed = compute_geometric_tensor_main(circuit, params, OpCounter()).matrix
-        oracle = finite_difference_tensor(circuit, params)
-        worst = max(worst, float(np.max(np.abs(computed - oracle))))
-    return CheckResult("finite_difference", worst <= tolerance, worst, tolerance,
-                       f"{num_cases} circuits, central step 1e-5")
-
-
-def check_gauge_invariance(seed: int, quick: bool, tolerance: float) -> CheckResult:
-    """A parameter-dependent global phase moves L and T but not G."""
-    num_cases = 2 if quick else 5
-    phase_rate = 0.7
-    worst_g = 0.0
-    weakest_move = np.inf
-    for circuit, params in _random_cases(seed + 2, num_cases, 3, 6,
-                                         include_controlled=False):
-        plain = compute_geometric_tensor_main(circuit, params, OpCounter())
-        phased = compute_geometric_tensor_main(phased_variant(circuit, phase_rate),
-                                               params, OpCounter())
-        worst_g = max(worst_g, float(np.max(np.abs(plain.matrix - phased.matrix))))
-        moved_l = float(np.max(np.abs(plain.li - phased.li)))
-        moved_t = float(np.max(np.abs(plain.berry - phased.berry)))
-        weakest_move = min(weakest_move, moved_l, moved_t)
-    moved = weakest_move >= 1e-3
-    detail = f"L and T moved by >= {weakest_move:.3e} while G stayed put"
-    return CheckResult("gauge_invariance", worst_g <= tolerance and moved,
-                       worst_g, tolerance, detail)
-
-
-def check_count_exactness(seed: int, quick: bool) -> CheckResult:
-    """Instrumented counts equal the cost models, integer for integer: every
-    baseline's gates and clones, and main's gates, clones and inner products
-    in five workspace registers."""
-    max_parameters = 10 if quick else 50
-    rng = np.random.default_rng([seed, 99])
-    worst = 0
-    for num_parameters in range(1, max_parameters + 1):
-        circuit = random_circuit(2, num_parameters, rng)
-        params = random_parameters(num_parameters, rng)
-        for alg in BaselineId:
-            counter = OpCounter()
-            compute_li_tensor(alg, circuit, params, counter)
-            predicted = cost_model(alg, num_parameters)
-            worst = max(worst, abs(counter.gate_applications - predicted.gates),
-                        abs(counter.clones - predicted.clones))
-        counter = OpCounter()
-        with track_allocations() as tally:
-            compute_geometric_tensor_main(circuit, params, counter)
-        measured = counter.as_tuple() + (tally.peak_live("workspace"),)
-        predicted = main_algorithm_cost(num_parameters) + (5,)
-        worst = max(worst, *(abs(m - p) for m, p in zip(measured, predicted)))
-    return CheckResult("count_exactness", worst == 0, float(worst), 0.0,
-                       f"all baselines and main, P = 1..{max_parameters}")
-
-
-def check_reference_totals(quick: bool) -> CheckResult:
-    """Three recorded gates+clones totals at P = 100, measured and closed-form."""
-    worst = 0
-    rng = np.random.default_rng(7)
-    circuit = random_circuit(2, 100, rng)
-    params = random_parameters(100, rng)
-    for alg, expected in REFERENCE_TOTALS_P100.items():
-        predicted = cost_model(alg, 100)
-        worst = max(worst, abs(predicted.gates + predicted.clones - expected))
-        if quick and alg is BaselineId.ALG3:
-            continue  # the cubic one takes a few seconds; closed form only
-        counter = OpCounter()
-        compute_li_tensor(alg, circuit, params, counter)
-        worst = max(worst, abs(counter.gates_plus_clones - expected))
-    return CheckResult("reference_totals", worst == 0, float(worst), 0.0,
-                       "gates+clones at P=100: 681750 / 20401 / 5251")
-
-
-def check_berry_consistency(seed: int, quick: bool, tolerance: float) -> CheckResult:
-    """The standalone O(P) Berry-vector pass matches the main algorithm's T."""
-    num_cases = 2 if quick else 6
-    worst = 0.0
-    for circuit, params in _random_cases(seed + 4, num_cases, 3, 7):
-        standalone = compute_berry_vector(circuit, params, OpCounter())
-        main = compute_geometric_tensor_main(circuit, params, OpCounter())
-        worst = max(worst, float(np.max(np.abs(standalone - main.berry))))
-    return CheckResult("berry_consistency", worst <= tolerance, worst, tolerance)
-
-
-def check_blocked_count_exactness(seed: int, quick: bool) -> CheckResult:
-    """The blocked route's counts equal ``blocked_tensor_cost`` and its peak
-    is ``blocked_tensor_registers`` workspace registers, integer for integer,
-    for every block from 1 to P + 1."""
-    max_parameters = 10 if quick else 40
-    rng = np.random.default_rng([seed, 97])
-    worst = 0
-    for num_parameters in range(1, max_parameters + 1):
-        circuit = random_circuit(2, num_parameters, rng)
-        bound = circuit.bind(random_parameters(num_parameters, rng))
-        for block in range(1, num_parameters + 2):
-            counter = OpCounter()
-            with track_allocations() as tally:
-                compute_geometric_tensor_blocked(circuit, bound, counter, block)
-            measured = counter.as_tuple() + (tally.peak_live("workspace"),)
-            predicted = (blocked_tensor_cost(num_parameters, block)
-                         + (blocked_tensor_registers(num_parameters, block),))
-            worst = max(worst, *(abs(m - p) for m, p in zip(measured, predicted)))
-    return CheckResult("blocked_count_exactness", worst == 0, float(worst), 0.0,
-                       f"gates, clones, inner products and registers, P = 1..{max_parameters}, "
-                       f"B = 1..P + 1")
-
-
-def check_blocked_agreement(seed: int, quick: bool, tolerance: float) -> CheckResult:
-    """The blocked route's G, L and T for every block from 1 to P against
-    main's, on the circuits of :func:`check_baseline_equivalence` and
-    :func:`check_finite_difference`."""
-    num_cases, num_qubits, num_parameters = (4, 3, 6) if quick else (20, 4, 8)
-    cases = [*_random_cases(seed, num_cases, num_qubits, num_parameters),
-             *_random_cases(seed + 1, 3 if quick else 8, 4, 8)]
-    worst = 0.0
-    for circuit, params in cases:
-        bound = circuit.bind(params)
-        main = compute_geometric_tensor_main(circuit, bound, OpCounter())
-        for block in range(1, circuit.num_parameters + 1):
-            blocked = compute_geometric_tensor_blocked(circuit, bound, OpCounter(), block)
-            for ours, theirs in ((blocked.matrix, main.matrix), (blocked.li, main.li),
-                                 (blocked.berry, main.berry)):
-                worst = max(worst, float(np.max(np.abs(ours - theirs))))
-    return CheckResult("blocked_agreement", worst <= tolerance, worst, tolerance,
-                       f"{len(cases)} circuits, B = 1..P, G, L and T")
-
-
-def check_costate_count_exactness(seed: int, quick: bool) -> CheckResult:
-    """The co-state route's counts equal ``costate_tensor_cost`` and its peak
-    is 2^N + 2 workspace registers, integer for integer, for N = 1..4."""
-    max_parameters = 10 if quick else 40
-    rng = np.random.default_rng([seed, 96])
-    worst = 0
-    for num_qubits in range(1, 5):
-        for num_parameters in range(1, max_parameters + 1):
-            circuit = random_circuit(num_qubits, num_parameters, rng)
-            params = random_parameters(num_parameters, rng)
-            counter = OpCounter()
-            with track_allocations() as tally:
-                compute_geometric_tensor_costate(circuit, params, counter)
-            measured = counter.as_tuple() + (tally.peak_live("workspace"),)
-            predicted = (costate_tensor_cost(num_parameters, num_qubits)
-                         + (2**num_qubits + 2,))
-            worst = max(worst, *(abs(m - p) for m, p in zip(measured, predicted)))
-    return CheckResult("costate_count_exactness", worst == 0, float(worst), 0.0,
-                       f"gates, clones, inner products and registers, N = 1..4, "
-                       f"P = 1..{max_parameters}")
-
-
-def _costate_cases(seed: int, quick: bool) -> list:
-    """The circuits of :func:`check_baseline_equivalence` and
-    :func:`check_finite_difference`, and circuits with P > 2^(N+1), which
-    ``compute_geometric_tensor`` sends to the co-state route."""
-    num_cases, num_qubits, num_parameters = (4, 3, 6) if quick else (20, 4, 8)
-    return [*_random_cases(seed, num_cases, num_qubits, num_parameters),
-            *_random_cases(seed + 1, 3 if quick else 8, 4, 8),
-            *_random_cases(seed + 6, 2 if quick else 4, 1, 5),
-            *_random_cases(seed + 7, 2 if quick else 4, 2, 12)]
-
-
-def check_costate_agreement(seed: int, quick: bool, tolerance: float) -> CheckResult:
-    """The co-state route's G, L and T against main's."""
-    cases = _costate_cases(seed, quick)
-    worst = 0.0
-    for circuit, params in cases:
-        bound = circuit.bind(params)
-        main = compute_geometric_tensor_main(circuit, bound, OpCounter())
-        costate = compute_geometric_tensor_costate(circuit, bound, OpCounter())
-        for ours, theirs in ((costate.matrix, main.matrix), (costate.li, main.li),
-                             (costate.berry, main.berry)):
-            worst = max(worst, float(np.max(np.abs(ours - theirs))))
-    return CheckResult("costate_agreement", worst <= tolerance, worst, tolerance,
-                       f"{len(cases)} circuits, G, L and T")
-
-
-def check_costate_finite_difference(seed: int, quick: bool,
-                                    tolerance: float) -> CheckResult:
-    """The co-state route's G against the central-difference oracle."""
-    cases = _costate_cases(seed, quick)
-    worst = 0.0
-    for circuit, params in cases:
-        computed = compute_geometric_tensor_costate(circuit, params, OpCounter()).matrix
-        oracle = finite_difference_tensor(circuit, params)
-        worst = max(worst, float(np.max(np.abs(computed - oracle))))
-    return CheckResult("costate_finite_difference", worst <= tolerance, worst, tolerance,
-                       f"{len(cases)} circuits, central step 1e-5")
+def _sweep(rng: np.random.Generator, max_parameters: int, num_qubits: int = 2):
+    """A circuit and its parameters for each P = 1..max_parameters, drawn
+    from ``rng`` one P at a time, so a caller may draw more between them."""
+    return (_draw(rng, num_qubits, p) for p in range(1, max_parameters + 1))
 
 
 def _random_hamiltonian(rng: np.random.Generator, num_qubits: int,
@@ -372,36 +172,122 @@ def _random_hamiltonian(rng: np.random.Generator, num_qubits: int,
     return PauliSum(tuple(terms))
 
 
-def check_gradient_count_exactness(seed: int, quick: bool) -> CheckResult:
-    """Instrumented gradient counts equal ``gradient_cost``, integer for integer."""
-    max_parameters = 10 if quick else 40
+def _tallied(run, *args, **kwargs) -> tuple[int, int, int, int]:
+    """Gates, clones and inner products of ``run(*args, counter, **kwargs)``,
+    and its peak workspace registers."""
+    counter = OpCounter()
+    with track_allocations() as tally:
+        run(*args, counter, **kwargs)
+    return counter.as_tuple() + (tally.peak_live("workspace"),)
+
+
+def _count_pairs(seed: int, max_parameters: int):
+    """Every baseline against ``cost_model``, and main against
+    ``main_algorithm_cost`` in five workspace registers."""
+    for circuit, params in _sweep(np.random.default_rng([seed, 99]), max_parameters):
+        num_parameters = circuit.num_parameters
+        for alg in BaselineId:
+            gates, clones, _, registers = _tallied(compute_li_tensor, alg, circuit, params)
+            yield (gates, clones, registers), cost_model(alg, num_parameters)
+        yield (_tallied(compute_geometric_tensor_main, circuit, params),
+               main_algorithm_cost(num_parameters) + (5,))
+
+
+def _reference_pairs(quick: bool):
+    """The recorded gates+clones totals at P = 100, closed-form and measured."""
+    circuit, params = _draw(np.random.default_rng(7), 2, 100)
+    for alg, expected in REFERENCE_TOTALS_P100.items():
+        predicted = cost_model(alg, 100)
+        yield (predicted.gates + predicted.clones,), (expected,)
+        if quick and alg is BaselineId.ALG3:
+            continue  # the cubic one takes a few seconds; closed form only
+        gates, clones, _, _ = _tallied(compute_li_tensor, alg, circuit, params)
+        yield (gates + clones,), (expected,)
+
+
+def _blocked_count_pairs(seed: int, max_parameters: int):
+    for circuit, params in _sweep(np.random.default_rng([seed, 97]), max_parameters):
+        bound = circuit.bind(params)
+        num_parameters = circuit.num_parameters
+        for block in range(1, num_parameters + 2):
+            yield (_tallied(compute_geometric_tensor_blocked, circuit, bound, block=block),
+                   blocked_tensor_cost(num_parameters, block)
+                   + (blocked_tensor_registers(num_parameters, block),))
+
+
+def _costate_count_pairs(seed: int, max_parameters: int):
+    rng = np.random.default_rng([seed, 96])
+    for num_qubits in range(1, 5):
+        for circuit, params in _sweep(rng, max_parameters, num_qubits):
+            yield (_tallied(compute_geometric_tensor_costate, circuit, params),
+                   costate_tensor_cost(circuit.num_parameters, num_qubits)
+                   + (2**num_qubits + 2,))
+
+
+def _gradient_count_pairs(seed: int, max_parameters: int):
     rng = np.random.default_rng([seed, 98])
-    worst = 0
-    for num_parameters in range(1, max_parameters + 1):
-        circuit = random_circuit(2, num_parameters, rng)
-        params = random_parameters(num_parameters, rng)
+    for circuit, params in _sweep(rng, max_parameters):
         for num_terms in range(5):
             counter = OpCounter()
             energy_gradient(circuit, params, _random_hamiltonian(rng, 2, num_terms), counter)
-            measured = counter.as_tuple() + (counter.axpys,)
-            predicted = gradient_cost(num_parameters, num_terms)
-            worst = max(worst, *(abs(m - p) for m, p in zip(measured, predicted)))
-    return CheckResult("gradient_count_exactness", worst == 0, float(worst), 0.0,
-                       f"P = 1..{max_parameters}, T = 0..4")
+            yield (counter.as_tuple() + (counter.axpys,),
+                   gradient_cost(circuit.num_parameters, num_terms))
 
 
-def check_gradient_finite_difference(seed: int, quick: bool,
-                                     tolerance: float) -> CheckResult:
-    """``energy_gradient`` against central differences of ``energy_expectation``."""
-    num_cases = 2 if quick else 6
-    worst = 0.0
-    for case, (circuit, params) in enumerate(_random_cases(seed + 5, num_cases, 4, 8)):
-        hamiltonian = _random_hamiltonian(np.random.default_rng([seed + 5, case, 1]), 4, 4)
-        grad = energy_gradient(circuit, params, hamiltonian, OpCounter())
-        oracle = finite_difference_gradient(circuit, params, hamiltonian)
-        worst = max(worst, float(np.max(np.abs(grad - oracle))))
-    return CheckResult("gradient_finite_difference", worst <= tolerance, worst, tolerance,
-                       f"{num_cases} circuits, 4 terms, central step 1e-5")
+def _baseline_pairs(cases: list):
+    """L of all seven baselines and of main, each against every other."""
+    for circuit, params in cases:
+        tensors = [compute_li_tensor(alg, circuit, params, OpCounter()) for alg in BaselineId]
+        tensors.append(compute_geometric_tensor_main(circuit, params, OpCounter()).li)
+        yield from combinations(tensors, 2)
+
+
+def _against_main(route, cases: list):
+    """G, L and T of each tensor ``route(circuit, bound)`` returns against main's."""
+    for circuit, params in cases:
+        bound = circuit.bind(params)
+        main = compute_geometric_tensor_main(circuit, bound, OpCounter())
+        for ours in route(circuit, bound):
+            yield from ((ours.matrix, main.matrix), (ours.li, main.li),
+                        (ours.berry, main.berry))
+
+
+def _blocked_tensors(circuit: AnsatzCircuit, bound) -> list:
+    return [compute_geometric_tensor_blocked(circuit, bound, OpCounter(), block)
+            for block in range(1, circuit.num_parameters + 1)]
+
+
+def _costate_tensor(circuit: AnsatzCircuit, bound) -> list:
+    return [compute_geometric_tensor_costate(circuit, bound, OpCounter())]
+
+
+def _against_oracle(tensor, cases: list):
+    """G of ``tensor`` against :func:`finite_difference_tensor`."""
+    for circuit, params in cases:
+        yield (tensor(circuit, params, OpCounter()).matrix,
+               finite_difference_tensor(circuit, params))
+
+
+def _gradient_pairs(seed: int, cases: list):
+    """``energy_gradient`` against :func:`finite_difference_gradient`."""
+    for case, (circuit, params) in enumerate(cases):
+        hamiltonian = _random_hamiltonian(np.random.default_rng([seed, case, 1]), 4, 4)
+        yield (energy_gradient(circuit, params, hamiltonian, OpCounter()),
+               finite_difference_gradient(circuit, params, hamiltonian))
+
+
+def _gauge_invariance(seed: int, quick: bool, tolerance: float) -> CheckResult:
+    """A parameter-dependent global phase moves L and T but not G."""
+    runs = [(compute_geometric_tensor_main(circuit, params, OpCounter()),
+             compute_geometric_tensor_main(phased_variant(circuit, 0.7), params, OpCounter()))
+            for circuit, params in _random_cases(seed, 2 if quick else 5, 3, 6,
+                                                 include_controlled=False)]
+    worst = float(_deviations((plain.matrix, phased.matrix) for plain, phased in runs).max())
+    weakest_move = float(_deviations(pair for plain, phased in runs for pair in (
+        (plain.li, phased.li), (plain.berry, phased.berry))).min())
+    return CheckResult("gauge_invariance", worst <= tolerance and weakest_move >= 1e-3,
+                       worst, tolerance,
+                       f"L and T moved by >= {weakest_move:.3e} while G stayed put")
 
 
 def run_checks(seed: int = DEFAULT_SEED, quick: bool = False,
@@ -412,18 +298,44 @@ def run_checks(seed: int = DEFAULT_SEED, quick: bool = False,
     def tol(default: float) -> float:
         return default if tolerance_override is None else tolerance_override
 
+    sweep, baseline_sweep = (10, 10) if quick else (40, 50)
+    num_cases, num_qubits, num_parameters = (4, 3, 6) if quick else (20, 4, 8)
+    equivalence = _random_cases(seed, num_cases, num_qubits, num_parameters)
+    oracle = _random_cases(seed + 1, 3 if quick else 8, 4, 8)
+    # P > 2^(N+1): circuits compute_geometric_tensor sends to the co-state route
+    narrow = [*_random_cases(seed + 6, 2 if quick else 4, 1, 5),
+              *_random_cases(seed + 7, 2 if quick else 4, 2, 12)]
+    agreement = equivalence + oracle
+    routed = agreement + narrow
+    gradient = _random_cases(seed + 5, 2 if quick else 6, 4, 8)
+    berry = _random_cases(seed + 4, 2 if quick else 6, 3, 7)
     return [
-        check_count_exactness(seed, quick),
-        check_reference_totals(quick),
-        check_baseline_equivalence(seed, quick, tol(1e-10)),
-        check_finite_difference(seed, quick, tol(1e-6)),
-        check_gauge_invariance(seed, quick, tol(1e-9)),
-        check_berry_consistency(seed, quick, tol(1e-12)),
-        check_blocked_count_exactness(seed, quick),
-        check_blocked_agreement(seed, quick, tol(1e-10)),
-        check_costate_count_exactness(seed, quick),
-        check_costate_agreement(seed, quick, tol(1e-10)),
-        check_costate_finite_difference(seed, quick, tol(1e-6)),
-        check_gradient_count_exactness(seed, quick),
-        check_gradient_finite_difference(seed, quick, tol(1e-6)),
+        _exact("count_exactness", f"all baselines and main, P = 1..{baseline_sweep}",
+               _count_pairs(seed, baseline_sweep)),
+        _exact("reference_totals", "gates+clones at P=100: 681750 / 20401 / 5251",
+               _reference_pairs(quick)),
+        _close("baseline_equivalence",
+               f"{num_cases} circuits, P={num_parameters}",
+               _baseline_pairs(equivalence), tol(1e-10)),
+        _close("finite_difference", f"{len(oracle)} circuits, central step 1e-5",
+               _against_oracle(compute_geometric_tensor_main, oracle), tol(1e-6)),
+        _gauge_invariance(seed + 2, quick, tol(1e-9)),
+        _close("berry_consistency", "",
+               ((compute_berry_vector(circuit, params, OpCounter()),
+                 compute_geometric_tensor_main(circuit, params, OpCounter()).berry)
+                for circuit, params in berry), tol(1e-12)),
+        _exact("blocked_count_exactness", f"gates, clones, inner products and registers, "
+               f"P = 1..{sweep}, B = 1..P + 1", _blocked_count_pairs(seed, sweep)),
+        _close("blocked_agreement", f"{len(agreement)} circuits, B = 1..P, G, L and T",
+               _against_main(_blocked_tensors, agreement), tol(1e-10)),
+        _exact("costate_count_exactness", f"gates, clones, inner products and registers, "
+               f"N = 1..4, P = 1..{sweep}", _costate_count_pairs(seed, sweep)),
+        _close("costate_agreement", f"{len(routed)} circuits, G, L and T",
+               _against_main(_costate_tensor, routed), tol(1e-10)),
+        _close("costate_finite_difference", f"{len(routed)} circuits, central step 1e-5",
+               _against_oracle(compute_geometric_tensor_costate, routed), tol(1e-6)),
+        _exact("gradient_count_exactness", f"P = 1..{sweep}, T = 0..4",
+               _gradient_count_pairs(seed, sweep)),
+        _close("gradient_finite_difference", f"{len(gradient)} circuits, 4 terms, "
+               "central step 1e-5", _gradient_pairs(seed + 5, gradient), tol(1e-6)),
     ]

@@ -28,7 +28,7 @@ from qngsim.optimizer import (
     parse_hamiltonian_text,
     run_optimization,
 )
-from qngsim.statevector import OpCounter
+from qngsim.statevector import OpCounter, track_allocations
 from qngsim.verify import finite_difference_gradient
 
 from circuit_strategies import circuit_cases
@@ -241,6 +241,21 @@ def test_gradient_counts_equal_cost_model():
         gradient_cost(0, 1)
     with pytest.raises(ValueError):
         gradient_cost(1, -1)
+
+
+def test_gradient_peaks_at_three_registers():
+    # psi ("state") plus lambda and work ("workspace"), whatever P and T
+    rng = np.random.default_rng(76)
+    for num_parameters in range(1, 13):
+        circuit = random_circuit(2, num_parameters, rng)
+        params = random_parameters(num_parameters, rng)
+        for num_terms in range(5):
+            h = PauliSum(tuple((0.5, PauliString.single(t % 2, "XYZ"[t % 3]))
+                               for t in range(num_terms)))
+            with track_allocations() as tally:
+                energy_gradient(circuit, params, h, OpCounter())
+            assert (tally.peak_live(), tally.peak_live("state"),
+                    tally.peak_live("workspace")) == (3, 1, 2)
 
 
 def _recorded_run(monkeypatch, circuit, steps):
