@@ -22,6 +22,7 @@ from .ansatz import (
 )
 from .baselines import BaselineId, compute_li_tensor, cost_model
 from .errors import (
+    CoefficientOverflowError,
     ParseError,
     ResourceLimitError,
     SingularMetricError,

@@ -17,12 +17,12 @@ Commands
 ``verify``    run the cross-algorithm, finite-difference, gauge and count
               suites; non-zero exit on any failure.
 
-Exit codes: 0 success, 1 verification/optimization failure, 2 usage or parse
-error (a path that is missing, unreadable or a directory included), 3 resource
-limit.  Every command runs in one memory budget, QNG_MEMORY_BUDGET_BYTES
-(default 4 GiB): the registers live at once must fit in it, and a circuit
-whose one register does not (over 28 qubits at the default) is refused up
-front by the qubit guard.
+Exit codes: 0 success, 1 verification/optimization failure or a result that
+overflows a float, 2 usage or parse error (a path that is missing, unreadable
+or a directory included), 3 resource limit.  Every command runs in one
+memory budget, QNG_MEMORY_BUDGET_BYTES (default 4 GiB): the registers live
+at once must fit in it, and a circuit whose one register does not (over 28
+qubits at the default) is refused up front by the qubit guard.
 The circuit and Hamiltonian file formats are described in
 :mod:`qngsim.parsing`.
 """
@@ -42,6 +42,7 @@ import numpy as np
 from .ansatz import random_circuit, random_parameters
 from .baselines import BaselineId, compute_li_tensor, cost_model
 from .errors import (
+    CoefficientOverflowError,
     ParseError,
     ResourceLimitError,
     SingularMetricError,
@@ -128,15 +129,19 @@ def _cmd_tensor(args: argparse.Namespace, budget: int) -> int:
     _guard_qubits(circuit.num_qubits, budget)
     params = _parse_param_values(args.params, circuit.num_parameters)
     counter = OpCounter()
-    if args.algorithm == "auto":
-        matrix = compute_geometric_tensor(circuit, params, counter).matrix
-    elif args.algorithm == "main":
-        matrix = compute_geometric_tensor_main(circuit, params, counter).matrix
-    else:
-        alg = BaselineId(args.algorithm)
-        bound = circuit.bind(params)
-        li = compute_li_tensor(alg, circuit, bound, counter)
-        matrix = tensor_matrix(li, compute_berry_vector(circuit, bound, counter))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if args.algorithm == "auto":
+            matrix = compute_geometric_tensor(circuit, params, counter).matrix
+        elif args.algorithm == "main":
+            matrix = compute_geometric_tensor_main(circuit, params, counter).matrix
+        else:
+            alg = BaselineId(args.algorithm)
+            bound = circuit.bind(params)
+            li = compute_li_tensor(alg, circuit, bound, counter)
+            matrix = tensor_matrix(li, compute_berry_vector(circuit, bound, counter))
+    if not np.all(np.isfinite(matrix)):
+        raise CoefficientOverflowError("the tensor overflows a float: a gate "
+                                       "coefficient is too large; nothing written")
     if args.format == "bin":
         write_tensor_binary(matrix, args.out)
     else:
@@ -448,7 +453,7 @@ def main(argv=None) -> int:
     except MemoryError:
         print("resource error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
-    except (SingularMetricError, StepOverflowError) as exc:
+    except (CoefficientOverflowError, SingularMetricError, StepOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except ValueError as exc:

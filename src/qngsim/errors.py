@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 __all__ = [
+    "CoefficientOverflowError",
     "ParseError",
     "ResourceLimitError",
     "SingularMetricError",
@@ -29,3 +30,7 @@ class SingularMetricError(RuntimeError):
 class StepOverflowError(RuntimeError):
     """A natural-gradient step does not fit in a float: the timestep is too
     large for the gradient and the metric at that point."""
+
+
+class CoefficientOverflowError(RuntimeError):
+    """A tensor, energy or gradient overflows a float: a coefficient is too large."""

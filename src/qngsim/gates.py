@@ -152,8 +152,9 @@ class PauliString:
 
 @dataclass(frozen=True, eq=False)
 class PauliSum:
-    """``sum_j w_j sigma_j`` with finite real weights, Hermitian by
-    construction: a Hamiltonian, or the generator of a :class:`GeneratedGate`."""
+    """``sum_j w_j sigma_j`` with real weights whose absolute sum, a bound on
+    its norm, is a finite float; Hermitian by construction: a Hamiltonian,
+    or the generator of a :class:`GeneratedGate`."""
 
     terms: tuple[tuple[float, PauliString], ...]
 
@@ -162,6 +163,8 @@ class PauliSum:
         for weight, pauli in terms:
             if not np.isfinite(weight):
                 raise ValueError(f"the weight of {pauli} must be finite, got {weight}")
+        if not np.isfinite(sum(abs(weight) for weight, _ in terms)):
+            raise ValueError("the absolute sum of the weights overflows a float")
         object.__setattr__(self, "terms", terms)
 
     @property

@@ -25,12 +25,10 @@ gates as the paper's abstract describes:
   With B = P it keeps every derivative state at once, in P + 1 registers,
   for (P^2 + 3P)/2 gates and P + 1 clones.
 * co-state, :func:`compute_geometric_tensor_costate`: the state Jacobian
-  ``J_mk = <m|d_k psi>`` read in one reverse sweep against the 2^N
-  co-states ``U_{k+1}^dag ... U_P^dag |m>`` (the reverse mode of Jones and
-  Gacon, arXiv:2009.02823), then ``L = J^dag J`` by one classical product.
-  It costs :func:`costate_tensor_cost`, O(2^N P) primitives in 2^N + 2
-  registers: 2415 gates, 129 clones and 2176 inner products at N = 4,
-  P = 128 against B = P's 8384 / 129 / 8384.
+  ``J_mk = <m|d_k psi>`` read by one :func:`reverse_sweep` against the 2^N
+  co-states, then ``L = J^dag J``.  It costs :func:`costate_tensor_cost`,
+  O(2^N P) primitives in 2^N + 2 registers: 2415 gates, 129 clones and 2176
+  inner products at N = 4, P = 128 against B = P's 8384 / 129 / 8384.
 
 :func:`compute_geometric_tensor` is the one entry: it picks a route by the
 rule its docstring states, for ``qngsim tensor`` (``--algorithm auto``, the
@@ -84,6 +82,7 @@ __all__ = [
     "mirror_upper",
     "overlap_matrix",
     "read_tensor_binary",
+    "reverse_sweep",
     "tensor_matrix",
     "write_tensor_binary",
     "write_tensor_csv",
@@ -122,6 +121,12 @@ class GeometricTensor:
         return self.matrix.real.copy()
 
 
+def _at_least_one(**sizes: int) -> None:
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
+
+
 def main_algorithm_cost(num_parameters: int) -> tuple[int, int, int]:
     """Recorded primitive counts of :func:`compute_geometric_tensor_main`.
 
@@ -130,6 +135,7 @@ def main_algorithm_cost(num_parameters: int) -> tuple[int, int, int]:
     instrumented runs once and are held exact by ``qngsim verify`` and the
     test suite; total gates + clones is ``2P^2 + 2P + 1``.
     """
+    _at_least_one(num_parameters=num_parameters)
     p = num_parameters
     gates = (3 * p * p + p) // 2
     clones = (p * p + 3 * p + 2) // 2
@@ -201,9 +207,8 @@ def blocked_tensor_cost(num_parameters: int, block: int) -> tuple[int, int, int]
     earlier block (P + tail of each); and the live states roll to the end
     (P(P - 1)/2 gates).  The inner products are L's upper triangle and T.
     """
+    _at_least_one(num_parameters=num_parameters, block=block)
     p, b = num_parameters, block
-    if b < 1:
-        raise ValueError(f"block must be >= 1, got {b}")
     ends = [min(end, p) for end in range(b, p + b, b)]
     tail = sum(p - end for end in ends)
     gates = len(ends) * p + p + tail + p * (p - 1) // 2
@@ -213,6 +218,7 @@ def blocked_tensor_cost(num_parameters: int, block: int) -> tuple[int, int, int]
 def blocked_tensor_registers(num_parameters: int, block: int) -> int:
     """Peak workspace registers of :func:`compute_geometric_tensor_blocked`:
     psi, min(B, P) derivative states and, when B < P, one work register."""
+    _at_least_one(num_parameters=num_parameters, block=block)
     return num_parameters + 1 if block >= num_parameters else block + 2
 
 
@@ -234,8 +240,7 @@ def blocked_overlaps(bound: BoundCircuit, block: int, counter: OpCounter,
     """
     circuit = bound.circuit
     count, width = circuit.num_parameters, circuit.num_qubits
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
+    _at_least_one(block=block)
     start = input_state(circuit)
     psi = Statevector.zeros(width)
     states = [Statevector.zeros(width) for _ in range(min(block, count))]
@@ -299,29 +304,52 @@ def costate_tensor_cost(num_parameters: int, num_qubits: int) -> tuple[int, int,
     """Exact (gate applications, clones, inner products) of
     :func:`compute_geometric_tensor_costate` on P gates and N qubits.
 
-    Preparing psi costs a clone and P gates; each of the P steps of the
-    reverse sweep costs a clone, the factor D_k and 2^N + 1 inner products
-    (T_k and a column of J), and each step but the last rolls psi and the
-    2^N co-states back through one adjoint.  Peak workspace: 2^N + 2
+    Preparing psi costs P gates and a clone, and the :func:`reverse_sweep`
+    over psi and the 2^N co-states the rest.  Peak workspace: 2^N + 2
     registers.
     """
+    _at_least_one(num_parameters=num_parameters, num_qubits=num_qubits)
     p, dim = num_parameters, 2**num_qubits
     return 2 * p + (p - 1) * (dim + 1), p + 1, p * (dim + 1)
+
+
+def reverse_sweep(bound: BoundCircuit, psi: Statevector, reads: list[Statevector],
+                  counter: OpCounter) -> np.ndarray:
+    """``out[r, k] = <reads[r]_k| D_k |psi_k>`` for k = P..1: the reverse
+    mode of Jones and Gacon (arXiv:2009.02823).
+
+    psi and the reads enter at k = P.  At each k a clone of ``|psi_k>`` in
+    one work register takes ``D_k``, each read is taken against it, and
+    (but for k = 1) psi, then the reads, roll back through ``U_k^dag``; psi
+    rolls once if it is also read.  Costs P clones, P factors,
+    P * len(reads) inner products and P - 1 adjoints per rolled register.
+    """
+    gates, adjoints = bound.circuit.gates, bound.adjoints
+    rolled = [psi, *(read for read in reads if read is not psi)]
+    work = Statevector.zeros(psi.num_qubits)
+    out = np.zeros((len(reads), len(gates)), dtype=np.complex128)
+    for k in range(len(gates) - 1, -1, -1):
+        clone_into(psi, work, counter)                       # psi = |psi_k>
+        apply_operator(work, gates[k].derivative_factor, counter)
+        for r, read in enumerate(reads):
+            out[r, k] = inner_product(read, work, counter)
+        if k:
+            for state in rolled:
+                apply_operator(state, adjoints[k], counter)
+    return out
 
 
 def compute_geometric_tensor_costate(circuit: AnsatzCircuit, params,
                                      counter: OpCounter) -> GeometricTensor:
     """Evaluate G, L and T for ``circuit`` at ``params`` from the state
-    Jacobian ``J_mk = <m|d_k psi>``, read in one reverse sweep.
+    Jacobian ``J_mk = <m|d_k psi>``, the overlap of ``D_k|psi_k>`` with the
+    co-state ``U_{k+1}^dag ... U_P^dag |m>``.
 
-    ``|d_k psi> = U_P ... U_{k+1} D_k |psi_k>``, so ``J_mk`` is the overlap
-    of ``D_k|psi_k>`` with the co-state ``U_{k+1}^dag ... U_P^dag |m>``.  The
-    2^N co-states start as the basis states ``|m>``, written directly and
-    uncounted like the circuit input; psi is prepared once.  For k = P..1
-    a clone of ``|psi_k>`` takes ``D_k``, ``T_k`` and column k of J are
-    read from it, and psi and every co-state roll back through ``U_k^dag``.
-    ``L = J^dag J`` is one classical product on the counted inner products,
-    as :func:`tensor_matrix`'s outer product is.  Costs
+    psi is prepared and cloned into a workspace register, and the co-states
+    start as the basis states ``|m>``, written uncounted like the circuit
+    input.  One :func:`reverse_sweep` reads ``[psi, *co-states]``: row 0 is
+    T, the rest J.  ``L = J^dag J`` is one classical product, as
+    :func:`tensor_matrix`'s outer product is.  Costs
     :func:`costate_tensor_cost` in 2^N + 2 workspace registers.
 
     Args:
@@ -331,26 +359,12 @@ def compute_geometric_tensor_costate(circuit: AnsatzCircuit, params,
         counter: receives the exact :func:`costate_tensor_cost`.
     """
     bound = circuit.bind(params)
-    count, width = circuit.num_parameters, circuit.num_qubits
-    adjoints = bound.adjoints
+    width = circuit.num_qubits
     psi = Statevector.zeros(width)
-    clone_into(input_state(circuit), psi, counter)
-    for unitary in bound.unitaries:
-        apply_operator(psi, unitary, counter)
-    work = Statevector.zeros(width)
+    clone_into(bound.prepare(counter), psi, counter)
     costates = [make_basis_state(width, m, kind="workspace") for m in range(1 << width)]
-    berry = np.zeros(count, dtype=np.complex128)
-    jacobian = np.zeros((len(costates), count), dtype=np.complex128)
-    for k in range(count - 1, -1, -1):
-        clone_into(psi, work, counter)                       # psi = |psi_k>
-        apply_operator(work, circuit.gates[k].derivative_factor, counter)
-        berry[k] = inner_product(psi, work, counter)
-        for m, costate in enumerate(costates):
-            jacobian[m, k] = inner_product(costate, work, counter)
-        if k:
-            apply_operator(psi, adjoints[k], counter)
-            for costate in costates:
-                apply_operator(costate, adjoints[k], counter)
+    out = reverse_sweep(bound, psi, [psi, *costates], counter)
+    berry, jacobian = out[0], out[1:]
     li = mirror_upper(jacobian.conj().T @ jacobian)
     return GeometricTensor(matrix=tensor_matrix(li, berry), berry=berry, li=li)
 

@@ -6,21 +6,17 @@ descent instead solves ``(g + lam*I) dtheta = -dt * grad(E)`` with
 ``dtheta``.  The Tikhonov shift ``lam`` keeps the solve well-posed when the
 metric is singular or near-singular.
 
-The energy and its gradient come from one pass (the reverse mode of Jones
-and Gacon, arXiv:2009.02823): prepare ``|psi>``, sum the Hamiltonian into one
-register, ``|lambda> = sum_t c_t sigma_t |psi>`` (a clone, a Pauli string and
-an axpy per term), and read the energy ``Re<psi|lambda>``.  One reverse
-sweep then rolls ``|psi>`` and ``|lambda>`` back through the gate adjoints;
-each component is ``2 * Re<lambda_i| D_i |psi_i>`` with the gate's cached
-factor ``D_i`` (``dU_i |psi_{i-1}> = D_i |psi_i>``).  That is O(P + T)
-primitives in three registers, counted exactly by :func:`gradient_cost`,
-against the O(P^2) of parameter-wise finite differences.
-``run_optimization`` binds each point once: the energy, the gradient and the
-tensor all take their gate operators from that one binding.  Its tensor is
-:func:`~qngsim.metric.compute_geometric_tensor`, whose docstring states the
-rule that picks the route, as ``qngsim tensor`` does by default.  Every
-route builds only unitaries and adjoints at a point, and the co-state route
-rolls back through the same adjoints the gradient sweep uses.
+The energy and its gradient come from one pass: prepare ``|psi>``, sum the
+Hamiltonian into one register, ``|lambda> = sum_t c_t sigma_t |psi>`` (a
+clone, a Pauli string and an axpy per term), read the energy
+``Re<psi|lambda>``, and take the gradient as ``2 Re`` of
+:func:`~qngsim.metric.reverse_sweep` with ``lambda`` as its one read.  That
+is O(P + T) primitives in three registers, counted exactly by
+:func:`gradient_cost`, against the O(P^2) of parameter-wise finite
+differences.
+``run_optimization`` binds each point once, so the energy, the gradient and
+the tensor (:func:`~qngsim.metric.compute_geometric_tensor`, which picks its
+route as ``qngsim tensor`` does by default) share its gate operators.
 
 The whole loop needs numpy only: the natural-gradient solve,
 :func:`_solve_metric_system`, is numpy's LAPACK LU solve, so an optimizer
@@ -36,9 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from .ansatz import AnsatzCircuit, BoundCircuit, prepare_ansatz_state
-from .errors import SingularMetricError, StepOverflowError
+from .errors import CoefficientOverflowError, SingularMetricError, StepOverflowError
 from .gates import PauliSum
-from .metric import compute_geometric_tensor
+from .metric import compute_geometric_tensor, reverse_sweep
 from .parsing import parse_hamiltonian_file, parse_hamiltonian_text  # re-exported
 from .statevector import (
     OpCounter,
@@ -77,9 +73,8 @@ def gradient_cost(num_parameters: int, num_terms: int) -> tuple[int, int, int, i
     :func:`energy_gradient` call on P gates and T Hamiltonian terms.
 
     P gates prepare psi; each term costs a clone, its Pauli string and an
-    axpy into lambda; the energy is one inner product; the sweep costs P
-    clones, P inner products and 3P - 2 gates (P derivative factors, P - 1
-    adjoints each on psi and on lambda).
+    axpy into lambda; the energy is one inner product; the reverse sweep
+    rolls psi and lambda.
     """
     if num_parameters < 1:
         raise ValueError(f"num_parameters must be >= 1, got {num_parameters}")
@@ -90,16 +85,16 @@ def gradient_cost(num_parameters: int, num_terms: int) -> tuple[int, int, int, i
 
 
 def _apply_hamiltonian(psi: Statevector, hamiltonian: PauliSum,
-                       counter: OpCounter) -> tuple[float, Statevector, Statevector]:
-    """``(Re<psi|lambda>, lambda, work)`` with ``|lambda> = H|psi>``, summed
-    term by term through the scratch register ``work``."""
+                       counter: OpCounter) -> tuple[float, Statevector]:
+    """``(Re<psi|lambda>, lambda)`` with ``|lambda> = H|psi>``, summed term
+    by term through a scratch register."""
     lam = Statevector.zeros(psi.num_qubits)
     work = Statevector.zeros(psi.num_qubits)
     for coeff, op in hamiltonian.term_operators:
         clone_into(psi, work, counter)
         apply_operator(work, op, counter)
         axpy(coeff, work, lam, counter)
-    return inner_product(psi, lam, counter).real, lam, work
+    return inner_product(psi, lam, counter).real, lam
 
 
 def energy_expectation(circuit: AnsatzCircuit, params,
@@ -113,19 +108,11 @@ def energy_expectation(circuit: AnsatzCircuit, params,
 def _energy_and_gradient(bound: BoundCircuit, hamiltonian: PauliSum,
                          counter: OpCounter) -> tuple[float, np.ndarray]:
     """The energy and all P gradient components from one preparation and one
-    reverse sweep over three registers; costs :func:`gradient_cost`."""
-    gates, adjoints = bound.circuit.gates, bound.adjoints
+    :func:`~qngsim.metric.reverse_sweep` over three registers; costs
+    :func:`gradient_cost`."""
     psi = prepare_ansatz_state(bound.circuit, bound, counter)
-    energy, lam, work = _apply_hamiltonian(psi, hamiltonian, counter)
-    grad = np.zeros(len(gates), dtype=np.float64)
-    for i in range(len(gates) - 1, -1, -1):
-        clone_into(psi, work, counter)  # psi = |psi_i>, so dU_i|psi_{i-1}> = D_i|psi_i>
-        apply_operator(work, gates[i].derivative_factor, counter)
-        grad[i] = 2.0 * inner_product(lam, work, counter).real
-        if i > 0:
-            apply_operator(psi, adjoints[i], counter)
-            apply_operator(lam, adjoints[i], counter)
-    return energy, grad
+    energy, lam = _apply_hamiltonian(psi, hamiltonian, counter)
+    return energy, 2.0 * reverse_sweep(bound, psi, [lam], counter)[0].real
 
 
 def energy_gradient(circuit: AnsatzCircuit, params,
@@ -213,6 +200,7 @@ def _solve_metric_system(metric: np.ndarray, rhs: np.ndarray,
     One iterative-refinement pass keeps the residual near machine level.
 
     Raises:
+        CoefficientOverflowError: the metric itself is not finite.
         StepOverflowError: the step does not fit in a float: ``rhs``
             (``-dt * grad(E)``) is not finite, or the solve is finite for
             ``rhs`` scaled to a largest entry of 1 but not for ``rhs``
@@ -220,6 +208,9 @@ def _solve_metric_system(metric: np.ndarray, rhs: np.ndarray,
         SingularMetricError: the shifted system is still singular, which
             with ``regularization == 0`` means the metric itself is.
     """
+    if not np.all(np.isfinite(metric)):
+        raise CoefficientOverflowError("the metric overflows a float: a gate "
+                                       "coefficient is too large")
     if not np.all(np.isfinite(rhs)):
         raise StepOverflowError(
             "the step -dt * grad(E) is not finite; lower the timestep (--dt)"
@@ -256,35 +247,33 @@ def run_optimization(circuit: AnsatzCircuit, initial_params,
     ``energy_tolerance``; every evaluated point is recorded in the trace.
 
     Raises:
+        CoefficientOverflowError: a point's energy, gradient or metric
+            overflows a float.
         StepOverflowError: a step leaves the finite floats, in ``-dt * grad``,
             in the natural-gradient solve or in ``theta + delta``.
     """
     counter = OpCounter()
     bound = circuit.bind(initial_params)
-    theta = bound.theta
     trace = OptimizationTrace()
-    energy, grad = _energy_and_gradient(bound, hamiltonian, counter)
-    trace.records.append(StepRecord(0, energy, float(np.linalg.norm(grad)), theta.copy()))
-    for step in range(1, config.max_steps + 1):
-        with np.errstate(over="ignore"):
-            delta = -config.timestep * grad
-        if config.mode == NATURAL_GRADIENT:
-            metric = compute_geometric_tensor(circuit, bound, counter).fubini_study_metric
-            delta = _solve_metric_system(metric, delta, config.regularization)
-        with np.errstate(over="ignore"):
-            theta = theta + delta
-        if not np.all(np.isfinite(theta)):
-            raise StepOverflowError(
-                f"step {step} takes the parameters past the largest float; "
-                f"lower the timestep (--dt)"
-            )
-        bound = circuit.bind(theta)
-        theta = bound.theta
-        new_energy, grad = _energy_and_gradient(bound, hamiltonian, counter)
-        trace.records.append(
-            StepRecord(step, new_energy, float(np.linalg.norm(grad)), theta.copy())
-        )
-        if abs(new_energy - energy) < config.energy_tolerance:
+    for step in range(config.max_steps + 1):
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            energy, grad = _energy_and_gradient(bound, hamiltonian, counter)
+            norm = float(np.linalg.norm(grad))
+        if not (np.isfinite(energy) and np.isfinite(norm)):
+            raise CoefficientOverflowError(f"the energy or its gradient at step {step} "
+                                           "overflows a float: a coefficient is too large")
+        trace.records.append(StepRecord(step, energy, norm, bound.theta.copy()))
+        if step == config.max_steps or (
+                step and abs(energy - trace.records[-2].energy) < config.energy_tolerance):
             break
-        energy = new_energy
+        with np.errstate(over="ignore", invalid="ignore"):  # checked here and in the solve
+            delta = -config.timestep * grad
+            if config.mode == NATURAL_GRADIENT:
+                metric = compute_geometric_tensor(circuit, bound, counter).fubini_study_metric
+                delta = _solve_metric_system(metric, delta, config.regularization)
+            theta = bound.theta + delta
+        if not np.all(np.isfinite(theta)):
+            raise StepOverflowError(f"step {step + 1} takes the parameters past the "
+                                    "largest float; lower the timestep (--dt)")
+        bound = circuit.bind(theta)
     return trace

@@ -17,7 +17,8 @@ is its parameter index:
 
 Hamiltonian files hold one term per line, ``coeff pauli-word`` (e.g.
 ``0.5 X0 X1``), and at least one term; a line with just a coefficient is an
-identity term.
+identity term.  A Hamiltonian, like a ``gen`` line, is refused when the sum
+of its weights' sizes overflows a float.
 """
 
 from __future__ import annotations
@@ -173,7 +174,10 @@ def parse_hamiltonian_text(text: str, source: str = "<string>") -> PauliSum:
             raise ParseError(f"{source}:{lineno}: {exc}") from None
     if not terms:
         raise ParseError(f"{source}: hamiltonian has no terms")
-    return PauliSum(tuple(terms))
+    try:
+        return PauliSum(tuple(terms))
+    except ValueError as exc:
+        raise ParseError(f"{source}: {exc}") from None
 
 
 def parse_hamiltonian_file(path) -> PauliSum:

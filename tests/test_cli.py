@@ -335,6 +335,64 @@ def test_tensor_command_rejects_non_finite_phase_rate(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["tensor", "optimize"])
+def test_overflowing_weight_sum_is_usage_error(tmp_path, capsys, command):
+    # a gen line or a Hamiltonian file whose weights' sizes sum past the
+    # largest float: one error line naming the file (and the circuit's line),
+    # no output, no numpy warning
+    circuit = tmp_path / "c.txt"
+    hamiltonian = tmp_path / "h.txt"
+    out = tmp_path / "out.csv"
+    if command == "tensor":
+        circuit.write_text("qubits 1\ngen 1e308 X0 ; 1e308 X0\n")
+        argv = ["tensor", "--params", "0.3"]
+        where = f"{circuit}:2: "
+    else:
+        circuit.write_text("qubits 1\nrx 0\n")
+        hamiltonian.write_text("1e308 Z0\n1e308 Z0\n")
+        argv = ["optimize", "--hamiltonian", str(hamiltonian), "--steps", "0"]
+        where = f"{hamiltonian}: "
+    code = main(argv + ["--circuit", str(circuit), "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {where}the absolute sum of the weights overflows a float\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm, fmt", [("auto", "csv"), ("main", "bin"), ("alg2", "csv")])
+def test_tensor_that_overflows_is_failure_and_writes_nothing(tmp_path, capsys, algorithm, fmt):
+    # the generator is finite, but G ~ 1e400 is not: exit 1 before either
+    # writer runs
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("qubits 1\ngen 1e200 X0\n")
+    out = tmp_path / "g.out"
+    code = main(["tensor", "--circuit", str(circuit), "--params", "0.3",
+                 "--algorithm", algorithm, "--format", fmt, "--out", str(out)])
+    assert code == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: the tensor overflows a float") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("hamiltonian_text, what", [("1 Z0\n", "gradient at step 0"),
+                                                    ("1e-100 Z0\n", "metric")])
+def test_optimize_that_overflows_names_the_coefficients(tmp_path, capsys, hamiltonian_text,
+                                                        what):
+    # exit 1 naming the overflow, not lambda, whose default is already set
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("qubits 1\nrx 0\ngen 1e200 X0\n")
+    hamiltonian = tmp_path / "h.txt"
+    hamiltonian.write_text(hamiltonian_text)
+    out = tmp_path / "trace.csv"
+    code = main(["optimize", "--circuit", str(circuit), "--hamiltonian", str(hamiltonian),
+                 "--steps", "2", "--out", str(out)])
+    assert code == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert what in err and "overflows a float" in err and "lambda" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("params", ["inf,0.1,0.2", "0.3,nan,0.2", "0.3,0.7,-inf"])
 def test_tensor_command_rejects_non_finite_params(circuit_file, tmp_path, capsys,
                                                   params):

@@ -301,6 +301,15 @@ def test_pauli_sum_rejects_non_finite_weights(weight):
         PauliSum(((weight, PauliString.single(0, "Z")),))
 
 
+@pytest.mark.parametrize("weights", [(1e308, 1e308), (1e308, -1e308), (-1.7e308,) * 3])
+def test_pauli_sum_rejects_an_overflowing_absolute_sum(weights):
+    # each weight is finite, but the sum of their sizes, which bounds the
+    # norm of the operator, is not
+    with pytest.raises(ValueError, match="absolute sum of the weights overflows"):
+        PauliSum(tuple((weight, PauliString.single(0, "Z")) for weight in weights))
+    PauliSum(((weights[0], PauliString.single(0, "Z")),))
+
+
 @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
 def test_rotations_reject_non_finite_scale(scale):
     with pytest.raises(ValueError, match="scale must be finite"):

@@ -25,11 +25,12 @@ from qngsim.metric import (
     costate_tensor_cost,
     main_algorithm_cost,
     read_tensor_binary,
+    reverse_sweep,
     tensor_matrix,
     write_tensor_binary,
     write_tensor_csv,
 )
-from qngsim.statevector import OpCounter, track_allocations
+from qngsim.statevector import OpCounter, make_basis_state, track_allocations
 from qngsim.verify import finite_difference_tensor
 
 from circuit_strategies import blocked_cases
@@ -391,6 +392,88 @@ def test_blocked_tensor_cost_closed_form():
     with pytest.raises(ValueError):
         compute_geometric_tensor_blocked(random_circuit(2, 5, 55), random_parameters(5, 56),
                                          OpCounter(), 0)
+
+
+@pytest.mark.parametrize("cost, sizes", [
+    (main_algorithm_cost, (0,)), (main_algorithm_cost, (-2,)),
+    (blocked_tensor_cost, (0, 3)), (blocked_tensor_cost, (5, 0)),
+    (blocked_tensor_registers, (0, 3)), (blocked_tensor_registers, (5, 0)),
+    (costate_tensor_cost, (0, 2)), (costate_tensor_cost, (5, 0)),
+])
+def test_cost_models_reject_sizes_below_one(cost, sizes):
+    # P, B and N below 1 describe no run, so they have no cost to predict
+    with pytest.raises(ValueError, match="must be >= 1"):
+        cost(*sizes)
+
+
+# ---------------------------------------------------------------------------
+# The reverse sweep
+# ---------------------------------------------------------------------------
+
+
+def _sweep(circuit, params, make_reads):
+    """reverse_sweep from a prepared psi: its rows, its counts, the registers
+    it allocates and psi after the sweep."""
+    bound = circuit.bind(params)
+    psi = bound.prepare(OpCounter())
+    reads = make_reads(psi)
+    counter = OpCounter()
+    with track_allocations() as tally:
+        rows = reverse_sweep(bound, psi, reads, counter)
+    return rows, counter.as_tuple(), tally.total_allocated(), psi
+
+
+def _basis(num_qubits):
+    return [make_basis_state(num_qubits, m) for m in range(2**num_qubits)]
+
+
+@pytest.mark.parametrize("num_parameters", [1, 2, 7])
+def test_reverse_sweep_counts_are_exact(num_parameters):
+    # P clones and P factors; P inner products per read; P - 1 adjoints per
+    # rolled register, psi once although it is also read; one register
+    circuit = random_circuit(2, num_parameters, 59)
+    params = random_parameters(num_parameters, 60)
+    p = num_parameters
+    for make_reads, rolled in ((lambda psi: [psi], 1),
+                               (lambda psi: _basis(2)[:1], 2),
+                               (lambda psi: [psi, *_basis(2)], 5),
+                               (lambda psi: _basis(2), 5)):
+        rows, counts, allocated, _ = _sweep(circuit, params, make_reads)
+        assert rows.shape[1] == p
+        assert counts == (p + (p - 1) * rolled, p, p * len(rows))
+        assert allocated == 1
+
+
+def test_reverse_sweep_rolls_psi_once_when_it_is_read():
+    # after the sweep psi is |psi_1> = U_1|in>; a second roll would leave it
+    # elsewhere
+    circuit = random_circuit(2, 6, 61)
+    params = random_parameters(6, 62)
+    *_, psi = _sweep(circuit, params, lambda psi: [psi])
+    first = circuit.bind(params).prepare(OpCounter(), upto=1)
+    np.testing.assert_allclose(psi.amplitudes, first.amplitudes, atol=1e-14)
+
+
+def test_reverse_sweep_of_psi_is_the_berry_vector():
+    circuit = random_circuit(3, 9, 63)
+    params = random_parameters(9, 64)
+    rows, *_ = _sweep(circuit, params, lambda psi: [psi])
+    main = compute_geometric_tensor_main(circuit, params, OpCounter())
+    np.testing.assert_allclose(rows[0], main.berry, atol=1e-13)
+
+
+def test_reverse_sweep_of_the_basis_is_the_state_jacobian():
+    # rows[m, k] = <m|d_k psi>, against central differences of psi
+    circuit = random_circuit(2, 7, 65)
+    params = random_parameters(7, 66)
+    rows, *_ = _sweep(circuit, params, lambda psi: _basis(2))
+    step = 1e-6
+    shifts = np.eye(7) * step
+    jacobian = np.array([
+        circuit.bind(params + shift).prepare(OpCounter()).amplitudes
+        - circuit.bind(params - shift).prepare(OpCounter()).amplitudes
+        for shift in shifts]).T / (2 * step)
+    np.testing.assert_allclose(rows, jacobian, atol=1e-8)
 
 
 # on N = 1..4 qubits, both sides of each boundary: P = 2^N (B = 3), 2^N + 1

@@ -8,8 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qngsim.ansatz import AnsatzCircuit, random_circuit, random_layered_circuit, random_parameters
-from qngsim.errors import ParseError, SingularMetricError, StepOverflowError
-from qngsim.gates import ControlledPauliRotation, PauliRotation, PauliString, PauliSum
+from qngsim.errors import (
+    CoefficientOverflowError,
+    ParseError,
+    SingularMetricError,
+    StepOverflowError,
+)
+from qngsim.gates import (
+    ControlledPauliRotation,
+    GeneratedGate,
+    PauliRotation,
+    PauliString,
+    PauliSum,
+)
 from qngsim.metric import (
     blocked_tensor_cost,
     compute_geometric_tensor,
@@ -88,6 +99,12 @@ def test_parse_hamiltonian_errors_carry_line_numbers():
     for bad in ("\u0660.\u0665 Z0", "1_0 X1"):  # float() reads both
         with pytest.raises(ParseError, match=":2: expected a coefficient"):
             parse_hamiltonian_text(f"1.0 Z0\n{bad}\n")
+
+
+def test_parse_hamiltonian_rejects_an_overflowing_weight_sum():
+    # each line is finite; the file as a whole is not
+    with pytest.raises(ParseError, match="^h.txt: the absolute sum of the weights overflows"):
+        parse_hamiltonian_text("1e308 Z0\n1e308 Z0\n", source="h.txt")
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n  # another\n"])
@@ -397,6 +414,30 @@ def test_overflowing_step_blames_the_timestep():
 def test_non_finite_step_direction_blames_the_timestep(rhs):
     with pytest.raises(StepOverflowError, match="-dt \\* grad\\(E\\) is not finite"):
         _solve_metric_system(0.25 * np.eye(2), np.array(rhs), 1e-8)
+
+
+@pytest.mark.parametrize("metric", [[[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]])
+def test_non_finite_metric_blames_the_coefficients(metric):
+    # checked before the step, so neither --dt nor lambda is blamed
+    with pytest.raises(CoefficientOverflowError, match="metric overflows") as error:
+        _solve_metric_system(np.array(metric), np.array([np.inf, 0.0]), 0.0)
+    assert "lambda" not in str(error.value) and "--dt" not in str(error.value)
+
+
+@pytest.mark.parametrize("weight, hamiltonian, message", [
+    # |grad| ~ 1e200, so its norm overflows at the first point
+    (1e200, "1 Z0", "energy or its gradient at step 0 overflows"),
+    # the gradient stays finite under a tiny Hamiltonian, but G ~ 1e400
+    (1e200, "1e-100 Z0", "metric overflows"),
+])
+def test_run_names_an_overflowing_point_or_metric(weight, hamiltonian, message):
+    circuit = AnsatzCircuit(1, (PauliRotation(PauliString.single(0, "X")),
+                                GeneratedGate(PauliSum(((weight, PauliString.single(0, "X")),)))))
+    config = OptimizerConfig(timestep=0.05, max_steps=2)
+    h = parse_hamiltonian_text(hamiltonian)
+    with pytest.raises(CoefficientOverflowError, match=message) as error:
+        run_optimization(circuit, [0.3, 0.2], h, config)
+    assert "lambda" not in str(error.value)
 
 
 def test_singular_metric_with_regularization_is_finite():
