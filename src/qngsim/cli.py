@@ -66,7 +66,7 @@ from .optimizer import (
 # _cmd_tensor calls parse_circuit_file by this module's name, which a tracer
 # can wrap; parse_circuit_text is re-exported
 from .parsing import (
-    _is_index,
+    integer,
     parse_circuit_file,
     parse_circuit_text,
     parse_hamiltonian_file,
@@ -351,19 +351,15 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
-def integer(text: str) -> int:
-    """An integer given from outside: an optional ``-``, then ASCII digits
-    only (``int`` alone also reads ``'\u0663'`` and ``'1_0'``)."""
-    if not _is_index(text.removeprefix("-")):
-        raise ValueError(f"expected an integer, got {text!r}")
-    return int(text)
-
-
 def _seed(text: str) -> int:
     """The ``--seed`` type: an integer >= 0, as numpy's generators take."""
-    if not _is_index(text):
+    try:
+        seed = integer(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -106,19 +106,34 @@ def energy_expectation(circuit: AnsatzCircuit, params,
 
 
 def _energy_and_gradient(bound: BoundCircuit, hamiltonian: PauliSum,
-                         counter: OpCounter) -> tuple[float, np.ndarray]:
+                         counter: OpCounter, where: str = "") -> tuple[float, np.ndarray]:
     """The energy and all P gradient components from one preparation and one
     :func:`~qngsim.metric.reverse_sweep` over three registers; costs
-    :func:`gradient_cost`."""
-    psi = prepare_ansatz_state(bound.circuit, bound, counter)
-    energy, lam = _apply_hamiltonian(psi, hamiltonian, counter)
-    return energy, 2.0 * reverse_sweep(bound, psi, [lam], counter)[0].real
+    :func:`gradient_cost`.
+
+    Raises:
+        CoefficientOverflowError: the energy or the gradient's norm is not a
+            finite float; ``where`` (e.g. ``" at step 3"``) names the point.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        psi = prepare_ansatz_state(bound.circuit, bound, counter)
+        energy, lam = _apply_hamiltonian(psi, hamiltonian, counter)
+        grad = 2.0 * reverse_sweep(bound, psi, [lam], counter)[0].real
+        finite = np.isfinite(energy) and np.isfinite(np.linalg.norm(grad))
+    if not finite:
+        raise CoefficientOverflowError(f"the energy or its gradient{where} overflows a "
+                                       "float: a coefficient is too large")
+    return energy, grad
 
 
 def energy_gradient(circuit: AnsatzCircuit, params,
                     hamiltonian: PauliSum,
                     counter: OpCounter) -> np.ndarray:
-    """All P components of the energy gradient in O(P + T) primitives."""
+    """All P components of the energy gradient in O(P + T) primitives.
+
+    Raises:
+        CoefficientOverflowError: the energy or the gradient overflows a float.
+    """
     return _energy_and_gradient(circuit.bind(params), hamiltonian, counter)[1]
 
 
@@ -256,13 +271,9 @@ def run_optimization(circuit: AnsatzCircuit, initial_params,
     bound = circuit.bind(initial_params)
     trace = OptimizationTrace()
     for step in range(config.max_steps + 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            energy, grad = _energy_and_gradient(bound, hamiltonian, counter)
-            norm = float(np.linalg.norm(grad))
-        if not (np.isfinite(energy) and np.isfinite(norm)):
-            raise CoefficientOverflowError(f"the energy or its gradient at step {step} "
-                                           "overflows a float: a coefficient is too large")
-        trace.records.append(StepRecord(step, energy, norm, bound.theta.copy()))
+        energy, grad = _energy_and_gradient(bound, hamiltonian, counter, f" at step {step}")
+        trace.records.append(StepRecord(step, energy, float(np.linalg.norm(grad)),
+                                        bound.theta.copy()))
         if step == config.max_steps or (
                 step and abs(energy - trace.records[-2].energy) < config.energy_tolerance):
             break

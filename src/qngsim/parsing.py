@@ -3,7 +3,8 @@
 Both are line-based; ``#`` starts a comment and blank lines are skipped.  A
 malformed line raises :class:`~qngsim.errors.ParseError` naming its source
 and line number.  Numbers are read in ASCII form only: qubit indices by
-``_is_index``, phase rates and coefficients by :func:`real`.
+``_is_index``, phase rates and coefficients by :func:`real`, integers
+given on the command line by :func:`integer`.
 
 Circuit files hold a header and then one gate per line; a gate's position
 is its parameter index:
@@ -68,6 +69,15 @@ def real(token: str) -> float:
     if not _REAL.fullmatch(token):
         raise ValueError(f"expected a real number, got {token!r}")
     return float(token)
+
+
+def integer(text: str) -> int:
+    """An integer given from outside: an optional ``-``, then ASCII digits
+    only (``int`` alone also reads ``'\u0663'`` and ``'1_0'``).  Raises
+    ValueError."""
+    if not _is_index(text.removeprefix("-")):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def parse_pauli_term(text: str) -> tuple[float, PauliString]:

@@ -33,6 +33,7 @@ qubits), so the primitives never import scipy on narrower registers.
 
 from __future__ import annotations
 
+import sys
 import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -198,17 +199,15 @@ class Statevector:
                  kind: str = "state") -> None:
         if num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
+        if num_qubits + 4 >= sys.maxsize.bit_length():  # 16 << N bytes: past numpy's largest
+            raise ResourceLimitError(f"a {num_qubits}-qubit register is too large to allocate")
         self.num_qubits = num_qubits
         tallies = _TALLIES.get()
         nbytes = 16 << num_qubits  # complex128
         for tally in tallies:
             tally._check_room(num_qubits, nbytes)
         if amplitudes is None:
-            try:
-                self._amplitudes = np.zeros(1 << num_qubits, dtype=np.complex128)
-            except ValueError:  # numpy cannot size the array at all
-                raise ResourceLimitError(
-                    f"a {num_qubits}-qubit register is too large to allocate") from None
+            self._amplitudes = np.zeros(1 << num_qubits, dtype=np.complex128)
         else:
             self.amplitudes = amplitudes
         self.kind = kind
@@ -258,7 +257,7 @@ def make_basis_state(num_qubits: int, basis_index: int, kind: str = "state") -> 
     """
     if num_qubits < 1:
         raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
-    if not 0 <= basis_index < (1 << num_qubits):
+    if basis_index < 0 or basis_index >> num_qubits:
         raise ValueError(
             f"basis_index {basis_index} out of range for {num_qubits} qubits"
         )
@@ -355,8 +354,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 @cache
 def _diagonal_layout(targets: tuple[int, ...], num_qubits: int):
     """The register shape, the diagonal index of every phase-pattern entry and
-    the slices of the axes above the block, each with the diagonal indices
-    its pattern holds; see :func:`_diagonal_kernel`."""
+    the shape that broadcasts the pattern over the register; one block spans
+    the register up to N = 6.  See :func:`_diagonal_kernel`."""
     low = min(num_qubits, max(_BLOCK_BITS, min(targets)))
     high = sorted((q for q in targets if q >= low), reverse=True)
     shape, top = [], num_qubits
@@ -367,64 +366,29 @@ def _diagonal_layout(targets: tuple[int, ...], num_qubits: int):
     grid = np.indices((2,) * len(high) + ((1 << low) if min(targets) < low else 1,))
     bits = [grid[high.index(q)] if q >= low else (grid[-1] >> q) & 1 for q in targets]
     pattern = _frozen(sum(bit << j for j, bit in enumerate(bits)))
-    slices = tuple((sum(((slice(None), bit) for bit in index), ()), index,
-                    tuple(np.unique(pattern[index]).tolist()))
-                   for index in np.ndindex(pattern.shape[:-1]))
-    return tuple(shape), pattern, slices, (1, 2) * len(high) + (1, -1)
+    if low == num_qubits:
+        return (1 << low,), pattern, (-1,)
+    return tuple(shape), pattern, (1, 2) * len(high) + (1, -1)
 
 
 def _diagonal_plan(terms: np.ndarray, targets: tuple[int, ...], num_qubits: int):
-    """Each term's phase pattern, and per slice of the axes above the block
-    the term whose coefficient decides a skip (1) or a fill (0): the one
-    term that is nonzero there if it is all ones there, None if no term is
-    nonzero there.  See :func:`_diagonal_kernel`."""
-    shape, pattern, slices, broadcast = _diagonal_layout(targets, num_qubits)
-    diagonals = terms.diagonal(axis1=1, axis2=2)
-    values = diagonals.tolist()
-    deciding = {}
-    for _, at, entries in slices:
-        live = [k for k, row in enumerate(values) if any(row[e] for e in entries)]
-        if not live or (len(live) == 1 and all(values[live[0]][e] == 1 for e in entries)):
-            deciding[at] = live[0] if live else None
-    flat = _frozen(diagonals.take(pattern.ravel(), axis=1))
-    layout = (shape[-1] == 1 << num_qubits, shape, slices, broadcast)
+    """Each term's phase pattern; see :func:`_diagonal_kernel`."""
+    shape, pattern, broadcast = _diagonal_layout(targets, num_qubits)
+    flat = _frozen(terms.diagonal(axis1=1, axis2=2).take(pattern.ravel(), axis=1))
 
     def bind(coefficients):
-        skip, zero = set(), set()
-        for at, term in deciding.items():
-            weight = 0 if term is None else coefficients[term]
-            if weight == 1:
-                skip.add(at)
-            elif weight == 0:
-                zero.add(at)
-        factors = np.dot(coefficients, flat).reshape(pattern.shape)
-        return _diagonal_kernel(factors, layout, skip, zero)
+        return _diagonal_kernel(np.dot(coefficients, flat).reshape(broadcast), shape)
     return bind
 
 
-def _diagonal_kernel(factors: np.ndarray, layout, skip: set, zero: set):
+def _diagonal_kernel(factors: np.ndarray, shape: tuple[int, ...]):
     """In-place multiply by a phase pattern; see :class:`MatrixGateOperator`."""
-    whole, shape, slices, broadcast = layout
-    if whole:  # one block spans the register: one call
-        if () in skip:
-            return lambda amplitudes: None
-        if () in zero:
-            return lambda amplitudes: amplitudes.fill(0)
+    if len(shape) == 1:  # one block spans the register: one call
         return lambda amplitudes: np.multiply(amplitudes, factors, out=amplitudes)
-    if not (skip or zero):
-        parts = [((), factors.reshape(broadcast))]
-    else:
-        parts = [(index, None if at in zero else factors[at])
-                 for index, at, _ in slices if at not in skip]
 
     def apply(amplitudes: np.ndarray) -> None:
         view = amplitudes.reshape(shape)
-        for index, factor in parts:
-            part = view[index]
-            if factor is None:
-                part.fill(0)
-            else:
-                np.multiply(part, factor, out=part)
+        np.multiply(view, factors, out=view)
     return apply
 
 
@@ -638,19 +602,15 @@ class MatrixGateOperator:
 
     The kernel follows the basis's structure, not its coefficients.  Per N
     the basis caches a plan: the kernel family, its index layout (shared by
-    every basis on the same targets and N), each term expanded through that
-    layout and the slices a diagonal kernel may skip or zero.  Binding a
-    kernel then combines the expanded terms with the coefficients in one
-    product of at most 32x32 entries:
+    every basis on the same targets and N) and each term expanded through
+    that layout.  Binding a kernel then combines the expanded terms with the
+    coefficients in one product of at most 32x32 entries:
 
-    * diagonal (rz, crz, their derivatives and adjoints): an in-place multiply
-      by a phase pattern over blocks of at least 64 amplitudes, with one axis
-      per target bit above the block.  A slice of those axes on which one
-      term alone is nonzero and all ones (crz's control-0 half) is skipped
-      at coefficient 1 and zeroed at 0 (a derivative's control projector),
-      and one on which every term is zero is zeroed; a skipping kernel still
-      counts one gate.  Up to N = 6 one block spans the register, and the
-      kernel is a single call: one in-place multiply, a fill, or nothing.
+    * diagonal (rz, crz, their derivatives and adjoints): one in-place
+      multiply by a phase pattern, broadcast over the register viewed as
+      blocks of at least 64 amplitudes with one axis per target bit above
+      the block.  Up to N = 6 one block spans the register, and the kernel
+      is a single call on the register as it is.
     * dense, all targets within 5 consecutive bits (rx, ry, their derivatives,
       crx and cry on neighbouring qubits): one GEMM against ``K``, the matrix
       kron-expanded to a window holding the targets: ``view(-1, 2**b) @ K.T``

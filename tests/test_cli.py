@@ -22,6 +22,7 @@ from qngsim.metric import (
     main_algorithm_cost,
     read_tensor_binary,
 )
+from qngsim.parsing import integer
 from qngsim.statevector import OpCounter
 
 
@@ -949,6 +950,17 @@ def test_seed_below_zero_names_the_flag(circuit_file, hamiltonian_file, tmp_path
     captured = capsys.readouterr()
     assert f"argument --seed: must be an integer >= 0, got '{seed}'" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("-12", -12), ("007", 7)])
+def test_integer_reads_ascii_digits(text, value):
+    assert integer(text) == value
+
+
+@pytest.mark.parametrize("text", ["\u0663", "1_0", "+3", " 3", "1.0", "--1", "-", ""])
+def test_integer_refuses_other_forms(text):
+    with pytest.raises(ValueError, match="expected an integer"):
+        integer(text)
 
 
 def test_verify_with_absurd_tolerance_fails(capsys):

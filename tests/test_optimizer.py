@@ -440,6 +440,16 @@ def test_run_names_an_overflowing_point_or_metric(weight, hamiltonian, message):
     assert "lambda" not in str(error.value)
 
 
+def test_energy_gradient_refuses_an_overflowing_point():
+    # the standalone gradient checks what run_optimization does; the energy
+    # alone stays finite, since |<psi|H|psi>| <= sum |w_j|
+    circuit = AnsatzCircuit(1, (GeneratedGate(PauliSum(((1e300, PauliString.single(0, "X")),))),))
+    h = parse_hamiltonian_text("1e10 Z0")
+    with pytest.raises(CoefficientOverflowError, match="^the energy or its gradient overflows"):
+        energy_gradient(circuit, [0.3], h, OpCounter())
+    assert np.isfinite(energy_expectation(circuit, [0.3], h, OpCounter()))
+
+
 def test_singular_metric_with_regularization_is_finite():
     circuit = AnsatzCircuit(1, (PauliRotation(PauliString.single(0, "X"), scale=0.0),))
     config = OptimizerConfig(timestep=0.1, regularization=1e-8, max_steps=1)

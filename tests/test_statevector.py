@@ -400,7 +400,7 @@ def test_kernels_match_kron_oracle(case):
 
 def check_crz_family_interleaved(num_qubits, targets, seed):
     """crz, its derivative (control-0 block zero) and its adjoint share their
-    targets and N, so one cached layout, but skip or zero different slices;
+    targets and N, so one cached layout, but bind different phase patterns;
     applied in interleaved order, each must still match the oracle."""
     gate = ControlledPauliRotation(targets[1], PauliString.single(targets[0], "Z"))
     unitary = gate.unitary(0.7)
@@ -883,6 +883,17 @@ def test_budget_refuses_a_register_before_recording_it():
 def test_register_numpy_cannot_size_is_resource_limit():
     with pytest.raises(ResourceLimitError, match="100-qubit"):
         Statevector.zeros(100)
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 20])
+@pytest.mark.parametrize("make", [Statevector, lambda n: make_basis_state(n, 0)],
+                         ids=["register", "basis_state"])
+def test_register_too_large_to_size_is_resource_limit(make, budget):
+    # refused before 2**N or its byte count is built as a Python integer
+    with track_allocations(budget) as tally, pytest.raises(ResourceLimitError,
+                                                            match="too large to allocate"):
+        make(10**41)
+    assert tally.total_allocated() == 0
 
 
 # ---------------------------------------------------------------------------
